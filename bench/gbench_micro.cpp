@@ -99,7 +99,8 @@ void BM_EventQueuePushPopPacked(benchmark::State& state) {
   const auto make_ev = [&] {
     hwsim::IrqEvent ev;
     ev.time = rng.uniform(0, 1'000'000);
-    ev.seq = (counter++ << 16) | (counter & 0xFF);
+    const std::uint64_t n = counter++;
+    ev.seq = (n << 16) | (n & 0xFF);
     return ev;
   };
   while (q.size() < occupancy) q.push(make_ev());

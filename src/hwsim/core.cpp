@@ -10,16 +10,30 @@
 namespace iw::hwsim {
 
 Core::Core(Machine& machine, CoreId id)
-    : machine_(machine),
-      machine_now_(machine.now_cell()),
-      id_(id),
-      vector_table_(256) {}
+    : machine_(machine), machine_now_(machine.now_cell()), id_(id) {}
 
 const CostModel& Core::costs() const { return machine_.costs(); }
 
 void Core::set_irq_handler(int vector, IrqHandler handler) {
-  IW_ASSERT(vector >= 0 && vector < 256);
-  vector_table_[static_cast<std::size_t>(vector)] = std::move(handler);
+  IW_ASSERT_MSG(vector >= 0 && vector < kNumIrqVectors,
+                "set_irq_handler: interrupt vector outside [0, 256)");
+  const auto it =
+      std::find_if(vectors_.begin(), vectors_.end(),
+                   [vector](const InstalledVector& v) {
+                     return v.vector == vector;
+                   });
+  if (it != vectors_.end()) vectors_.erase(it);
+  if (handler) {
+    vectors_.push_back(InstalledVector{
+        vector, std::make_shared<const IrqHandler>(std::move(handler))});
+  }
+}
+
+std::shared_ptr<const IrqHandler> Core::irq_handler(int vector) const {
+  for (const InstalledVector& v : vectors_) {
+    if (v.vector == vector) return v.handler;
+  }
+  return nullptr;
 }
 
 void Core::set_interrupts_enabled(bool enabled) {
@@ -28,6 +42,8 @@ void Core::set_interrupts_enabled(bool enabled) {
 }
 
 void Core::post_irq(Cycles t, int vector, Cycles origin, bool ipi) {
+  IW_ASSERT_MSG(vector >= 0 && vector < kNumIrqVectors,
+                "post_irq: interrupt vector outside [0, 256)");
   IW_ASSERT_MSG(machine_.shard_guard_ok(id_),
                 "cross-shard post_irq during a per-core parallel drain "
                 "(route cross-core IRQs through the IPI fabric)");
@@ -158,8 +174,9 @@ unsigned Core::deliver_due_events() {
         mx->record(obs::names::kIpiSendToHandlerEntry, entry - ev.origin);
       }
     }
-    auto& handler = vector_table_[static_cast<std::size_t>(ev.vector)];
-    if (handler) handler(*this, ev.vector);
+    if (const auto handler = irq_handler(ev.vector)) {
+      (*handler)(*this, ev.vector);
+    }
     consume(cm.interrupt_return);
     if (auto* tr = machine_.tracer()) {
       tr->span(id_, ev.ipi ? "ipi.dispatch" : "irq.dispatch", start, clock_,
@@ -244,21 +261,21 @@ void Core::advance() {
   mark_schedule_dirty();
 }
 
-std::uint64_t Core::drain_until(Cycles horizon) {
+Cycles Core::drain_until(Cycles horizon, std::uint64_t* advances) {
   // Fused form of `while (next_action_time_uncached() < horizon)
   // advance();` — the parallel epoch engine's inner loop. Identical
   // observable behavior (same delivery order, same fault draws, same
   // step/advance accounting), but the wake-time recompute and the
   // advance dispatch share one runnable()/peek pass per iteration
-  // instead of three.
-  std::uint64_t advances = 0;
+  // instead of three. The pass that ends the loop is the uncached
+  // next-action time, returned to the caller.
   auto& faults = machine_.fault_injector();
   const bool faults_on = faults.enabled();
   for (;;) {
     if (runnable()) {
-      if (clock_ >= horizon) break;
+      if (clock_ >= horizon) return clock_;
       ++steps_;
-      ++advances;
+      ++*advances;
       deliver_due_events();
       if (runnable()) {
         if (faults_on) {
@@ -284,14 +301,16 @@ std::uint64_t Core::drain_until(Cycles horizon) {
     const Cycles cb_t = callback_inbox_.peek_time();
     const Cycles irq_t = irq_enabled_ ? irq_inbox_.peek_time() : kNever;
     const Cycles t = std::min(cb_t, irq_t);
-    if (t == kNever || std::max(t, clock_) >= horizon) break;
+    if (t == kNever) return kNever;
+    if (const Cycles next = std::max(t, clock_); next >= horizon) {
+      return next;
+    }
     ++steps_;
-    ++advances;
+    ++*advances;
     advance_to(t);
     deliver_due_events();
     mark_schedule_dirty();
   }
-  return advances;
 }
 
 }  // namespace iw::hwsim

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -34,6 +35,11 @@ class Core;
 
 /// Interrupt handler: called with the core at the time of dispatch.
 using IrqHandler = std::function<void(Core&, int vector)>;
+
+/// Interrupt vectors are 0..255 (the x86 IDT size). Every entry point
+/// that takes a vector — handler install, IRQ post, IPI post, snapshot
+/// decode — rejects one outside this range.
+inline constexpr int kNumIrqVectors = 256;
 
 /// An analytic skip-ahead plan: the exact trajectory a core's driver
 /// steps would trace up to a proven-quiet horizon (see
@@ -123,6 +129,10 @@ class Core {
 
   // --- interrupt controller front-end ---
 
+  /// Install `handler` for `vector`, replacing any installed one; a
+  /// null handler uninstalls. A vector without a handler still pays the
+  /// dispatch + return charge when it is delivered. Safe to call from
+  /// inside a handler, for any vector including the one dispatching.
   void set_irq_handler(int vector, IrqHandler handler);
   void set_interrupts_enabled(bool enabled);
   [[nodiscard]] bool interrupts_enabled() const { return irq_enabled_; }
@@ -227,11 +237,14 @@ class Core {
   void advance();
 
   /// Advance repeatedly while the next action lies strictly before
-  /// `horizon`; returns the number of advances executed. Exactly
-  /// equivalent to `while (next_action_time_uncached() < horizon)
-  /// advance();` but with the recompute/dispatch passes fused — the
-  /// parallel epoch engine's budgetless shard drain.
-  std::uint64_t drain_until(Cycles horizon);
+  /// `horizon`, adding the advances executed to `*advances`; returns
+  /// the next-action time at which it stopped (>= horizon, or kNever).
+  /// Exactly equivalent to `while (next_action_time_uncached() <
+  /// horizon) advance();` followed by one more uncached read, but with
+  /// the recompute/dispatch passes fused — the parallel epoch engine's
+  /// budgetless shard drain, which folds the returned times into the
+  /// next epoch's horizon instead of rescanning every core.
+  Cycles drain_until(Cycles horizon, std::uint64_t* advances);
 
   /// Commit one analytic skip (machine-only: the quiet-window proof
   /// lives in Machine::try_fast_forward). Moves the clock through the
@@ -283,10 +296,18 @@ class Core {
     mark_schedule_dirty();
   }
 
+  /// The handler installed for `vector`, or null. Returned by shared
+  /// reference so a dispatch keeps its handler alive while the handler
+  /// itself reinstalls vectors.
+  [[nodiscard]] std::shared_ptr<const IrqHandler> irq_handler(
+      int vector) const;
+
   Machine& machine_;
   /// Destination of clock-movement publication: Machine::now_cache_ in
-  /// the sequential schedulers, this core's private slot in per-core
-  /// parallel mode (repointed by the Machine constructor).
+  /// the sequential schedulers. In per-core parallel mode the Machine
+  /// constructor points it at this core's own clock_, so the update
+  /// never fires (concurrent shards write no shared line) and now()
+  /// folds the core clocks instead.
   Cycles* machine_now_;
   CoreId id_;
   Cycles clock_{0};
@@ -306,7 +327,13 @@ class Core {
   Cycles cur_irq_origin_{0};
   TimedQueue<IrqEvent> irq_inbox_;
   TimedQueue<CoreEvent> callback_inbox_;
-  std::vector<IrqHandler> vector_table_;
+  /// Installed vectors only: cores install one to a few, and a dense
+  /// 256-entry table would cost 8 KB per core.
+  struct InstalledVector {
+    int vector;
+    std::shared_ptr<const IrqHandler> handler;
+  };
+  std::vector<InstalledVector> vectors_;
   CoreDriver* driver_{nullptr};
 
   std::uint64_t irqs_delivered_{0};

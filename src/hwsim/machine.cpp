@@ -49,16 +49,13 @@ Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   for (unsigned i = 0; i < cfg.num_cores; ++i) {
     cores_.push_back(std::make_unique<Core>(*this, i));
   }
-  if (sched_ == SchedulerKind::kParallelEpoch &&
-      cfg.shard_policy == ShardPolicy::kPerCore) {
-    // Give every core a cache-line-private clock slot so concurrent
-    // shard drains never contend on the global now cache; now() folds
-    // the slots instead. The scheduling caches stay in each core's
-    // private padded cell for the same reason.
-    per_core_now_.resize(cfg.num_cores);
-    for (unsigned i = 0; i < cfg.num_cores; ++i) {
-      cores_[i]->machine_now_ = &per_core_now_[i].v;
-    }
+  if (per_core_shards()) {
+    // Concurrent shard drains must not contend on the global now
+    // cache: point each core's clock publication at its own clock_ (so
+    // it never fires) and let now() fold the core clocks. The
+    // scheduling caches stay in each core's private padded cell for the
+    // same reason.
+    for (auto& c : cores_) c->machine_now_ = &c->clock_;
   } else {
     // Sequential schedulers: repoint every core's scheduling-cache
     // slots into dense SoA arrays, so the frontier scans and the
@@ -126,6 +123,8 @@ void Machine::enqueue_ipi(CoreId to, const IrqEvent& ev) {
 
 IpiStatus Machine::post_ipi(CoreId to, int vector, Cycles sent) {
   IW_ASSERT_MSG(to < cores_.size(), "post_ipi: target core out of range");
+  IW_ASSERT_MSG(vector >= 0 && vector < kNumIrqVectors,
+                "post_ipi: interrupt vector outside [0, 256)");
   const unsigned src = exec_source();
   ++ipis_by_source_[src].v;  // attempts, so fault-free totals unchanged
   // Fault instants are recorded against the acting core when one is
@@ -348,6 +347,12 @@ Machine::Pick Machine::frontier_peek() {
   // The machine queue wins time ties (seed scheduler semantics).
   if (mq_t <= entry_time(top)) return {mq_t, nullptr};
   return {entry_time(top), cores_[entry_core(top)].get()};
+}
+
+Cycles Machine::next_action_scan() {
+  Cycles e = kNever;
+  for (auto& c : cores_) e = std::min(e, c->next_action_time_uncached());
+  return e;
 }
 
 Machine::Pick Machine::linear_peek() {

@@ -211,9 +211,8 @@ class Machine final : public substrate::StackSubstrate {
   /// Charging a core moves its simulated clock exactly as driver work
   /// does: a coherence miss or CARAT sweep charged here delays every
   /// later event on that core (the interweaving the silo models lacked).
-  /// In per-core parallel mode the charge lands on the core's own
-  /// cache-line-private clock slot, so shards charge concurrently
-  /// without sharing a line.
+  /// In per-core parallel mode the charge writes only the core itself,
+  /// so shards charge concurrently without sharing a line.
   void charge(CoreId core, Cycles c) override { cores_[core]->consume(c); }
 
   // --- StackSubstrate: randomness ---
@@ -254,15 +253,13 @@ class Machine final : public substrate::StackSubstrate {
   /// Global simulated time = max over core clocks (the frontier). O(1)
   /// in the sequential schedulers (clocks are monotone, so cores
   /// maintain the max incrementally); O(num_cores) in per-core parallel
-  /// mode (folds the per-core clock slots — only meaningful between
-  /// epochs, so it is never on a hot path there).
+  /// mode (folds the core clocks — only meaningful between epochs, so
+  /// it is never on a hot path there).
   [[nodiscard]] Cycles now() const override {
-    if (!per_core_now_.empty()) {
-      Cycles m = now_cache_;
-      for (const auto& s : per_core_now_) m = std::max(m, s.v);
-      return m;
-    }
-    return now_cache_;
+    if (!per_core_shards()) return now_cache_;
+    Cycles m = 0;
+    for (const auto& c : cores_) m = std::max(m, c->clock());
+    return m;
   }
 
   /// Earliest pending action time across the machine queue and all
@@ -423,6 +420,12 @@ class Machine final : public substrate::StackSubstrate {
   /// Successful shard steals performed by the current pool (0 when no
   /// pool). Host-schedule-dependent; results never are.
   [[nodiscard]] std::uint64_t parallel_steals() const;
+  /// Full O(cores) next-action scans the per-core epoch loop has run
+  /// since construction: one per run entry, plus one after every
+  /// machine-queue turn, fast-forward commit and advance-budgeted
+  /// epoch; every other epoch start is folded from the previous
+  /// epoch's drains and merge. Observability/test hook.
+  [[nodiscard]] std::uint64_t horizon_scans() const { return horizon_scans_; }
 
   /// Execute at most `n` DES iterations; returns how many actually ran
   /// (fewer means the machine went quiescent). No watchdogs, no stop
@@ -562,9 +565,13 @@ class Machine final : public substrate::StackSubstrate {
   struct alignas(64) PaddedCount {
     std::uint64_t v{0};
   };
-  struct alignas(64) PaddedCycles {
-    Cycles v{0};
-  };
+
+  /// kParallelEpoch with one shard per core: cores drain concurrently,
+  /// so shared per-machine caches are off and now() folds core clocks.
+  [[nodiscard]] bool per_core_shards() const {
+    return sched_ == SchedulerKind::kParallelEpoch &&
+           cfg_.shard_policy == ShardPolicy::kPerCore;
+  }
 
   /// One iteration of the DES loop. Returns false when no work remains.
   bool advance_once();
@@ -602,6 +609,9 @@ class Machine final : public substrate::StackSubstrate {
                                  Cycles until);
   bool parallel_run_per_core(const std::function<bool()>& stop,
                              Cycles until);
+  /// Earliest uncached next-action time over all cores (kNever if
+  /// none): the per-core loop's full scan.
+  [[nodiscard]] Cycles next_action_scan();
   /// Lookahead: the minimum fabric latency any cross-core interaction
   /// pays (fault plans only add on top of it).
   [[nodiscard]] Cycles lookahead() const { return cfg_.costs.ipi_latency; }
@@ -632,11 +642,9 @@ class Machine final : public substrate::StackSubstrate {
 
   MachineConfig cfg_;
   SchedulerKind sched_{SchedulerKind::kFrontier};  // kAuto resolved away
+  /// Running max of the core clocks (sequential schedulers only; see
+  /// now()).
   Cycles now_cache_{0};
-  /// Per-core clock slots, used instead of now_cache_ when per-core
-  /// parallel mode is configured (each core's on_clock_moved writes its
-  /// own slot; now() folds the max). Empty otherwise.
-  std::vector<PaddedCycles> per_core_now_;
   std::vector<std::unique_ptr<Core>> cores_;
   obs::TraceRecorder* tracer_{nullptr};
   obs::MetricsRegistry* metrics_{nullptr};
@@ -668,6 +676,7 @@ class Machine final : public substrate::StackSubstrate {
   /// contexts (set for the duration of a per-core parallel run).
   bool per_core_drain_active_{false};
   std::unique_ptr<ParallelEngine> parallel_;
+  std::uint64_t horizon_scans_{0};
   /// Registered snapshot participants, in registration order.
   std::vector<SnapshotParticipant*> participants_;
   /// Dispatch tables for portable events (sink.hpp). Index = SinkId;

@@ -28,6 +28,15 @@
 //    all shards parked, at exactly the points the sequential loop would
 //    run them (the queue head bounds the horizon, and the queue wins
 //    time ties, matching the seed scheduler).
+//  * Folded epoch start. E is the min over every core's next-action
+//    time. Between a run's entry scan and its end, a core's schedule
+//    changes only inside its own drain (which returns where it stopped)
+//    or at the barrier merge (which re-reads each delivered-to core; a
+//    delivery can only lower a core's next action). So the min of those
+//    reports IS the full scan's answer. Anything else that can move a
+//    core — a machine-queue turn, a fast-forward commit, an epoch cut
+//    short by the advance budget — forces the full scan again, and
+//    paranoid_frontier re-checks the fold against the scan every epoch.
 //  * Work stealing moves nothing observable. The deques assign each
 //    shard to exactly one claimant per epoch (Chase–Lev take/steal are
 //    mutually exclusive), and a shard's drain writes only core-keyed
@@ -78,6 +87,7 @@ ParallelEngine::ParallelEngine(Machine& machine, unsigned threads,
   lanes_.resize(cores);
   outbox_.configure(arena_, cores);
   deques_ = std::make_unique<ShardDeque[]>(threads_);
+  tallies_ = std::make_unique<EpochTally[]>(threads_);
   workers_.reserve(threads_ - 1);
   for (unsigned b = 1; b < threads_; ++b) {
     workers_.emplace_back([this, b] { worker_main(b); });
@@ -100,15 +110,17 @@ void ParallelEngine::set_scratch_enabled(bool on) {
 }
 
 bool ParallelEngine::drain_core(unsigned core, Cycles horizon,
-                                std::uint64_t* advances) {
+                                EpochTally* tally) {
   Core& c = machine_.core(core);
   Lane& lane = lanes_[core];
   Machine::ExecScope scope(machine_, core + 1, lane.scratch.get(),
                            &outbox_);
   if (budget_limit_ == 0) {
     // Hot path: the fused per-core drain (one runnable()/peek pass per
-    // advance instead of a separate wake-time recompute + dispatch).
-    *advances += c.drain_until(horizon);
+    // advance instead of a separate wake-time recompute + dispatch),
+    // which also reports the core's next action for the next horizon.
+    const Cycles next = c.drain_until(horizon, &tally->advances);
+    tally->next = std::min(tally->next, next);
     return true;
   }
   // Watchdog-bounded epoch: claim a budget slot before every advance.
@@ -121,16 +133,16 @@ bool ParallelEngine::drain_core(unsigned core, Cycles horizon,
       return false;
     }
     c.advance();
-    ++*advances;
+    ++tally->advances;
   }
   return true;
 }
 
 void ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
-  // Advances accumulate thread-locally and publish once per epoch: the
-  // total is a per-core sum, so it is independent of which thread
+  // The tally accumulates thread-locally and publishes once per epoch:
+  // a sum and a min over cores, so it is independent of which thread
   // drained which shard.
-  std::uint64_t adv = 0;
+  EpochTally tally;
   bool budget_out = false;
   // Own block first (locality: a thread re-touches the same cores every
   // epoch while the load is balanced).
@@ -138,7 +150,7 @@ void ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
   for (;;) {
     const int s = own.take();
     if (s < 0) break;
-    if (!drain_core(static_cast<unsigned>(s), horizon, &adv)) {
+    if (!drain_core(static_cast<unsigned>(s), horizon, &tally)) {
       budget_out = true;
       break;
     }
@@ -162,7 +174,7 @@ void ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
           }
           steals_.fetch_add(1, std::memory_order_relaxed);
           claimed = true;
-          if (!drain_core(static_cast<unsigned>(s), horizon, &adv)) {
+          if (!drain_core(static_cast<unsigned>(s), horizon, &tally)) {
             budget_out = true;
             break;
           }
@@ -171,7 +183,7 @@ void ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
       if (budget_out || (!claimed && !contended)) break;
     }
   }
-  advances_total_.fetch_add(adv, std::memory_order_relaxed);
+  tallies_[self] = tally;
 }
 
 void ParallelEngine::worker_main(unsigned self) {
@@ -189,19 +201,18 @@ void ParallelEngine::worker_main(unsigned self) {
   }
 }
 
-std::uint64_t ParallelEngine::drain_epoch(Cycles horizon,
-                                          std::uint64_t max_advances) {
+EpochTally ParallelEngine::drain_epoch(Cycles horizon,
+                                       std::uint64_t max_advances) {
   budget_limit_ = max_advances;
   budget_used_.store(0, std::memory_order_relaxed);
-  advances_total_.store(0, std::memory_order_relaxed);
   if (threads_ == 1) {
     // Threadless path: the coordinator drains every shard itself — no
     // deques, no barrier, still the same shard-local event order.
-    std::uint64_t adv = 0;
+    EpochTally tally;
     for (unsigned i = 0; i < machine_.num_cores(); ++i) {
-      if (!drain_core(i, horizon, &adv)) break;
+      if (!drain_core(i, horizon, &tally)) break;
     }
-    return adv;
+    return tally;
   }
   // Seed the deques with the static block partition; stealing
   // rebalances from there. Workers are parked (previous epoch fully
@@ -223,18 +234,26 @@ std::uint64_t ParallelEngine::drain_epoch(Cycles horizon,
   while (done_.load(std::memory_order_acquire) != expect) {
     if (++spins > kSpinsBeforeYield) std::this_thread::yield();
   }
-  // The done_ acquire above ordered every worker's advance publication
-  // before this read (and the epoch is over, so no thread is writing).
-  return advances_total_.load(std::memory_order_relaxed);
+  // The done_ acquire above ordered every worker's tally publication
+  // before this fold (and the epoch is over, so no thread is writing).
+  EpochTally total;
+  for (unsigned b = 0; b < threads_; ++b) total.add(tallies_[b]);
+  return total;
 }
 
-void ParallelEngine::merge_outboxes() {
+Cycles ParallelEngine::merge_outboxes() {
   // Target-id order, claim order within a lane — both unobservable (see
   // IpiOutbox in parallel.hpp). The coordinator has no outbox in scope
   // here, so enqueue_ipi pushes straight into the target inboxes. O(1)
-  // when the epoch staged nothing.
-  outbox_.drain(
-      [this](CoreId to, const IrqEvent& ev) { machine_.enqueue_ipi(to, ev); });
+  // when the epoch staged nothing. A delivery only ever lowers its
+  // target's next action, so reading it after each push and keeping
+  // the min yields each target's post-merge value.
+  Cycles next = kNever;
+  outbox_.drain([this, &next](CoreId to, const IrqEvent& ev) {
+    machine_.enqueue_ipi(to, ev);
+    next = std::min(next, machine_.core(to).next_action_time_uncached());
+  });
+  return next;
 }
 
 void ParallelEngine::merge_scratch_metrics(obs::MetricsRegistry* into) {
@@ -318,8 +337,16 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
   }
   per_core_drain_active_ = true;
   bool ok = true;
+  // Epoch start E: the earliest next-action time over all cores. Only
+  // the run entry and the events listed at `rescan` below pay a full
+  // O(cores) scan; every other epoch folds E from what its drain and
+  // merge report (see the determinism notes at the top of this file).
+  Cycles e = kNever;
+  bool rescan = true;
   for (;;) {
     // Stop predicate and watchdogs are barrier-granular in this mode.
+    // The predicate must not change any core's schedule (it would
+    // bypass the fold).
     if (stop && stop()) break;
     if (time_watchdog && now() > cfg_.max_time) {
       IW_LOG_WARN("machine watchdog: virtual time limit %llu exceeded",
@@ -339,14 +366,23 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
     // stride may exceed the lookahead: the skipped steps are certified
     // inert, so there is no cross-core effect for the lookahead bound
     // to order against.
-    if (cfg_.fast_forward.enabled && try_fast_forward(ff_want)) continue;
-    Cycles e = kNever;
-    for (auto& c : cores_) {
-      e = std::min(e, c->next_action_time_uncached());
+    if (cfg_.fast_forward.enabled && try_fast_forward(ff_want)) {
+      rescan = true;  // the commit moved cores outside any drain
+      continue;
+    }
+    if (rescan) {
+      e = next_action_scan();
+      ++horizon_scans_;
+      rescan = false;
+    } else if (cfg_.paranoid_frontier) {
+      IW_ASSERT_MSG(e == next_action_scan(),
+                    "per-core epoch engine: folded epoch start diverged "
+                    "from the full next-action scan — a core's schedule "
+                    "changed outside its own drain");
     }
     // Machine-queue turn (queue wins time ties, seed semantics): run
     // due machine events with every shard parked. They may post core
-    // events or move clocks, so loop back to re-evaluate afterwards.
+    // events or move clocks, so loop back and rescan afterwards.
     Cycles mq_t = machine_queue_.peek_time();
     if (mq_t != kNever && mq_t < until && mq_t <= e) {
       ExecScope scope(*this, 0);
@@ -357,6 +393,7 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
       } else {
         machine_queue_.take_fn(ev.fn)();
       }
+      rescan = true;
       continue;
     }
     if (e == kNever || e >= until) break;  // quiescent / target reached
@@ -379,8 +416,12 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
     // the budget is always >= 1 and progress is guaranteed.
     std::uint64_t budget = 0;
     if (advance_watchdog) budget = cfg_.max_advances + 1 - advances_;
-    advances_ += parallel_->drain_epoch(horizon, budget);
-    parallel_->merge_outboxes();
+    const EpochTally tally = parallel_->drain_epoch(horizon, budget);
+    advances_ += tally.advances;
+    e = std::min(tally.next, parallel_->merge_outboxes());
+    // A budget may stop the epoch before some cores reach the horizon,
+    // leaving their next actions unreported.
+    rescan = budget != 0;
   }
   per_core_drain_active_ = false;
   parallel_->merge_scratch_metrics(metrics_);

@@ -7,7 +7,9 @@
 // scratch lanes that make an epoch drain shard-local. Machine::
 // parallel_run_per_core drives it: compute the epoch horizon from the
 // lookahead bound, fan the drain out across the pool, then merge the
-// staged outbox deliveries deterministically at the barrier. See
+// staged outbox deliveries deterministically at the barrier. The drain
+// and the merge also report the earliest next-action time they leave
+// behind, so the next horizon needs no O(cores) rescan. See
 // parallel.cpp for the determinism argument.
 //
 // Shard scheduling inside an epoch is work-stealing (HVM2-style): each
@@ -207,6 +209,24 @@ struct alignas(64) ShardDeque {
   }
 };
 
+/// One epoch's result, as per-thread partial results folded on read
+/// (McKenney's statistical-counter shape): each host thread fills its
+/// own cache-line-private tally and the coordinator combines them after
+/// the barrier.
+struct alignas(64) EpochTally {
+  /// Advances executed (a per-core sum, so claim-order-independent).
+  std::uint64_t advances{0};
+  /// Earliest next-action time among the drained cores at the point
+  /// each stopped. Meaningful only for an epoch without an advance
+  /// budget, where every core drains to the horizon.
+  Cycles next{kNever};
+
+  void add(const EpochTally& o) {
+    advances += o.advances;
+    next = std::min(next, o.next);
+  }
+};
+
 class ParallelEngine {
  public:
   /// `threads` is the total host threads used per epoch, including the
@@ -237,15 +257,18 @@ class ParallelEngine {
   /// bounds the advances performed this epoch (0 = unbounded): when the
   /// shared budget is exhausted every thread stops claiming and
   /// draining, so a watchdog-bounded run overshoots by at most the
-  /// in-flight events. Returns the total advances performed. On return
-  /// all shards are parked.
-  std::uint64_t drain_epoch(Cycles horizon, std::uint64_t max_advances = 0);
+  /// in-flight events. Returns the advances performed and, for an
+  /// unbudgeted epoch, the earliest next-action time the drained cores
+  /// stopped at. On return all shards are parked.
+  EpochTally drain_epoch(Cycles horizon, std::uint64_t max_advances = 0);
 
   /// Flush the staged outbox deliveries into the target inboxes
   /// (target-id order, slot-claim order within a target — both
-  /// unobservable, see IpiOutbox). Coordinator-only, between epochs.
-  /// O(1) when the epoch staged nothing.
-  void merge_outboxes();
+  /// unobservable, see IpiOutbox) and return the earliest next-action
+  /// time among the cores that received one (kNever if none did).
+  /// Coordinator-only, between epochs. O(1) when the epoch staged
+  /// nothing.
+  Cycles merge_outboxes();
 
   /// Fold the per-core scratch registries into `into`, in core-id
   /// order, and clear them. Coordinator-only, at run end.
@@ -272,10 +295,10 @@ class ParallelEngine {
     std::unique_ptr<obs::MetricsRegistry> scratch;
   };
 
-  /// Drain one shard, accumulating its advances into `*advances`;
-  /// returns false when the epoch advance budget ran out mid-drain
-  /// (callers stop claiming shards).
-  bool drain_core(unsigned core, Cycles horizon, std::uint64_t* advances);
+  /// Drain one shard, folding its advances and stop time into
+  /// `*tally`; returns false when the epoch advance budget ran out
+  /// mid-drain (callers stop claiming shards).
+  bool drain_core(unsigned core, Cycles horizon, EpochTally* tally);
   /// One thread's share of an epoch: drain the own deque, then steal.
   void drain_pool(unsigned self, Cycles horizon);
   void worker_main(unsigned self);
@@ -300,11 +323,11 @@ class ParallelEngine {
 
   std::atomic<std::uint64_t> steals_{0};
 
-  /// Epoch advance total: each thread adds its local count once per
-  /// epoch (a per-core sum, so the value is claim-order-independent).
-  /// Workers' relaxed adds are ordered before the coordinator's read by
-  /// the done_-counter release/acquire handshake.
-  std::atomic<std::uint64_t> advances_total_{0};
+  /// One tally per host thread, written once per epoch by its owner.
+  /// Workers' plain writes are ordered before the coordinator's fold by
+  /// the done_-counter release/acquire handshake, and the fold before
+  /// the next epoch's writes by the epoch_ release store.
+  std::unique_ptr<EpochTally[]> tallies_;
 
   // Epoch handshake (workers_ == threads_ - 1 spawned threads).
   Cycles horizon_{0};  // published-before epoch_ store

@@ -100,6 +100,16 @@ void mix_queue(std::uint64_t& h, const TimedQueue<CoreEvent>& q) {
   }
 }
 
+/// Read a length word, rejecting it with `diagnostic` unless that many
+/// items of at least `words_each` words still fit in the image: a
+/// corrupt length must fail by name, not as a huge allocation.
+std::uint64_t read_count(SnapshotReader& r, std::size_t words_each,
+                         const char* diagnostic) {
+  const std::uint64_t n = r.u64();
+  IW_ASSERT_MSG(n <= r.remaining() / words_each, diagnostic);
+  return n;
+}
+
 /// Immutable-shape hash: core count and seeds. Scheduler, threads,
 /// steal, and ff mode are execution strategies and excluded on purpose
 /// (they may change between snapshot and restore).
@@ -214,12 +224,21 @@ Snapshot Snapshot::deserialize(const std::vector<std::uint64_t>& image) {
   s.fingerprint = r.u64();
   s.at = r.u64();
   s.participant_count = r.u64();
-  s.words.resize(r.u64());
+  s.words.resize(read_count(r, 1,
+                            "snapshot image rejected: word-section length "
+                            "exceeds the remaining image"));
   for (std::uint64_t& x : s.words) x = r.u64();
-  s.ephemeral.resize(r.u64());
+  s.ephemeral.resize(read_count(r, 1,
+                                "snapshot image rejected: ephemeral-section "
+                                "length exceeds the remaining image"));
   for (std::uint64_t& x : s.ephemeral) x = r.u64();
 
-  const std::uint64_t n_machine = r.u64();
+  constexpr std::size_t kPayloadWords =
+      sizeof(EventPayload::w) / sizeof(std::uint64_t);
+  const std::uint64_t n_machine =
+      read_count(r, 3 + kPayloadWords,
+                 "snapshot image rejected: machine-queue length exceeds "
+                 "the remaining image");
   for (std::uint64_t i = 0; i < n_machine; ++i) {
     Event e;
     e.time = r.u64();
@@ -228,19 +247,32 @@ Snapshot Snapshot::deserialize(const std::vector<std::uint64_t>& image) {
     for (std::uint64_t& pw : e.payload.w) pw = r.u64();
     s.machine_queue.push(std::move(e));
   }
-  s.cores.resize(r.u64());
+  // Each core section holds at least its two queue lengths.
+  s.cores.resize(read_count(r, 2,
+                            "snapshot image rejected: core count exceeds "
+                            "the remaining image"));
   for (CoreQueues& cq : s.cores) {
-    const std::uint64_t n_irq = r.u64();
+    const std::uint64_t n_irq =
+        read_count(r, 5,
+                   "snapshot image rejected: IRQ-inbox length exceeds the "
+                   "remaining image");
     for (std::uint64_t i = 0; i < n_irq; ++i) {
       IrqEvent e;
       e.time = r.u64();
       e.seq = r.u64();
       e.origin = r.u64();
-      e.vector = static_cast<std::int32_t>(r.i64());
+      const std::int64_t vector = r.i64();
+      IW_ASSERT_MSG(vector >= 0 && vector < kNumIrqVectors,
+                    "snapshot image rejected: queued IRQ vector outside "
+                    "[0, 256)");
+      e.vector = static_cast<std::int32_t>(vector);
       e.ipi = r.b();
       cq.irq.push(e);
     }
-    const std::uint64_t n_cb = r.u64();
+    const std::uint64_t n_cb =
+        read_count(r, 6 + kPayloadWords,
+                   "snapshot image rejected: callback-inbox length exceeds "
+                   "the remaining image");
     for (std::uint64_t i = 0; i < n_cb; ++i) {
       CoreEvent e;
       e.time = r.u64();
@@ -432,20 +464,12 @@ void Machine::restore(const Snapshot& s) {
     if (e.sink != kNoSink) (void)event_sink(e.sink);
   });
 
-  // Rebuild the derived scheduling state: the now() caches are a pure
+  // Rebuild the derived scheduling state: the now() cache is a pure
   // function of the (monotone) core clocks, and refresh_frontier marks
   // every core dirty so the next run recomputes all cached next-action
   // times and reseeds the frontier heap.
-  Cycles max_clock = 0;
-  for (const auto& c : cores_) max_clock = std::max(max_clock, c->clock_);
-  if (!per_core_now_.empty()) {
-    now_cache_ = 0;
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      per_core_now_[i].v = cores_[i]->clock_;
-    }
-  } else {
-    now_cache_ = max_clock;
-  }
+  now_cache_ = 0;
+  for (const auto& c : cores_) now_cache_ = std::max(now_cache_, c->clock_);
   refresh_frontier();
 }
 

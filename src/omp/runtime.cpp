@@ -144,11 +144,15 @@ void arm_linux_noise(hwsim::Machine& m, const OmpConfig& cfg) {
     auto rng = std::make_shared<Rng>(m.rng().split());
     auto& core = m.core(c);
     auto schedule = std::make_shared<std::function<void(Cycles)>>();
-    *schedule = [&core, rng, schedule, &freq, cfg](Cycles from) {
+    // Only the pending callback owns the chain; the function refers to
+    // itself weakly, so destroying the machine's queues frees it.
+    const std::weak_ptr<std::function<void(Cycles)>> self = schedule;
+    *schedule = [&core, rng, self, &freq, cfg](Cycles from) {
       const Cycles gap = freq.us_to_cycles(
           rng->lognormal_median(cfg.noise_gap_us, 0.5));
       const Cycles at = from + gap;
-      core.post_callback(at, [&core, rng, schedule, &freq, cfg, at] {
+      core.post_callback(at, [&core, rng, schedule = self.lock(), &freq,
+                              cfg, at] {
         const Cycles burst = freq.us_to_cycles(
             rng->lognormal_median(cfg.noise_burst_us, 0.8));
         core.consume(burst);

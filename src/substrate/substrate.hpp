@@ -57,7 +57,7 @@ class StackSubstrate {
   /// keep this shard-safe: under hwsim's per-core parallel scheduler
   /// concurrent shard contexts charge different cores simultaneously,
   /// so a charge may only touch state owned by `core` (the Machine
-  /// gives each core a cache-line-private clock slot for this).
+  /// writes only the core's own clock there).
   virtual void charge(CoreId core, Cycles c) = 0;
 
   /// Global frontier: max over core clocks.

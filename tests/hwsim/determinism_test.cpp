@@ -62,15 +62,22 @@ struct HeartbeatRun {
   Cycles end_time{0};
 };
 
+/// Advance watchdog of the reference runs; the matrices also run the
+/// compared scheduler without one (0), the configuration production
+/// runs use.
+constexpr std::uint64_t kWatchdog = 50'000'000;
+constexpr std::uint64_t kBudgets[] = {kWatchdog, 0};
+
 /// Fig. 3-style workload: LAPIC-driven heartbeat on CPU 0 broadcasting
 /// IPIs to every worker, over cores that are busy with uneven spin work.
 HeartbeatRun run_heartbeat(unsigned cores, hwsim::SchedulerKind sched,
-                           bool paranoid = false) {
+                           bool paranoid = false,
+                           std::uint64_t max_advances = kWatchdog) {
   hwsim::MachineConfig mc;
   mc.num_cores = cores;
   mc.scheduler = sched;
   mc.paranoid_frontier = paranoid;
-  mc.max_advances = 50'000'000;
+  mc.max_advances = max_advances;
   hwsim::Machine m(mc);
 
   obs::TraceRecorder tr;
@@ -102,12 +109,14 @@ TEST(SchedulerEquivalence, HeartbeatFrontierMatchesLinearScan) {
   for (const unsigned cores : {2u, 4u, 16u}) {
     const HeartbeatRun frontier =
         run_heartbeat(cores, hwsim::SchedulerKind::kFrontier);
-    const HeartbeatRun linear =
-        run_heartbeat(cores, hwsim::SchedulerKind::kLinearScan);
-    EXPECT_EQ(frontier.hash, linear.hash) << "cores=" << cores;
-    EXPECT_EQ(frontier.advances, linear.advances) << "cores=" << cores;
-    EXPECT_EQ(frontier.ipis, linear.ipis) << "cores=" << cores;
-    EXPECT_EQ(frontier.end_time, linear.end_time) << "cores=" << cores;
+    for (const std::uint64_t budget : kBudgets) {
+      const HeartbeatRun linear = run_heartbeat(
+          cores, hwsim::SchedulerKind::kLinearScan, false, budget);
+      EXPECT_EQ(frontier.hash, linear.hash) << "cores=" << cores;
+      EXPECT_EQ(frontier.advances, linear.advances) << "cores=" << cores;
+      EXPECT_EQ(frontier.ipis, linear.ipis) << "cores=" << cores;
+      EXPECT_EQ(frontier.end_time, linear.end_time) << "cores=" << cores;
+    }
     EXPECT_NE(frontier.ipis, 0u);
   }
 }
@@ -121,12 +130,14 @@ TEST(SchedulerEquivalence, HeartbeatParallelEpochMatchesFrontier) {
   for (const unsigned cores : {2u, 4u, 16u}) {
     const HeartbeatRun frontier =
         run_heartbeat(cores, hwsim::SchedulerKind::kFrontier);
-    const HeartbeatRun parallel =
-        run_heartbeat(cores, hwsim::SchedulerKind::kParallelEpoch);
-    EXPECT_EQ(frontier.hash, parallel.hash) << "cores=" << cores;
-    EXPECT_EQ(frontier.advances, parallel.advances) << "cores=" << cores;
-    EXPECT_EQ(frontier.ipis, parallel.ipis) << "cores=" << cores;
-    EXPECT_EQ(frontier.end_time, parallel.end_time) << "cores=" << cores;
+    for (const std::uint64_t budget : kBudgets) {
+      const HeartbeatRun parallel = run_heartbeat(
+          cores, hwsim::SchedulerKind::kParallelEpoch, false, budget);
+      EXPECT_EQ(frontier.hash, parallel.hash) << "cores=" << cores;
+      EXPECT_EQ(frontier.advances, parallel.advances) << "cores=" << cores;
+      EXPECT_EQ(frontier.ipis, parallel.ipis) << "cores=" << cores;
+      EXPECT_EQ(frontier.end_time, parallel.end_time) << "cores=" << cores;
+    }
   }
 }
 

@@ -83,6 +83,95 @@ TEST(Machine, IrqDeliveryPaysDispatchCosts) {
             1000 + m.costs().interrupt_dispatch + m.costs().interrupt_return);
 }
 
+TEST(Machine, IrqHandlerInstallReplaceUninstall) {
+  Machine m(small_cfg(1));
+  auto& core = m.core(0);
+  const Cycles charge =
+      m.costs().interrupt_dispatch + m.costs().interrupt_return;
+  std::vector<int> seen;
+  core.set_irq_handler(0x22, [&](Core&, int v) { seen.push_back(v); });
+  core.set_irq_handler(0x23, [&](Core&, int v) { seen.push_back(-v); });
+  core.set_irq_handler(0x22, [&](Core&, int v) { seen.push_back(v + 1); });
+  core.post_irq(100, 0x22);
+  core.post_irq(200, 0x23);
+  EXPECT_TRUE(m.run());
+  EXPECT_EQ(seen, (std::vector<int>{0x23, -0x23}));  // 0x22 was replaced
+
+  // Uninstalled (and never-installed) vectors run no handler but still
+  // pay the dispatch + return charge.
+  core.set_irq_handler(0x22, nullptr);
+  core.set_irq_handler(0x99, nullptr);
+  const Cycles before = core.clock();
+  core.post_irq(before, 0x22);
+  core.post_irq(before, 0xFF);
+  EXPECT_TRUE(m.run());
+  EXPECT_EQ(seen.size(), 2u);
+  EXPECT_EQ(core.clock(), before + 2 * charge);
+  EXPECT_EQ(core.irqs_delivered(), 4u);
+}
+
+TEST(Machine, IrqHandlerMayReinstallVectorsWhileDispatching) {
+  // A handler that installs enough vectors to reallocate the table,
+  // then replaces and finally uninstalls its own vector, all while it
+  // is running: the dispatch must keep its handler alive (ASan checks).
+  Machine m(small_cfg(1));
+  auto& core = m.core(0);
+  int installed_calls = 0;
+  std::vector<int> order;
+  core.set_irq_handler(0x40, [&](Core& c, int v) {
+    for (int k = 1; k <= 32; ++k) {
+      c.set_irq_handler(v + k, [&](Core&, int) { ++installed_calls; });
+    }
+    c.set_irq_handler(v, [&](Core& c2, int v2) {
+      order.push_back(2);
+      c2.set_irq_handler(v2, nullptr);
+      order.push_back(3);
+    });
+    order.push_back(1);
+  });
+  core.post_irq(10, 0x40);
+  core.post_irq(20, 0x40);
+  core.post_irq(30, 0x40);
+  core.post_irq(40, 0x41);
+  EXPECT_TRUE(m.run());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(installed_calls, 1);
+  EXPECT_EQ(core.irqs_delivered(), 4u);
+}
+
+TEST(Machine, OutOfRangeVectorsAreRejected) {
+  EXPECT_DEATH(
+      {
+        Machine m(small_cfg(1));
+        m.core(0).post_irq(10, 256);
+      },
+      "post_irq: interrupt vector outside");
+  EXPECT_DEATH(
+      {
+        Machine m(small_cfg(1));
+        m.core(0).post_irq(10, -1);
+      },
+      "post_irq: interrupt vector outside");
+  EXPECT_DEATH(
+      {
+        Machine m(small_cfg(2));
+        (void)m.post_ipi(1, 300, 0);
+      },
+      "post_ipi: interrupt vector outside");
+  EXPECT_DEATH(
+      {
+        Machine m(small_cfg(2));
+        (void)m.broadcast_ipi(m.core(0), -5);
+      },
+      "post_ipi: interrupt vector outside");
+  EXPECT_DEATH(
+      {
+        Machine m(small_cfg(1));
+        m.core(0).set_irq_handler(256, [](Core&, int) {});
+      },
+      "set_irq_handler: interrupt vector outside");
+}
+
 TEST(Machine, MaskedIrqDeferredUntilEnabled) {
   Machine m(small_cfg(1));
   auto& core = m.core(0);

@@ -63,12 +63,25 @@ struct BcastRun {
   Cycles end_time{0};
 };
 
+/// Advance watchdog of the reference runs. Any nonzero max_advances
+/// routes per-core epochs through the budgeted advance() loop, so the
+/// per-core side of every matrix also runs at 0: the production drain
+/// (Core::drain_until) with the folded epoch start, checked against the
+/// full scan every epoch by paranoid_frontier.
+constexpr std::uint64_t kWatchdog = 50'000'000;
+constexpr std::uint64_t kDrainBudgets[] = {kWatchdog, 0};
+
+std::string budget_label(std::uint64_t max_advances) {
+  return max_advances == 0 ? " drain_until" : " budgeted";
+}
+
 /// Shard-safe heartbeat-broadcast workload (the des_throughput pattern):
 /// a LAPIC timer on core 0 whose handler broadcasts to every other core,
 /// over uneven finite spin work. All cross-core traffic goes through the
 /// IPI fabric, so it is legal under ShardPolicy::kPerCore.
 BcastRun run_broadcast(unsigned cores, SchedulerKind sched,
                        ShardPolicy policy, unsigned threads,
+                       std::uint64_t max_advances = kWatchdog,
                        const FaultPlan& plan = FaultPlan{},
                        std::uint64_t fault_seed = 0) {
   MachineConfig mc;
@@ -76,7 +89,8 @@ BcastRun run_broadcast(unsigned cores, SchedulerKind sched,
   mc.scheduler = sched;
   mc.shard_policy = policy;
   mc.threads = threads;
-  mc.max_advances = 50'000'000;
+  mc.max_advances = max_advances;
+  mc.paranoid_frontier = max_advances == 0;
   mc.faults = plan;
   mc.fault_seed = fault_seed;
   Machine m(mc);
@@ -126,20 +140,28 @@ TEST(ParallelEpoch, OneThreadPerCoreReducesToSequential) {
   // test of the lookahead algebra with no concurrency in play.
   const BcastRun seq =
       run_broadcast(4, SchedulerKind::kFrontier, ShardPolicy::kSingleGroup, 1);
-  const BcastRun par = run_broadcast(4, SchedulerKind::kParallelEpoch,
-                                     ShardPolicy::kPerCore, 1);
-  expect_same(seq, par, "per-core/1-thread vs frontier");
-  EXPECT_NE(par.irqs, 0u);
+  for (const std::uint64_t budget : kDrainBudgets) {
+    const BcastRun par = run_broadcast(4, SchedulerKind::kParallelEpoch,
+                                       ShardPolicy::kPerCore, 1, budget);
+    expect_same(seq, par,
+                ("per-core/1-thread vs frontier" + budget_label(budget))
+                    .c_str());
+    EXPECT_NE(par.irqs, 0u);
+  }
 }
 
 TEST(ParallelEpoch, PerCoreMatchesSequentialAcrossThreadCounts) {
   const BcastRun seq =
       run_broadcast(8, SchedulerKind::kFrontier, ShardPolicy::kSingleGroup, 1);
   for (const unsigned threads : {1u, 2u, 8u}) {
-    const BcastRun par = run_broadcast(8, SchedulerKind::kParallelEpoch,
-                                       ShardPolicy::kPerCore, threads);
-    expect_same(seq, par,
-                (std::string("threads=") + std::to_string(threads)).c_str());
+    for (const std::uint64_t budget : kDrainBudgets) {
+      const BcastRun par = run_broadcast(8, SchedulerKind::kParallelEpoch,
+                                         ShardPolicy::kPerCore, threads,
+                                         budget);
+      expect_same(seq, par,
+                  ("threads=" + std::to_string(threads) + budget_label(budget))
+                      .c_str());
+    }
   }
 }
 
@@ -246,11 +268,16 @@ TEST(ParallelEpoch, FaultDelayPushesDeliveryAcrossEpochs) {
   p.ipi_delay_rate = 1.0;
   p.ipi_delay_max = 3 * CostModel::knl().ipi_latency;
   const BcastRun seq = run_broadcast(8, SchedulerKind::kFrontier,
-                                     ShardPolicy::kSingleGroup, 1, p);
+                                     ShardPolicy::kSingleGroup, 1, kWatchdog,
+                                     p);
   for (const unsigned threads : {1u, 2u, 8u}) {
-    const BcastRun par = run_broadcast(8, SchedulerKind::kParallelEpoch,
-                                       ShardPolicy::kPerCore, threads, p);
-    expect_same(seq, par, "delay plan, per-core");
+    for (const std::uint64_t budget : kDrainBudgets) {
+      const BcastRun par = run_broadcast(8, SchedulerKind::kParallelEpoch,
+                                         ShardPolicy::kPerCore, threads,
+                                         budget, p);
+      expect_same(seq, par,
+                  ("delay plan, per-core" + budget_label(budget)).c_str());
+    }
   }
 }
 
@@ -267,11 +294,14 @@ TEST(ParallelEpoch, MixedFaultPlanStaysBitIdentical) {
   for (const std::uint64_t fault_seed : {0ULL, 7ULL}) {
     const BcastRun seq =
         run_broadcast(8, SchedulerKind::kFrontier, ShardPolicy::kSingleGroup,
-                      1, p, fault_seed);
-    const BcastRun par = run_broadcast(8, SchedulerKind::kParallelEpoch,
-                                       ShardPolicy::kPerCore, 2, p,
-                                       fault_seed);
-    expect_same(seq, par, "mixed fault plan");
+                      1, kWatchdog, p, fault_seed);
+    for (const std::uint64_t budget : kDrainBudgets) {
+      const BcastRun par = run_broadcast(8, SchedulerKind::kParallelEpoch,
+                                         ShardPolicy::kPerCore, 2, budget, p,
+                                         fault_seed);
+      expect_same(seq, par,
+                  ("mixed fault plan" + budget_label(budget)).c_str());
+    }
   }
 }
 
@@ -317,6 +347,188 @@ TEST(ParallelEpoch, RunUntilIsExactAndResumable) {
   EXPECT_EQ(
       run_split(SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore, true),
       seq);
+}
+
+// ------------------------------------- folded epoch start (drain_until)
+
+constexpr int kWakeVector = 0x50;
+
+/// Per-core finite spin work that can be granted more steps later, so
+/// idle cores become runnable mid-run. With `ping_every` set, core 0
+/// also sends an IPI to one of cores 2..7 in turn every that many steps.
+class GrantDriver final : public CoreDriver {
+ public:
+  GrantDriver(std::vector<std::uint64_t> steps, std::uint64_t ping_every)
+      : remaining_(std::move(steps)), ping_every_(ping_every) {}
+  bool runnable(Core& core) override { return remaining_[core.id()] > 0; }
+  void step(Core& core) override {
+    core.consume(170 + 10 * (core.id() % 3));
+    --remaining_[core.id()];
+    if (ping_every_ != 0 && core.id() == 0 && ++pings_ % ping_every_ == 0) {
+      const auto to = static_cast<CoreId>(2 + (pings_ / ping_every_) % 6);
+      core.machine().send_ipi(core, to, kWakeVector);
+    }
+  }
+  void grant(CoreId core, std::uint64_t steps) { remaining_[core] += steps; }
+
+ private:
+  std::vector<std::uint64_t> remaining_;
+  std::uint64_t ping_every_;
+  std::uint64_t pings_{0};  // core 0's shard only
+};
+
+/// Machine-queue job: gives payload.w[1] steps of work to core
+/// payload.w[0] and tells the scheduler the core's answer changed.
+class GrantSink final : public EventSink {
+ public:
+  explicit GrantSink(GrantDriver& d) : driver_(d) {}
+  void on_machine_event(Machine& m, Cycles, const EventPayload& p) override {
+    const auto core = static_cast<CoreId>(p.w[0]);
+    driver_.grant(core, p.w[1]);
+    m.core(core).mark_schedule_dirty();
+  }
+
+ private:
+  GrantDriver& driver_;
+};
+
+struct WakeRun {
+  std::uint64_t trace{0};
+  std::uint64_t state{0};
+  std::uint64_t advances{0};
+  std::uint64_t irqs{0};
+  Cycles end_time{0};
+  std::uint64_t scans{0};
+};
+
+void expect_same(const WakeRun& a, const WakeRun& b, const std::string& what) {
+  EXPECT_EQ(a.trace, b.trace) << what;
+  EXPECT_EQ(a.state, b.state) << what;
+  EXPECT_EQ(a.advances, b.advances) << what;
+  EXPECT_EQ(a.irqs, b.irqs) << what;
+  EXPECT_EQ(a.end_time, b.end_time) << what;
+}
+
+enum class Waker { kMachineQueue, kIpi };
+
+/// Eight cores, most of them idle with nothing deliverable for most of
+/// the run, woken either by machine-queue jobs or by IPIs whose handler
+/// grants the receiving core work. Per-core runs use the production
+/// drain (max_advances = 0) with the paranoid_frontier cross-check of
+/// the folded epoch start.
+WakeRun run_wakeups(Waker waker, SchedulerKind sched, unsigned threads) {
+  constexpr unsigned kCores = 8;
+  MachineConfig mc;
+  mc.num_cores = kCores;
+  mc.scheduler = sched;
+  mc.shard_policy = ShardPolicy::kPerCore;
+  mc.threads = threads;
+  mc.paranoid_frontier = true;
+  Machine m(mc);
+  obs::TraceRecorder tr;
+  m.set_tracer(&tr);
+
+  // Cores 0 and 1 start busy; the rest start idle.
+  std::vector<std::uint64_t> steps(kCores, 0);
+  steps[0] = 2000;
+  steps[1] = 300;
+  GrantDriver driver(steps, waker == Waker::kIpi ? 25 : 0);
+  GrantSink sink(driver);
+  const SinkId sink_id = m.register_event_sink(&sink);
+  std::vector<IrqCell> irqs(kCores);
+  for (unsigned i = 0; i < kCores; ++i) {
+    m.core(i).set_driver(&driver);
+    m.core(i).set_irq_handler(kWakeVector, [&irqs, &driver](Core& c, int) {
+      c.consume(90);
+      ++irqs[c.id()].v;
+      driver.grant(c.id(), 40 + c.id());  // own core: shard-safe
+    });
+  }
+  if (waker == Waker::kMachineQueue) {
+    // {time, core, steps}: each job lands while its target is idle, two
+    // of them at the same time; the last one runs in the second run.
+    const std::uint64_t jobs[][3] = {{60'000, 3, 200},
+                                     {60'000, 5, 150},
+                                     {150'000, 1, 400},
+                                     {180'000, 7, 90},
+                                     {240'000, 2, 120}};
+    for (const auto& j : jobs) {
+      EventPayload p;
+      p.w[0] = j[1];
+      p.w[1] = j[2];
+      m.schedule_event(j[0], sink_id, p);
+    }
+  }
+
+  EXPECT_TRUE(m.run_until(200'000));
+  EXPECT_TRUE(m.run());
+
+  WakeRun r;
+  r.trace = trace_hash(tr);
+  r.state = m.snapshot().digest();
+  r.advances = m.total_advances();
+  for (const auto& c : irqs) r.irqs += c.v;
+  r.end_time = m.now();
+  r.scans = m.horizon_scans();
+  return r;
+}
+
+TEST(ParallelEpoch, PerCoreMachineEventWakesIdleCore) {
+  const WakeRun seq =
+      run_wakeups(Waker::kMachineQueue, SchedulerKind::kFrontier, 1);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const WakeRun par = run_wakeups(Waker::kMachineQueue,
+                                    SchedulerKind::kParallelEpoch, threads);
+    expect_same(seq, par, "machine-queue wake, threads=" +
+                              std::to_string(threads));
+    // Full scans: two run entries plus one per machine-queue turn.
+    EXPECT_EQ(par.scans, 2u + 5u) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelEpoch, PerCoreIpisWakeIdleCores) {
+  const WakeRun seq = run_wakeups(Waker::kIpi, SchedulerKind::kFrontier, 1);
+  EXPECT_GT(seq.irqs, 50u);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const WakeRun par =
+        run_wakeups(Waker::kIpi, SchedulerKind::kParallelEpoch, threads);
+    expect_same(seq, par, "IPI wake, threads=" + std::to_string(threads));
+    // No machine-queue traffic: only the two run entries scan.
+    EXPECT_EQ(par.scans, 2u) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelEpoch, ParanoidCatchesScheduleChangedOutsideItsDrain) {
+  // Core 1's steps give core 0 work directly — a cross-core state change
+  // the fabric never sees. Core 0 drained first and reported itself
+  // idle, so the folded epoch start misses it; paranoid mode must name
+  // the divergence instead of running on.
+  auto run = [] {
+    MachineConfig mc;
+    mc.num_cores = 2;
+    mc.scheduler = SchedulerKind::kParallelEpoch;
+    mc.shard_policy = ShardPolicy::kPerCore;
+    mc.threads = 1;  // single host thread: the death is deterministic
+    mc.paranoid_frontier = true;
+    Machine m(mc);
+    GrantDriver d({0, 5}, 0);
+    class Leaker final : public CoreDriver {
+     public:
+      explicit Leaker(GrantDriver& inner) : inner_(inner) {}
+      bool runnable(Core& core) override { return inner_.runnable(core); }
+      void step(Core& core) override {
+        inner_.step(core);
+        inner_.grant(0, 1);  // illegal: another core's work
+      }
+
+     private:
+      GrantDriver& inner_;
+    } leaker(d);
+    m.core(0).set_driver(&d);
+    m.core(1).set_driver(&leaker);
+    (void)m.run();
+  };
+  EXPECT_DEATH(run(), "folded epoch start diverged");
 }
 
 // ------------------------------------------------------- kAuto + guards

@@ -695,6 +695,62 @@ TEST(Snapshot, SerializeRejectsParkedClosuresWithNamedQueue) {
   }
 }
 
+/// Image of a bare 2-core machine whose core 0 holds one pending IRQ
+/// (vector 0x40), and the index of that IRQ's vector word. Layout:
+/// magic, version, fingerprint, at, participants, |words|, words,
+/// |ephemeral|, ephemeral, |machine queue| (0), |cores|, then core 0's
+/// |irq| (1) and its {time, seq, origin, vector, ipi}.
+std::vector<std::uint64_t> image_with_pending_irq(std::size_t* vector_at) {
+  hwsim::MachineConfig mc;
+  mc.num_cores = 2;
+  hwsim::Machine m(mc);
+  m.core(0).post_irq(1'000, 0x40);
+  const hwsim::Snapshot s = m.snapshot();
+  *vector_at = 13 + s.words.size() + s.ephemeral.size();
+  return s.serialize();
+}
+
+TEST(Snapshot, DeserializeRejectsOutOfRangeVector) {
+  std::size_t at = 0;
+  const std::vector<std::uint64_t> good = image_with_pending_irq(&at);
+  ASSERT_EQ(good[at], 0x40u);
+  EXPECT_EQ(hwsim::Snapshot::deserialize(good).cores[0].irq.size(), 1u);
+  for (const std::int64_t bad : {std::int64_t{256}, std::int64_t{-1},
+                                 std::int64_t{0x1'0000'0040}}) {
+    std::vector<std::uint64_t> image = good;
+    image[at] = static_cast<std::uint64_t>(bad);
+    EXPECT_DEATH((void)hwsim::Snapshot::deserialize(image),
+                 "queued IRQ vector outside") << bad;
+  }
+}
+
+TEST(Snapshot, DeserializeRejectsLengthsPastTheImage) {
+  std::size_t at = 0;
+  const std::vector<std::uint64_t> good = image_with_pending_irq(&at);
+  const std::size_t words_len = 5;
+  const std::size_t cores_len = at - 5;
+  const std::size_t irq_len = at - 4;
+  ASSERT_EQ(good[cores_len], 2u);
+  ASSERT_EQ(good[irq_len], 1u);
+  auto corrupt = [&good](std::size_t i, std::uint64_t v) {
+    std::vector<std::uint64_t> image = good;
+    image[i] = v;
+    return image;
+  };
+  EXPECT_DEATH(
+      (void)hwsim::Snapshot::deserialize(corrupt(words_len, 1ULL << 61)),
+      "word-section length exceeds the remaining image");
+  EXPECT_DEATH(
+      (void)hwsim::Snapshot::deserialize(corrupt(words_len, good.size())),
+      "length exceeds the remaining image");
+  EXPECT_DEATH(
+      (void)hwsim::Snapshot::deserialize(corrupt(cores_len, 1ULL << 40)),
+      "core count exceeds the remaining image");
+  EXPECT_DEATH(
+      (void)hwsim::Snapshot::deserialize(corrupt(irq_len, 1ULL << 62)),
+      "IRQ-inbox length exceeds the remaining image");
+}
+
 TEST(Snapshot, DigestIsStableAndFootprintNonzero) {
   hwsim::Machine m(make_config(kSchedMatrix[0], false, nullptr));
   SnapWorkload w(m);

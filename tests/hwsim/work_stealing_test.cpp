@@ -85,6 +85,18 @@ void expect_same(const Digest& a, const Digest& b, const std::string& what) {
   EXPECT_EQ(a.end_time, b.end_time) << what;
 }
 
+/// Advance watchdog of the reference runs. Any nonzero max_advances
+/// routes per-core epochs through the budgeted advance() loop, so the
+/// per-core side of every matrix also runs at 0: the production drain
+/// (Core::drain_until) with the folded epoch start, checked against the
+/// full scan every epoch by paranoid_frontier.
+constexpr std::uint64_t kWatchdog = 80'000'000;
+constexpr std::uint64_t kDrainBudgets[] = {kWatchdog, 0};
+
+std::string budget_label(std::uint64_t max_advances) {
+  return max_advances == 0 ? " drain_until" : " budgeted";
+}
+
 /// Heartbeat-broadcast over per-core spin work (shard-safe: all
 /// cross-core traffic rides the IPI fabric), with trace AND metrics
 /// digests. `steps`/`cost` shape the per-shard load.
@@ -92,14 +104,16 @@ Digest run_workload(unsigned cores, SchedulerKind sched, ShardPolicy policy,
                     unsigned threads, bool steal,
                     const std::vector<std::uint64_t>& steps,
                     const std::vector<Cycles>& cost,
-                    const FaultPlan& plan = FaultPlan{}) {
+                    const FaultPlan& plan = FaultPlan{},
+                    std::uint64_t max_advances = kWatchdog) {
   MachineConfig mc;
   mc.num_cores = cores;
   mc.scheduler = sched;
   mc.shard_policy = policy;
   mc.threads = threads;
   mc.work_stealing = steal;
-  mc.max_advances = 80'000'000;
+  mc.max_advances = max_advances;
+  mc.paranoid_frontier = max_advances == 0;
   mc.faults = plan;
   Machine m(mc);
 
@@ -169,13 +183,16 @@ TEST(WorkStealing, DigestMatrixThreadsStealFaults) {
     EXPECT_NE(seq.irqs, 0u);
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       for (const bool steal : {false, true}) {
-        const Digest par = run_workload(
-            kCores, SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore,
-            threads, steal, steps, cost, plan);
-        expect_same(seq, par,
-                    "threads=" + std::to_string(threads) +
-                        " steal=" + std::to_string(steal) +
-                        " faulted=" + std::to_string(faulted));
+        for (const std::uint64_t budget : kDrainBudgets) {
+          const Digest par = run_workload(
+              kCores, SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore,
+              threads, steal, steps, cost, plan, budget);
+          expect_same(seq, par,
+                      "threads=" + std::to_string(threads) +
+                          " steal=" + std::to_string(steal) +
+                          " faulted=" + std::to_string(faulted) +
+                          budget_label(budget));
+        }
       }
     }
   }
@@ -190,11 +207,12 @@ TEST(WorkStealing, KiloCoreDigestMatchesSequential) {
   const Digest seq =
       run_workload(kCores, SchedulerKind::kFrontier,
                    ShardPolicy::kSingleGroup, 1, true, steps, cost);
-  for (const unsigned threads : {4u}) {
+  for (const std::uint64_t budget : kDrainBudgets) {
     const Digest par =
         run_workload(kCores, SchedulerKind::kParallelEpoch,
-                     ShardPolicy::kPerCore, threads, true, steps, cost);
-    expect_same(seq, par, "1k cores, threads=" + std::to_string(threads));
+                     ShardPolicy::kPerCore, 4, true, steps, cost,
+                     FaultPlan{}, budget);
+    expect_same(seq, par, "1k cores, threads=4" + budget_label(budget));
   }
 }
 
@@ -215,19 +233,23 @@ TEST(WorkStealing, StarvationOneHotShardStaysBitIdentical) {
                    ShardPolicy::kSingleGroup, 1, true, steps, cost);
   for (const unsigned threads : {2u, 4u}) {
     for (const bool steal : {false, true}) {
-      const Digest par = run_workload(kCores, SchedulerKind::kParallelEpoch,
-                                      ShardPolicy::kPerCore, threads, steal,
-                                      steps, cost);
-      expect_same(seq, par,
-                  "starved, threads=" + std::to_string(threads) +
-                      " steal=" + std::to_string(steal));
-      if (steal && threads == 2 && std::thread::hardware_concurrency() > 1) {
-        // With >= 2 real CPUs the non-hot thread finishes its block
-        // while the owner is pinned on core 7, so at least one steal
-        // must have happened. (On a 1-CPU host the workers time-slice
-        // and the claim pattern is not guaranteed, so only the digest
-        // assertions above apply.)
-        EXPECT_GT(par.steals, 0u) << "no steals despite a 90% hot shard";
+      for (const std::uint64_t budget : kDrainBudgets) {
+        const Digest par = run_workload(
+            kCores, SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore,
+            threads, steal, steps, cost, FaultPlan{}, budget);
+        expect_same(seq, par,
+                    "starved, threads=" + std::to_string(threads) +
+                        " steal=" + std::to_string(steal) +
+                        budget_label(budget));
+        if (steal && threads == 2 &&
+            std::thread::hardware_concurrency() > 1) {
+          // With >= 2 real CPUs the non-hot thread finishes its block
+          // while the owner is pinned on core 7, so at least one steal
+          // must have happened. (On a 1-CPU host the workers time-slice
+          // and the claim pattern is not guaranteed, so only the digest
+          // assertions above apply.)
+          EXPECT_GT(par.steals, 0u) << "no steals despite a 90% hot shard";
+        }
       }
     }
   }
@@ -268,51 +290,56 @@ TEST(WorkStealing, PoolRebuiltWhenThreadCountChanges) {
   // never compare its shape against the config again, so set_threads
   // between runs silently kept the old pool.
   constexpr unsigned kCores = 8;
-  MachineConfig mc;
-  mc.num_cores = kCores;
-  mc.scheduler = SchedulerKind::kParallelEpoch;
-  mc.shard_policy = ShardPolicy::kPerCore;
-  mc.threads = 2;
-  mc.max_advances = 80'000'000;
-  Machine m(mc);
-  UnevenSpinDriver driver(even_steps(kCores, 4000), even_cost(kCores, 200));
-  for (unsigned i = 0; i < kCores; ++i) m.core(i).set_driver(&driver);
+  for (const std::uint64_t budget : kDrainBudgets) {
+    SCOPED_TRACE(budget_label(budget));
+    MachineConfig mc;
+    mc.num_cores = kCores;
+    mc.scheduler = SchedulerKind::kParallelEpoch;
+    mc.shard_policy = ShardPolicy::kPerCore;
+    mc.threads = 2;
+    mc.max_advances = budget;
+    mc.paranoid_frontier = budget == 0;
+    Machine m(mc);
+    UnevenSpinDriver driver(even_steps(kCores, 4000), even_cost(kCores, 200));
+    for (unsigned i = 0; i < kCores; ++i) m.core(i).set_driver(&driver);
 
-  EXPECT_EQ(m.parallel_pool_threads(), 0u);  // lazily built
-  EXPECT_TRUE(m.run_until(100'000));
-  EXPECT_EQ(m.parallel_pool_threads(), 2u);
+    EXPECT_EQ(m.parallel_pool_threads(), 0u);  // lazily built
+    EXPECT_TRUE(m.run_until(100'000));
+    EXPECT_EQ(m.parallel_pool_threads(), 2u);
 
-  m.set_threads(8);
-  EXPECT_TRUE(m.run_until(200'000));
-  EXPECT_EQ(m.parallel_pool_threads(), 8u);
+    m.set_threads(8);
+    EXPECT_TRUE(m.run_until(200'000));
+    EXPECT_EQ(m.parallel_pool_threads(), 8u);
 
-  // Requests past num_cores clamp, and a matching request must NOT
-  // rebuild into a differently-clamped pool on every run.
-  m.set_threads(64);
-  EXPECT_TRUE(m.run_until(300'000));
-  EXPECT_EQ(m.parallel_pool_threads(), 8u);
+    // Requests past num_cores clamp, and a matching request must NOT
+    // rebuild into a differently-clamped pool on every run.
+    m.set_threads(64);
+    EXPECT_TRUE(m.run_until(300'000));
+    EXPECT_EQ(m.parallel_pool_threads(), 8u);
 
-  // Steal-mode changes rebuild too: the fresh pool starts with a zero
-  // steal counter and never steals.
-  m.set_work_stealing(false);
-  m.set_threads(4);
-  EXPECT_TRUE(m.run_until(400'000));
-  EXPECT_EQ(m.parallel_pool_threads(), 4u);
-  EXPECT_EQ(m.parallel_steals(), 0u);
+    // Steal-mode changes rebuild too: the fresh pool starts with a zero
+    // steal counter and never steals.
+    m.set_work_stealing(false);
+    m.set_threads(4);
+    EXPECT_TRUE(m.run_until(400'000));
+    EXPECT_EQ(m.parallel_pool_threads(), 4u);
+    EXPECT_EQ(m.parallel_steals(), 0u);
 
-  // The reconfigured machine still completes the workload exactly.
-  EXPECT_TRUE(m.run());
-  const std::uint64_t final_advances = m.total_advances();
+    // The reconfigured machine still completes the workload exactly.
+    EXPECT_TRUE(m.run());
+    const std::uint64_t final_advances = m.total_advances();
 
-  MachineConfig seq = mc;
-  seq.scheduler = SchedulerKind::kFrontier;
-  seq.shard_policy = ShardPolicy::kSingleGroup;
-  Machine m2(seq);
-  UnevenSpinDriver driver2(even_steps(kCores, 4000), even_cost(kCores, 200));
-  for (unsigned i = 0; i < kCores; ++i) m2.core(i).set_driver(&driver2);
-  EXPECT_TRUE(m2.run());
-  EXPECT_EQ(final_advances, m2.total_advances());
-  EXPECT_EQ(m.now(), m2.now());
+    MachineConfig seq = mc;
+    seq.scheduler = SchedulerKind::kFrontier;
+    seq.shard_policy = ShardPolicy::kSingleGroup;
+    Machine m2(seq);
+    UnevenSpinDriver driver2(even_steps(kCores, 4000),
+                             even_cost(kCores, 200));
+    for (unsigned i = 0; i < kCores; ++i) m2.core(i).set_driver(&driver2);
+    EXPECT_TRUE(m2.run());
+    EXPECT_EQ(final_advances, m2.total_advances());
+    EXPECT_EQ(m.now(), m2.now());
+  }
 }
 
 // --------------------------------------- watchdogs at epoch granularity
