@@ -27,7 +27,8 @@
 //   --smoke      ~10x shorter runs (CI artifact mode)
 //   --out=FILE   JSON output path (default BENCH_des_throughput.json)
 //   --threads=N  host worker threads for the parallel series (default 1,
-//                the reproducible baseline; CI may pass its core count)
+//                the reproducible baseline; the des and hotpath guards
+//                require a fresh run at the baseline's count)
 //   --steal=on|off  work-stealing shard scheduling in the parallel
 //                engine (default on; off pins the static blocks)
 #include <algorithm>

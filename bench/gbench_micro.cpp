@@ -173,6 +173,8 @@ void BM_MachineAdvanceOnce(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineAdvanceOnce)
     ->ArgNames({"cores", "linear"})
+    ->Args({2, 0})
+    ->Args({2, 1})
     ->Args({8, 0})
     ->Args({8, 1})
     ->Args({64, 0})

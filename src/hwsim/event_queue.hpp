@@ -131,7 +131,7 @@ class TimedQueue {
   };
   static constexpr unsigned kSeqLowBits = 16;
   /// Packed keys leave 64 - kSeqLowBits = 48 bits for time — the same
-  /// bound the machine frontier heap already enforces.
+  /// bound the machine frontier tree enforces.
   static constexpr Cycles kMaxTime = (Cycles{1} << 48) - 1;
 
   /// Pre-size heap, slab, and free list so the first `n` concurrent

@@ -293,7 +293,7 @@ Cycles FaultInjector::spurious_irq_lag(unsigned stream_idx, Cycles t) {
   return lag;
 }
 
-Cycles FaultInjector::stall_cycles(unsigned stream_idx, Cycles now) {
+Cycles FaultInjector::draw_stall(unsigned stream_idx, Cycles now) {
   Stream& st = stream(stream_idx);
   const std::uint64_t op = st.ops[static_cast<unsigned>(FaultSite::kStall)]++;
   if (scripted_) {
@@ -303,8 +303,9 @@ Cycles FaultInjector::stall_cycles(unsigned stream_idx, Cycles now) {
     st.n.stall_cycles_total += ev->magnitude;
     return ev->magnitude;
   }
+  // Not scripted: stall_cycles only gets here with a nonzero rate and
+  // magnitude.
   if (!active_at(now)) return 0;
-  if (plan_.stall_rate <= 0.0 || plan_.stall_max == 0) return 0;
   if (!st.rng.chance(plan_.stall_rate)) return 0;
   const Cycles stolen = st.rng.uniform(1, plan_.stall_max);
   ++st.n.stalls;

@@ -206,7 +206,17 @@ class FaultInjector {
   Cycles spurious_irq_lag(Cycles t) { return spurious_irq_lag(0, t); }
 
   /// Cycles stolen from a driver step starting at `now` (0 = no stall).
-  Cycles stall_cycles(unsigned stream, Cycles now);
+  /// Called on every step of every runnable core while any fault is
+  /// enabled, so a plan that cannot stall (zero rate or magnitude, not
+  /// scripted) only counts the opportunity here, inline; everything
+  /// else takes the out-of-line draw.
+  Cycles stall_cycles(unsigned stream_idx, Cycles now) {
+    if (!scripted_ && (plan_.stall_rate <= 0.0 || plan_.stall_max == 0)) {
+      ++stream(stream_idx).ops[static_cast<unsigned>(FaultSite::kStall)];
+      return 0;
+    }
+    return draw_stall(stream_idx, now);
+  }
   Cycles stall_cycles(Cycles now) { return stall_cycles(0, now); }
 
   struct Counters {
@@ -293,6 +303,8 @@ class FaultInjector {
   /// opportunity `op` at `site`, or nullptr.
   const FaultEvent* next_scripted(Stream& st, FaultSite site,
                                   std::uint64_t op);
+  /// stall_cycles' out-of-line path: scripted lookup or a rate draw.
+  Cycles draw_stall(unsigned stream_idx, Cycles now);
 
   FaultPlan plan_;
   bool recording_{false};

@@ -1,6 +1,7 @@
 #include "hwsim/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -11,11 +12,9 @@
 namespace iw::hwsim {
 
 namespace {
-/// Below this core count the frontier heap is bypassed for a direct
-/// scan over the cached per-core next-action values: the committed
-/// des_throughput calibration shows heap maintenance losing to the
-/// scan at 2 cores (0.84x vs linear) and winning by 8 (1.42x).
-constexpr std::size_t kFrontierDirectScanMax = 4;
+/// kAuto resolves to the linear scan up to this core count and to the
+/// frontier above it.
+constexpr unsigned kAutoLinearScanMax = 4;
 
 /// Fast-forward trigger backoff, in advances between attempts: a failed
 /// quiet proof costs an O(cores) scan, so a busy region must not pay it
@@ -37,7 +36,7 @@ Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   IW_ASSERT_MSG(cfg.num_cores < 0xFFFF, "too many cores for source ids");
   sched_ = cfg.scheduler;
   if (sched_ == SchedulerKind::kAuto) {
-    sched_ = cfg.num_cores <= kFrontierDirectScanMax
+    sched_ = cfg.num_cores <= kAutoLinearScanMax
                  ? SchedulerKind::kLinearScan
                  : SchedulerKind::kFrontier;
   }
@@ -67,6 +66,12 @@ Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
       cores_[i]->sched_time_ = &sched_time_[i];
       cores_[i]->sched_dirty_ = &sched_dirty_[i];
     }
+  }
+  if (sched_ == SchedulerKind::kFrontier) {
+    // All-ones everywhere is a consistent tree (every match of two
+    // kNoEntry words is kNoEntry); padding leaves keep it forever.
+    frontier_tree_.assign(2 * std::bit_ceil(std::size_t{cfg.num_cores}),
+                          kNoEntry);
   }
   // Pre-size every event queue from the config so warm-up runs never
   // pay vector growth on the hot path (satellite of the hot-path memory
@@ -293,20 +298,7 @@ void Machine::frontier_enqueue_dirty(CoreId id) {
   dirty_cores_.push_back(id);
 }
 
-void Machine::frontier_push(Cycles t, CoreId core) {
-  IW_ASSERT_MSG(t < (Cycles{1} << (64 - kFrontierCoreBits)),
-                "virtual time overflows the packed frontier entry");
-  frontier_.push_back((t << kFrontierCoreBits) | core);
-  std::push_heap(frontier_.begin(), frontier_.end(), entry_later);
-}
-
-void Machine::frontier_pop() {
-  std::pop_heap(frontier_.begin(), frontier_.end(), entry_later);
-  frontier_.pop_back();
-}
-
 void Machine::refresh_frontier() {
-  frontier_.clear();
   dirty_cores_.clear();
   for (auto& c : cores_) {
     *c->sched_dirty_ = 1;
@@ -315,37 +307,24 @@ void Machine::refresh_frontier() {
 }
 
 Machine::Pick Machine::frontier_peek() {
-  if (cores_.size() <= kFrontierDirectScanMax) {
-    // Small-machine path: skip the heap entirely and take the min over
-    // the cached per-core values (recomputed lazily where dirty). Same
-    // tie-breaks as the heap: lowest core id, machine queue first.
-    dirty_cores_.clear();
-    Pick best{machine_queue_.peek_time(), nullptr};
-    for (auto& c : cores_) {
-      const Cycles t = c->next_action_time();
-      if (t < best.time) best = {t, c.get()};
-    }
-    return best;
-  }
-  // Re-index every core whose schedule changed since the last peek.
+  // Re-index every core whose schedule changed since the last peek:
+  // rewrite its leaf, then replay the matches on its path to the root.
+  FrontierEntry* const tree = frontier_tree_.data();
+  const std::size_t leaves = frontier_tree_.size() / 2;
   for (const CoreId id : dirty_cores_) {
     const Cycles t = cores_[id]->next_action_time();  // recomputes + cleans
-    if (t != kNever) frontier_push(t, id);
+    IW_ASSERT_MSG(t == kNever || t < (Cycles{1} << (64 - kFrontierCoreBits)),
+                  "virtual time overflows the packed frontier entry");
+    std::size_t k = leaves + id;
+    tree[k] = t == kNever ? kNoEntry : (t << kFrontierCoreBits) | id;
+    for (; k > 1; k >>= 1) tree[k >> 1] = std::min(tree[k], tree[k ^ 1]);
   }
   dirty_cores_.clear();
-  // Discard stale heap entries: an entry speaks for a core only while
-  // its time matches the core's current (clean) cached value. The fresh
-  // value, if any, was pushed when the core was re-indexed above.
-  while (!frontier_.empty()) {
-    const FrontierEntry top = frontier_.front();
-    if (sched_time_[entry_core(top)] == entry_time(top)) break;
-    frontier_pop();
-  }
   const Cycles mq_t = machine_queue_.peek_time();
-  if (frontier_.empty()) return {mq_t, nullptr};
-  const FrontierEntry top = frontier_.front();
-  // The machine queue wins time ties (seed scheduler semantics).
-  if (mq_t <= entry_time(top)) return {mq_t, nullptr};
+  const FrontierEntry top = tree[1];
+  // The machine queue wins time ties (seed scheduler semantics); the
+  // packed min already took the lowest core id among same-time cores.
+  if (top == kNoEntry || mq_t <= entry_time(top)) return {mq_t, nullptr};
   return {entry_time(top), cores_[entry_core(top)].get()};
 }
 

@@ -5,12 +5,12 @@
 // Scheduling: the loop always advances the entity (core or machine
 // queue) with the globally smallest next-action timestamp. The
 // interchangeable schedulers produce bit-identical event orderings:
-//  * kFrontier (default) — an incrementally-maintained lazy min-heap
-//    over per-core cached next_action_time values. Cores re-register
-//    through dirty-marking invalidation hooks, so one simulated event
-//    costs O(log N) instead of an O(N) rescan. Below a calibrated core
-//    count the heap is bypassed for a direct scan over the cached
-//    values (heap maintenance costs more than the scan at small N).
+//  * kFrontier (default) — a winner (tournament) tree over per-core
+//    cached next_action_time values, sized once at construction. Cores
+//    re-register through dirty-marking invalidation hooks; each dirty
+//    core's leaf is rewritten in place and its leaf-to-root path
+//    replayed, so one simulated event costs O(log N) instead of an
+//    O(N) rescan, at every core count.
 //  * kLinearScan — the original reference scheduler: a full uncached
 //    scan per advance. Kept as the golden semantics for equivalence
 //    tests and as the baseline for bench/des_throughput.
@@ -24,10 +24,8 @@
 //    the epoch barrier. Traces, metrics counters, fault schedules and
 //    final machine state are bit-identical to the sequential
 //    schedulers (see src/hwsim/parallel.cpp for the argument).
-//  * kAuto — resolves at construction to kLinearScan or kFrontier by
-//    core count, using the calibration committed in
-//    BENCH_des_throughput.json (the frontier index loses to the O(N)
-//    scan below ~4 cores).
+//  * kAuto — resolves at construction to kLinearScan (up to 4 cores)
+//    or kFrontier by core count.
 //
 // Determinism across schedulers rests on two provenance rules:
 //  1. Event sequence numbers encode (per-source counter, source id)
@@ -71,7 +69,7 @@ enum class SchedulerKind : std::uint8_t {
   kFrontier,       // O(log N) incremental frontier index (default)
   kLinearScan,     // O(N) per-advance scan (seed reference semantics)
   kParallelEpoch,  // epoch-synchronized conservative parallel DES
-  kAuto,           // pick kLinearScan/kFrontier by core count (calibrated)
+  kAuto,           // pick kLinearScan/kFrontier by core count
 };
 
 /// How kParallelEpoch partitions cores into independently-drained
@@ -546,13 +544,15 @@ class Machine final : public substrate::StackSubstrate {
     Core* core{nullptr};
   };
 
-  /// Packed frontier heap entry: (time << 16) | core — one word, so
-  /// heap maintenance and the (time, id) tie-break are a single integer
-  /// compare and sift-down moves 8 bytes instead of 16. Virtual times
-  /// are asserted < 2^48 at push (~3 days of simulated time at 1 GHz);
-  /// core ids fit 16 bits (asserted at construction).
+  /// Packed frontier word: (time << 16) | core — one word, so a tree
+  /// match and the (time, id) tie-break are a single integer min.
+  /// Virtual times are asserted < 2^48 at leaf update (~3 days of
+  /// simulated time at 1 GHz); core ids stay below 0xFFFF (asserted at
+  /// construction), so the all-ones kNoEntry (kNever, or a padding
+  /// leaf) never collides with a real core's word.
   using FrontierEntry = std::uint64_t;
   static constexpr unsigned kFrontierCoreBits = 16;
+  static constexpr FrontierEntry kNoEntry = ~FrontierEntry{0};
   [[nodiscard]] static constexpr Cycles entry_time(FrontierEntry e) {
     return e >> kFrontierCoreBits;
   }
@@ -596,11 +596,13 @@ class Machine final : public substrate::StackSubstrate {
   /// fidelity and abort on any divergence from the collected plans or
   /// any sign the window was not inert.
   void paranoid_replay(Cycles horizon);
+  /// Replay every dirty core's leaf up the winner tree; the root is the
+  /// earliest core, against which the machine queue wins time ties.
   [[nodiscard]] Pick frontier_peek();
   [[nodiscard]] Pick linear_peek();
-  /// Rebuild the frontier index from scratch (run() entry): makes any
-  /// driver-state mutation performed outside the loop safe even if the
-  /// owner forgot to mark the core dirty.
+  /// Mark every core dirty so the next peek replays every leaf (run()
+  /// entry, restore): makes any driver-state mutation performed outside
+  /// the loop safe even if the owner forgot to mark the core dirty.
   void refresh_frontier();
 
   // kParallelEpoch entry points (src/hwsim/parallel.cpp).
@@ -633,13 +635,6 @@ class Machine final : public substrate::StackSubstrate {
   Cycles* now_cell() { return &now_cache_; }
   void frontier_enqueue_dirty(CoreId id);
 
-  /// Packed-integer order IS the (time, core-id) lexicographic order.
-  static constexpr bool entry_later(FrontierEntry a, FrontierEntry b) {
-    return a > b;
-  }
-  void frontier_push(Cycles t, CoreId core);
-  void frontier_pop();
-
   MachineConfig cfg_;
   SchedulerKind sched_{SchedulerKind::kFrontier};  // kAuto resolved away
   /// Running max of the core clocks (sequential schedulers only; see
@@ -649,20 +644,21 @@ class Machine final : public substrate::StackSubstrate {
   obs::TraceRecorder* tracer_{nullptr};
   obs::MetricsRegistry* metrics_{nullptr};
   EventQueue machine_queue_;
-  /// Lazy min-heap of packed (time, core) candidates ordered by
-  /// (time, id). Entries may be stale; frontier_peek() discards any
-  /// whose time no longer matches the core's current cached
-  /// next_action_time.
-  std::vector<FrontierEntry> frontier_;
+  /// kFrontier only: a winner tree of 2·L packed words, L the next
+  /// power of two >= num_cores. Word L + i is core i's leaf (its cached
+  /// next-action time, kNoEntry for kNever and for padding leaves);
+  /// word k < L is min(word 2k, word 2k + 1), so word 1 is the earliest
+  /// core. Sized at construction: the frontier never allocates.
+  std::vector<FrontierEntry> frontier_tree_;
+  /// Cores whose leaf is out of date (kFrontier only drains it).
   std::vector<CoreId> dirty_cores_;
   /// Dense SoA mirror of the per-core scheduling caches (cached
   /// next-action time + dirty flag), indexed by core id. The sequential
   /// schedulers point every core's cache-slot pointers here, so the
-  /// frontier direct scan, the heap staleness check, and the
-  /// fast-forward quiet proof stream over contiguous arrays instead of
-  /// chasing one pointer per core into padded Core objects. Empty in
-  /// per-core parallel mode (cores keep private padded cells there;
-  /// concurrent shard drains must not share cache lines).
+  /// frontier's leaf updates and the fast-forward quiet proof read
+  /// contiguous arrays instead of one padded cell per Core object.
+  /// Empty in per-core parallel mode (cores keep private padded cells
+  /// there; concurrent shard drains must not share cache lines).
   std::vector<Cycles> sched_time_;
   std::vector<std::uint8_t> sched_dirty_;
   FaultInjector faults_;

@@ -17,7 +17,7 @@
 //    part of the format: closures capture pointers into the machine and
 //    workload objects, which stay valid only for the original instance.
 //
-// What is deliberately NOT captured: scheduling caches (frontier heap,
+// What is deliberately NOT captured: scheduling caches (frontier tree,
 // dirty lists, cached next-action times, the now() caches) — all
 // derived from core/queue state and rebuilt on restore by marking every
 // core dirty; vector tables and drivers (structural wiring, not state);
@@ -467,7 +467,7 @@ void Machine::restore(const Snapshot& s) {
   // Rebuild the derived scheduling state: the now() cache is a pure
   // function of the (monotone) core clocks, and refresh_frontier marks
   // every core dirty so the next run recomputes all cached next-action
-  // times and reseeds the frontier heap.
+  // times and replays every leaf of the frontier tree.
   now_cache_ = 0;
   for (const auto& c : cores_) now_cache_ = std::max(now_cache_, c->clock_);
   refresh_frontier();

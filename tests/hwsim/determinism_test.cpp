@@ -35,7 +35,7 @@ std::uint64_t trace_hash(const obs::TraceRecorder& tr) {
   return h;
 }
 
-/// Spin work so cores are busy (not just IRQ-driven): the frontier heap
+/// Spin work so cores are busy (not just IRQ-driven): the frontier tree
 /// must interleave N runnable cores with timer/IPI arrivals.
 class SpinDriver final : public hwsim::CoreDriver {
  public:
@@ -142,7 +142,7 @@ TEST(SchedulerEquivalence, HeartbeatParallelEpochMatchesFrontier) {
 }
 
 TEST(SchedulerEquivalence, HeartbeatAutoMatchesFrontier) {
-  // kAuto resolves to linear below the calibrated threshold and to the
+  // kAuto resolves to linear up to its core-count threshold and to the
   // frontier above it; either way the schedule must be unchanged.
   for (const unsigned cores : {2u, 16u}) {
     const HeartbeatRun frontier =

@@ -330,6 +330,59 @@ TEST(FaultInjection, StallsStealCyclesAndAreCounted) {
   EXPECT_EQ(m.core(0).clock(), 100u * 100u + n.stall_cycles_total);
 }
 
+/// Index of stream `s`'s stall-opportunity counter in
+/// FaultInjector::opportunity_counts().
+std::size_t stall_ops_index(unsigned s) {
+  return s * kNumFaultSites + static_cast<unsigned>(FaultSite::kStall);
+}
+
+TEST(FaultInjection, ZeroRateStallOnlyCountsTheOpportunity) {
+  // An IPI-only plan cannot stall: each call takes the inline fast path
+  // and still numbers the opportunity, exactly as the draw path would.
+  FaultPlan p;
+  p.enabled = true;
+  p.ipi_drop_rate = 0.5;
+  FaultInjector inj;
+  inj.configure(p, /*machine_seed=*/7, /*fault_seed=*/0, /*num_streams=*/3);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(inj.opportunity_counts()[stall_ops_index(2)], i);
+    EXPECT_EQ(inj.stall_cycles(2, 1000 * i), 0u);
+  }
+  const std::vector<std::uint64_t> ops = inj.opportunity_counts();
+  EXPECT_EQ(ops[stall_ops_index(2)], 5u);
+  EXPECT_EQ(ops[stall_ops_index(0)], 0u);
+  EXPECT_EQ(ops[stall_ops_index(1)], 0u);
+  EXPECT_EQ(inj.counters().stalls, 0u);
+  // A nonzero rate with a zero magnitude cannot stall either.
+  p.stall_rate = 1.0;
+  inj.configure(p, 7, 0, 3);
+  EXPECT_EQ(inj.stall_cycles(1, 0), 0u);
+  EXPECT_EQ(inj.opportunity_counts()[stall_ops_index(1)], 1u);
+  EXPECT_EQ(inj.counters().stalls, 0u);
+}
+
+TEST(FaultInjection, ScriptedStallOnZeroRateBaseFiresAtItsIndex) {
+  // set_script zeroes the base plan's rates, so the rates alone would
+  // select the fast path; the scripted event must still fire.
+  FaultPlan base;
+  base.enabled = true;
+  FaultInjector inj;
+  inj.configure(base, 7, 0, 2);
+  FaultEvent ev;
+  ev.stream = 1;
+  ev.site = FaultSite::kStall;
+  ev.index = 3;
+  ev.effects = kFaultFire;
+  ev.magnitude = 77;
+  inj.set_script(base, {ev});
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(inj.stall_cycles(1, 500 * i), i == 3 ? 77u : 0u) << i;
+  }
+  EXPECT_EQ(inj.opportunity_counts()[stall_ops_index(1)], 6u);
+  EXPECT_EQ(inj.counters().stalls, 1u);
+  EXPECT_EQ(inj.counters().stall_cycles_total, 77u);
+}
+
 // --------------------------------------------------- determinism matrix
 
 std::uint64_t trace_hash(const obs::TraceRecorder& tr) {

@@ -377,6 +377,33 @@ def main(argv):
     check("hotpath doc fails des profile",
           run_guard(script, hotpath_doc(), hotpath_doc()), 1)
 
+    # 36. des and hotpath compare like with like: a fresh run at another
+    # host thread count than the baseline is a named usage error, even
+    # when every ratio would pass; the other profiles do not look.
+    fresh = full_doc()
+    fresh["host_threads"] = 4
+    base = full_doc()
+    base["host_threads"] = 1
+    check("des host_threads mismatch is usage error",
+          run_guard(script, fresh, base), 2, "host_threads mismatch")
+    fresh = hotpath_doc()
+    fresh["host_threads"] = 4
+    base = hotpath_doc()
+    base["host_threads"] = 1
+    check("hotpath host_threads mismatch is usage error",
+          run_guard(script, fresh, base, "--profile=hotpath"), 2,
+          "host_threads mismatch")
+    fresh = full_doc()
+    fresh["host_threads"] = 1
+    base = full_doc()
+    base["host_threads"] = 1
+    check("des matching host_threads passes",
+          run_guard(script, fresh, base), 0)
+    fresh = ff_doc()
+    fresh["host_threads"] = 4
+    check("fastforward ignores host_threads",
+          run_guard(script, fresh, ff_doc(), "--profile=fastforward"), 0)
+
     # 21. Unknown profile is a usage error.
     check("unknown profile is usage error",
           run_guard(script, ff_doc(), ff_doc(), "--profile=bogus"), 2)

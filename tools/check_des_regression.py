@@ -55,6 +55,11 @@ committed ratio is clamped to min(committed, host_cpus) before the
 tolerance floor is applied. A 1-CPU runner therefore only asserts that
 oversubscription does not collapse throughput.
 
+The des and hotpath profiles compare like with like: their
+parallel/frontier ratios move with the host thread count the bench ran
+at, so a fresh run whose host_threads differs from the baseline's is a
+usage error (exit 2, naming both counts), not a regression.
+
 Exit 0 if every ratio is within the tolerance of its committed value;
 exit 1 (listing the offenders) otherwise; exit 2 on usage/shape errors.
 
@@ -101,6 +106,9 @@ REQUIRED_NUMBERS = {
 # is clamped to host_cpus before the floor when the runner is smaller
 # than the sweep (scaling beyond the physical CPUs is not expected).
 HOST_CLAMPED = ("speedup_threads_vs_1", "speedup_workers_vs_1")
+
+# Profiles whose fresh run must use the baseline's host_threads.
+THREAD_MATCHED = ("des", "hotpath")
 
 
 def flatten(tree, prefix=()):
@@ -311,6 +319,14 @@ def main(argv):
         fresh = json.load(f)
     with open(paths[1]) as f:
         base = json.load(f)
+
+    if profile in THREAD_MATCHED and \
+            fresh.get("host_threads") != base.get("host_threads"):
+        print(f"host_threads mismatch: fresh run used "
+              f"{fresh.get('host_threads')!r}, baseline "
+              f"{base.get('host_threads')!r}; rerun the bench at the "
+              f"baseline's thread count", file=sys.stderr)
+        return 2
 
     host_cpus = fresh.get("host_cpus", 0)
 
