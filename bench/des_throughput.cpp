@@ -21,7 +21,10 @@
 // per-core-count thread-scaling ratios (speedup_threads_vs_1), and the
 // measuring host's CPU count, so tools/check_des_regression.py can
 // guard the ratios host-awarely (a 1-CPU box cannot express 4-way
-// speedup; the guard only requires no collapse there).
+// speedup; the guard only requires no collapse there). Per core count
+// it also records the engine's host-independent available parallelism
+// (parallelism_bound = work / span, the speedup ceiling the thread
+// ratios are read against) and its outbox spill count.
 //
 // Usage: des_throughput [--smoke] [--out=FILE] [--threads=N]
 //   --smoke      ~10x shorter runs (CI artifact mode)
@@ -56,6 +59,7 @@ struct Row {
   Cycles sim_time{0};
   double wall_ms{0.0};
   double events_per_sec{0.0};
+  hwsim::ParallelTotals totals;  // parallel rows only
 };
 
 const char* sched_label(hwsim::SchedulerKind sched) {
@@ -97,6 +101,7 @@ Row run_one(unsigned cores, hwsim::SchedulerKind sched, Cycles sim_cycles,
       r.irqs = w.total_irqs();
       r.sim_time = w.machine->now();
       r.wall_ms = wall_ms;
+      r.totals = w.machine->parallel_totals();
     } else {
       if (r.advances != w.machine->total_advances() ||
           r.irqs != w.total_irqs() || r.sim_time != w.machine->now()) {
@@ -257,6 +262,10 @@ int main(int argc, char** argv) {
   // matrix_scaling[i][j]: cores=matrix_cores[i], threads=matrix_threads[j]
   // (j >= 1), ratio vs the 1-thread parallel run.
   std::vector<std::vector<double>> matrix_scaling;
+  // Per core count: work / span and outbox spills, identical at every
+  // thread count (checked below with the schedule).
+  std::vector<double> matrix_bound;
+  std::vector<std::uint64_t> matrix_spills;
   std::printf("\n%-6s %-9s %-7s %12s %10s %10s %12s\n", "cores", "sched",
               "threads", "advances", "irqs", "wall_ms", "events/s");
   for (const unsigned cores : matrix_cores) {
@@ -270,17 +279,27 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ref.irqs), ref.wall_ms,
                 ref.events_per_sec);
     double one_thread_eps = 0.0;
+    hwsim::ParallelTotals one_thread_totals;
     std::vector<double> ratios;
     for (const unsigned t : matrix_threads) {
       const Row r = run_one(cores, hwsim::SchedulerKind::kParallelEpoch, sim,
                             t, steal, repeats);
+      if (t == 1) one_thread_totals = r.totals;
       if (r.advances != ref.advances || r.irqs != ref.irqs ||
-          r.sim_time != ref.sim_time) {
+          r.sim_time != ref.sim_time ||
+          r.totals.work != one_thread_totals.work ||
+          r.totals.span != one_thread_totals.span ||
+          r.totals.spills != one_thread_totals.spills) {
         std::fprintf(stderr,
                      "des_throughput: matrix divergence at %u cores, %u "
-                     "threads (advances %llu vs %llu)\n",
+                     "threads (advances %llu vs %llu, work/span %llu/%llu "
+                     "vs %llu/%llu at 1 thread)\n",
                      cores, t, static_cast<unsigned long long>(r.advances),
-                     static_cast<unsigned long long>(ref.advances));
+                     static_cast<unsigned long long>(ref.advances),
+                     static_cast<unsigned long long>(r.totals.work),
+                     static_cast<unsigned long long>(r.totals.span),
+                     static_cast<unsigned long long>(one_thread_totals.work),
+                     static_cast<unsigned long long>(one_thread_totals.span));
         return 1;
       }
       std::printf("%-6u %-9s %-7u %12llu %10llu %10.1f %12.0f\n", r.cores,
@@ -298,12 +317,19 @@ int main(int argc, char** argv) {
       matrix_rows.push_back(r);
     }
     matrix_scaling.push_back(ratios);
+    matrix_bound.push_back(
+        one_thread_totals.span > 0
+            ? static_cast<double>(one_thread_totals.work) /
+                  static_cast<double>(one_thread_totals.span)
+            : 0.0);
+    matrix_spills.push_back(one_thread_totals.spills);
     std::printf("%-6u thread scaling vs 1:", cores);
     for (std::size_t j = 1; j < matrix_threads.size(); ++j) {
       std::printf("  %ut %.2fx", matrix_threads[j],
                   matrix_scaling.back()[j - 1]);
     }
-    std::printf("\n");
+    std::printf("  (bound %.2fx, %llu spills)\n", matrix_bound.back(),
+                static_cast<unsigned long long>(matrix_spills.back()));
   }
 
   std::FILE* fp = std::fopen(out.c_str(), "w");
@@ -382,6 +408,16 @@ int main(int argc, char** argv) {
                    matrix_threads[j], matrix_scaling[i][j - 1]);
     }
     std::fprintf(fp, "}");
+  }
+  std::fprintf(fp, "},\n  \"parallelism_bound\": {");
+  for (std::size_t i = 0; i < matrix_cores.size(); ++i) {
+    std::fprintf(fp, "%s\"%u\": %.2f", i ? ", " : "", matrix_cores[i],
+                 matrix_bound[i]);
+  }
+  std::fprintf(fp, "},\n  \"outbox_spills\": {");
+  for (std::size_t i = 0; i < matrix_cores.size(); ++i) {
+    std::fprintf(fp, "%s\"%u\": %llu", i ? ", " : "", matrix_cores[i],
+                 static_cast<unsigned long long>(matrix_spills[i]));
   }
   std::fprintf(fp, "}\n}\n");
   std::fclose(fp);

@@ -182,6 +182,40 @@ BENCHMARK(BM_MachineAdvanceOnce)
     ->Args({256, 0})
     ->Args({256, 1});
 
+// Per-epoch overhead of the per-core parallel engine: 4096 cores whose
+// spin step costs exactly the lookahead, so every epoch drains one cheap
+// event per shard and the shard claims, barrier and fold dominate.
+// Args: {threads}. Each iteration runs kEpochs epochs in one run_until
+// (amortizing the per-run scan); items are shard drains.
+void BM_ParallelEpochClaims(benchmark::State& state) {
+  constexpr unsigned kCores = 4096;
+  constexpr Cycles kEpochs = 16;
+  hwsim::MachineConfig mc;
+  mc.num_cores = kCores;
+  mc.scheduler = hwsim::SchedulerKind::kParallelEpoch;
+  mc.shard_policy = hwsim::ShardPolicy::kPerCore;
+  mc.threads = static_cast<unsigned>(state.range(0));
+  hwsim::Machine m(mc);
+  const Cycles la = mc.costs.ipi_latency;
+  bench::SpinForeverDriver driver(la);
+  for (unsigned i = 0; i < kCores; ++i) m.core(i).set_driver(&driver);
+  Cycles until = kEpochs * la;
+  m.run_until(until);  // builds the worker pool outside the timing
+  const std::uint64_t adv0 = m.total_advances();
+  for (auto _ : state) {
+    until += kEpochs * la;
+    benchmark::DoNotOptimize(m.run_until(until));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(m.total_advances() - adv0));
+}
+BENCHMARK(BM_ParallelEpochClaims)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime();
+
 // The frontier refresh scan reads every core's cached next-action time.
 // These two benches lock in the SoA hot-path slice: the machine now owns
 // the cached times as one dense Cycles array (BM_SchedScanDense) instead

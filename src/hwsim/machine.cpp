@@ -95,6 +95,10 @@ std::uint64_t Machine::parallel_steals() const {
   return parallel_ == nullptr ? 0 : parallel_->steals();
 }
 
+ParallelTotals Machine::parallel_totals() const {
+  return parallel_ == nullptr ? ParallelTotals{} : parallel_->totals();
+}
+
 std::uint64_t Machine::hot_path_allocs() const {
   std::uint64_t n = machine_queue_.grow_allocs();
   for (const auto& c : cores_) n += c->inbox_grow_allocs();

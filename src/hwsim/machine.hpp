@@ -137,6 +137,21 @@ struct FastForwardPolicy {
   std::uint64_t paranoid_interval{0};
 };
 
+/// Available-parallelism and spill totals of the per-core epoch engine,
+/// over its unbudgeted epochs. Per epoch, work is the sum of shard
+/// advances and span the most advances any one shard executed plus the
+/// deliveries merged serially at the barrier, so work / span bounds the
+/// speedup host threads can give. All three depend only on the
+/// simulated schedule — not on host threads, stealing or timing — and
+/// are off-digest (no snapshot carries them).
+struct ParallelTotals {
+  std::uint64_t work{0};
+  std::uint64_t span{0};
+  /// Outbox deliveries past a target's fixed slots in one epoch (the
+  /// mutex-guarded spill path).
+  std::uint64_t spills{0};
+};
+
 struct MachineConfig {
   unsigned num_cores{16};
   CostModel costs{CostModel::knl()};
@@ -152,11 +167,12 @@ struct MachineConfig {
   /// (clamped to [1, num_cores]; 1 = drain all shards on the calling
   /// thread, spawning nothing). Thread count never affects results.
   unsigned threads{1};
-  /// Work-stealing shard scheduling for kParallelEpoch/kPerCore: idle
-  /// host threads steal shards from loaded ones within an epoch instead
-  /// of idling behind a static block partition. Stealing changes only
-  /// which host thread drains a shard, never the results (see
-  /// parallel.cpp); false pins the static blocks for A/B comparison.
+  /// Work-stealing shard scheduling for kParallelEpoch/kPerCore: a host
+  /// thread that has drained its own shard block claims chunks of the
+  /// others' within an epoch instead of idling behind a static block
+  /// partition. Stealing changes only which host thread drains a shard,
+  /// never the results (see parallel.cpp); false pins the static blocks
+  /// for A/B comparison.
   bool work_stealing{true};
   /// Cross-check every frontier decision against a full linear scan and
   /// abort on divergence. O(N) per advance — a debugging aid for driver
@@ -415,9 +431,12 @@ class Machine final : public substrate::StackSubstrate {
   /// Host threads in the currently-built parallel worker pool (0 when
   /// no pool has been built). Observability/test hook.
   [[nodiscard]] unsigned parallel_pool_threads() const;
-  /// Successful shard steals performed by the current pool (0 when no
-  /// pool). Host-schedule-dependent; results never are.
+  /// Shards the current pool's threads drained from blocks they do not
+  /// own (0 when no pool). Host-schedule-dependent; results never are.
   [[nodiscard]] std::uint64_t parallel_steals() const;
+  /// Work, span and spill totals of the current pool (all zero when no
+  /// pool). Observability/test hook.
+  [[nodiscard]] ParallelTotals parallel_totals() const;
   /// Full O(cores) next-action scans the per-core epoch loop has run
   /// since construction: one per run entry, plus one after every
   /// machine-queue turn, fast-forward commit and advance-budgeted

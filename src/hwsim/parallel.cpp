@@ -37,14 +37,16 @@
 //    core — a machine-queue turn, a fast-forward commit, an epoch cut
 //    short by the advance budget — forces the full scan again, and
 //    paranoid_frontier re-checks the fold against the scan every epoch.
-//  * Work stealing moves nothing observable. The deques assign each
-//    shard to exactly one claimant per epoch (Chase–Lev take/steal are
-//    mutually exclusive), and a shard's drain writes only core-keyed
-//    state: its claimed outbox slots, its scratch registry, its
-//    per-core trace buffer, and its own per-source sequence and fault
-//    RNG counters. The barrier merges all of those deterministically.
-//    So WHICH host thread drained a shard — the only thing stealing
-//    changes — is invisible to traces, metrics, and machine state.
+//  * Chunked claims and stealing move nothing observable. Each block's
+//    claim cursor hands every shard id to exactly one claimant per
+//    epoch (one atomic fetch_add per chunk; see ShardBlock), and a
+//    shard's drain writes only core-keyed state: its claimed outbox
+//    slots, its scratch registry, its per-core trace buffer, and its
+//    own per-source sequence and fault RNG counters. The barrier merges
+//    all of those deterministically. So WHICH host thread drained a
+//    shard, and in which order a thread walked its chunks — the only
+//    things the claim pattern changes — are invisible to traces,
+//    metrics, and machine state.
 //
 // ShardPolicy::kSingleGroup keeps the same epoch structure but drains
 // the one shard with the sequential pick loop itself — safe for
@@ -86,7 +88,7 @@ ParallelEngine::ParallelEngine(Machine& machine, unsigned threads,
   threads_ = std::max(1u, std::min(threads, cores));
   lanes_.resize(cores);
   outbox_.configure(arena_, cores);
-  deques_ = std::make_unique<ShardDeque[]>(threads_);
+  blocks_ = std::make_unique<ShardBlock[]>(threads_);
   tallies_ = std::make_unique<EpochTally[]>(threads_);
   workers_.reserve(threads_ - 1);
   for (unsigned b = 1; b < threads_; ++b) {
@@ -119,7 +121,10 @@ bool ParallelEngine::drain_core(unsigned core, Cycles horizon,
     // Hot path: the fused per-core drain (one runnable()/peek pass per
     // advance instead of a separate wake-time recompute + dispatch),
     // which also reports the core's next action for the next horizon.
-    const Cycles next = c.drain_until(horizon, &tally->advances);
+    std::uint64_t n = 0;
+    const Cycles next = c.drain_until(horizon, &n);
+    tally->advances += n;
+    tally->max_shard = std::max(tally->max_shard, n);
     tally->next = std::min(tally->next, next);
     return true;
   }
@@ -138,52 +143,27 @@ bool ParallelEngine::drain_core(unsigned core, Cycles horizon,
   return true;
 }
 
-void ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
+EpochTally ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
   // The tally accumulates thread-locally and publishes once per epoch:
-  // a sum and a min over cores, so it is independent of which thread
-  // drained which shard.
+  // sums and extrema over cores, so it is independent of which thread
+  // drained which shard. Own block first (locality: a thread re-touches
+  // the same cores every epoch while the load is balanced), then, with
+  // stealing on, whatever the other blocks still hold. A block is done
+  // for every thread at its first empty claim: a cursor only grows, so
+  // an exhausted block never has work again this epoch.
   EpochTally tally;
-  bool budget_out = false;
-  // Own block first (locality: a thread re-touches the same cores every
-  // epoch while the load is balanced).
-  ShardDeque& own = deques_[self];
-  for (;;) {
-    const int s = own.take();
-    if (s < 0) break;
-    if (!drain_core(static_cast<unsigned>(s), horizon, &tally)) {
-      budget_out = true;
-      break;
-    }
-  }
-  if (steal_enabled_ && !budget_out) {
-    // Steal sweep: keep claiming from any victim that still has shards;
-    // finish only after a full sweep that neither claimed a shard nor
-    // lost a race (a lost race means someone else claimed — re-sweep so
-    // no shard is left behind).
-    for (;;) {
-      bool claimed = false;
-      bool contended = false;
-      for (unsigned k = 1; k < threads_ && !budget_out; ++k) {
-        ShardDeque& victim = deques_[(self + k) % threads_];
-        for (;;) {
-          const int s = victim.steal();
-          if (s == ShardDeque::kEmpty) break;
-          if (s == ShardDeque::kAbort) {
-            contended = true;
-            break;
-          }
-          steals_.fetch_add(1, std::memory_order_relaxed);
-          claimed = true;
-          if (!drain_core(static_cast<unsigned>(s), horizon, &tally)) {
-            budget_out = true;
-            break;
-          }
-        }
+  const unsigned blocks = steal_enabled_ ? threads_ : 1;
+  for (unsigned k = 0; k < blocks; ++k) {
+    ShardBlock& block = blocks_[(self + k) % threads_];
+    for (ShardBlock::Claim c = block.claim(); c.lo != c.hi;
+         c = block.claim()) {
+      if (k != 0) tally.steals += c.hi - c.lo;
+      for (std::uint32_t s = c.hi; s-- > c.lo;) {
+        if (!drain_core(s, horizon, &tally)) return tally;  // budget out
       }
-      if (budget_out || (!claimed && !contended)) break;
     }
   }
-  tallies_[self] = tally;
+  return tally;
 }
 
 void ParallelEngine::worker_main(unsigned self) {
@@ -196,7 +176,7 @@ void ParallelEngine::worker_main(unsigned self) {
       if (++spins > kSpinsBeforeYield) std::this_thread::yield();
     }
     last_epoch = e;
-    drain_pool(self, horizon_);
+    tallies_[self] = drain_pool(self, horizon_);
     done_.fetch_add(1, std::memory_order_release);
   }
 }
@@ -205,39 +185,43 @@ EpochTally ParallelEngine::drain_epoch(Cycles horizon,
                                        std::uint64_t max_advances) {
   budget_limit_ = max_advances;
   budget_used_.store(0, std::memory_order_relaxed);
+  EpochTally total;
   if (threads_ == 1) {
     // Threadless path: the coordinator drains every shard itself — no
-    // deques, no barrier, still the same shard-local event order.
-    EpochTally tally;
+    // cursors, no barrier, still the same shard-local event order.
     for (unsigned i = 0; i < machine_.num_cores(); ++i) {
-      if (!drain_core(i, horizon, &tally)) break;
+      if (!drain_core(i, horizon, &total)) break;
     }
-    return tally;
+  } else {
+    // Seed the blocks with the static partition; stealing rebalances
+    // from there. Workers are parked (previous epoch fully acked), and
+    // the release-store of epoch_ below publishes the reset before any
+    // worker claims.
+    const unsigned cores = machine_.num_cores();
+    const unsigned base = cores / threads_;
+    const unsigned rem = cores % threads_;
+    for (unsigned b = 0; b < threads_; ++b) {
+      const unsigned lo = b * base + std::min(b, rem);
+      blocks_[b].reset(lo, base + (b < rem ? 1 : 0));
+    }
+    horizon_ = horizon;
+    ++epochs_issued_;
+    epoch_.store(epochs_issued_, std::memory_order_release);
+    tallies_[0] = drain_pool(0, horizon);
+    const std::uint64_t expect = epochs_issued_ * (threads_ - 1);
+    int spins = 0;
+    while (done_.load(std::memory_order_acquire) != expect) {
+      if (++spins > kSpinsBeforeYield) std::this_thread::yield();
+    }
+    // The done_ acquire above ordered every worker's tally publication
+    // before this fold (and the epoch is over, so no thread is writing).
+    for (unsigned b = 0; b < threads_; ++b) total.add(tallies_[b]);
   }
-  // Seed the deques with the static block partition; stealing
-  // rebalances from there. Workers are parked (previous epoch fully
-  // acked), and the release-store of epoch_ below publishes the
-  // reset before any worker claims.
-  const unsigned cores = machine_.num_cores();
-  const unsigned base = cores / threads_;
-  const unsigned rem = cores % threads_;
-  for (unsigned b = 0; b < threads_; ++b) {
-    const unsigned lo = b * base + std::min(b, rem);
-    deques_[b].reset(lo, base + (b < rem ? 1 : 0));
+  steals_ += total.steals;
+  if (max_advances == 0) {
+    work_ += total.advances;
+    span_ += total.max_shard;
   }
-  horizon_ = horizon;
-  ++epochs_issued_;
-  epoch_.store(epochs_issued_, std::memory_order_release);
-  drain_pool(0, horizon);
-  const std::uint64_t expect = epochs_issued_ * (threads_ - 1);
-  int spins = 0;
-  while (done_.load(std::memory_order_acquire) != expect) {
-    if (++spins > kSpinsBeforeYield) std::this_thread::yield();
-  }
-  // The done_ acquire above ordered every worker's tally publication
-  // before this fold (and the epoch is over, so no thread is writing).
-  EpochTally total;
-  for (unsigned b = 0; b < threads_; ++b) total.add(tallies_[b]);
   return total;
 }
 
@@ -247,7 +231,9 @@ Cycles ParallelEngine::merge_outboxes() {
   // here, so enqueue_ipi pushes straight into the target inboxes. O(1)
   // when the epoch staged nothing. A delivery only ever lowers its
   // target's next action, so reading it after each push and keeping
-  // the min yields each target's post-merge value.
+  // the min yields each target's post-merge value. The merge is serial,
+  // so its deliveries extend the epoch's span.
+  if (budget_limit_ == 0) span_ += outbox_.staged();
   Cycles next = kNever;
   outbox_.drain([this, &next](CoreId to, const IrqEvent& ev) {
     machine_.enqueue_ipi(to, ev);

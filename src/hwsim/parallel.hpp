@@ -12,16 +12,18 @@
 // behind, so the next horizon needs no O(cores) rescan. See
 // parallel.cpp for the determinism argument.
 //
-// Shard scheduling inside an epoch is work-stealing (HVM2-style): each
-// host thread owns a Chase–Lev deque of shard ids seeded with a static
-// block at epoch start; when a thread's own deque runs dry it steals
-// shards from loaded victims, so one hot shard no longer serializes the
+// Shard scheduling inside an epoch: each host thread owns a static
+// block of shard ids, re-seeded at epoch start, with one claim cursor
+// that hands the block out in chunks (one relaxed fetch_add per chunk
+// of shards, nothing per shard; see ShardBlock). A thread drains its own
+// block first; with stealing on it then claims leftover chunks from the
+// other blocks' cursors, so one hot shard no longer serializes the
 // epoch. Stealing moves only *which host thread* drains a shard — every
 // shard-side effect is keyed by core id (lane outbox, scratch registry,
 // per-core trace buffer, per-source sequence/RNG streams) and merged in
 // core-id order at the barrier, so results are independent of the
-// claim interleaving. MachineConfig::work_stealing=false pins shards to
-// their static blocks (the pre-stealing behavior) for A/B comparison.
+// claim interleaving. MachineConfig::work_stealing=false keeps every
+// thread on its own block for A/B comparison.
 //
 // Host-thread handshake: a monotone epoch counter published with
 // release semantics, acknowledged through a cumulative done counter.
@@ -56,7 +58,7 @@ namespace iw::hwsim {
 /// counter. stage() claims a slot index with a relaxed fetch_add and
 /// writes the event in place — no lock, no allocation; the rare
 /// overflow beyond the fixed capacity falls back to a mutex-guarded
-/// spill vector (counted, see spill_grow_allocs).
+/// spill vector (counted, see spills and spill_grow_allocs).
 ///
 /// Determinism: the slot order within a target lane is claim order,
 /// which IS host-schedule-dependent — and provably unobservable. Every
@@ -125,6 +127,7 @@ class IpiOutbox {
       cnt.store(0, std::memory_order_relaxed);
     }
     if (!spill_.empty()) {
+      spills_ += spill_.size();
       for (const PendingIpi& p : spill_) deliver(p.to, p.ev);
       spill_.clear();
     }
@@ -135,6 +138,9 @@ class IpiOutbox {
   [[nodiscard]] std::uint64_t staged() const {
     return staged_.load(std::memory_order_relaxed);
   }
+  /// Deliveries drained from the spill path (those past a target's
+  /// kSlotsPerTarget slots in one epoch) since configure().
+  [[nodiscard]] std::uint64_t spills() const { return spills_; }
   /// Growth reallocations of the overflow spill vector.
   [[nodiscard]] std::uint64_t spill_grow_allocs() const {
     return spill_grows_;
@@ -148,64 +154,54 @@ class IpiOutbox {
   std::mutex spill_mu_;
   std::vector<PendingIpi> spill_;
   std::uint64_t spill_grows_{0};
+  std::uint64_t spills_{0};  // coordinator-only (counted in drain)
 };
 
-/// Per-thread shard queue: a Chase–Lev work-stealing deque specialized
-/// to the epoch engine's lifecycle. The backing "array" is the dense
-/// shard-id range [base, base + size) written once per epoch while all
-/// workers are parked, and nothing pushes during a drain — so only the
-/// owner's take() and thieves' steal() are needed, and there is no
-/// array growth or ABA hazard. take() claims from the high-index end
-/// (the owner walks its block), steal() from the low-index end; the
-/// last-element race is resolved by the classic CAS on top.
-struct alignas(64) ShardDeque {
-  static constexpr int kEmpty = -1;  ///< nothing left to claim
-  static constexpr int kAbort = -2;  ///< lost a steal race; retry later
+/// One host thread's static shard block [base, base + size) and the
+/// cursor every thread claims it through. The block is re-seeded once
+/// per epoch while the workers are parked. A claim is one relaxed
+/// fetch_add of `chunk` on the cursor: an atomic read-modify-write
+/// returns each cursor value to exactly one caller, so every id in the
+/// block is handed out exactly once per epoch, to the owner or to a
+/// thief alike. No ordering is needed beyond that exclusivity — the
+/// shard state a drain touches is published by the epoch handshake.
+/// Ids come off the top of the block downward, so the owner drains its
+/// highest shard first.
+struct alignas(64) ShardBlock {
+  /// Chunks per block: the cursor is touched about this many times per
+  /// block per epoch instead of once per shard, while a hot shard holds
+  /// back at most its own chunk (~1/32 of the block) from the thieves.
+  static constexpr std::uint32_t kChunksPerBlock = 32;
+
+  /// Claimed ids [lo, hi), drained from hi - 1 down; empty when the
+  /// block is exhausted.
+  struct Claim {
+    std::uint32_t lo{0};
+    std::uint32_t hi{0};
+  };
 
   std::uint32_t base{0};
   std::uint32_t size{0};
-  std::atomic<std::int64_t> top{0};     // thieves claim index top
-  std::atomic<std::int64_t> bottom{0};  // owner claims index bottom-1
+  std::uint32_t chunk{1};
+  std::atomic<std::uint32_t> cursor{0};  // ids claimed from the top
 
   /// Re-seed with a fresh shard block. Workers must be parked (the
-  /// epoch publish that follows orders this store for them).
+  /// epoch publish that follows orders these stores for them).
   void reset(std::uint32_t b, std::uint32_t n) {
     base = b;
     size = n;
-    top.store(0, std::memory_order_relaxed);
-    bottom.store(static_cast<std::int64_t>(n), std::memory_order_relaxed);
+    chunk = std::max<std::uint32_t>(1, n / kChunksPerBlock);
+    cursor.store(0, std::memory_order_relaxed);
   }
 
-  /// Owner-only: claim the next shard id, or kEmpty.
-  int take() {
-    std::int64_t b = bottom.load(std::memory_order_relaxed) - 1;
-    bottom.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top.load(std::memory_order_relaxed);
-    if (t > b) {  // already drained by thieves
-      bottom.store(b + 1, std::memory_order_relaxed);
-      return kEmpty;
-    }
-    if (t == b) {  // last element: race the thieves for it
-      const bool won = top.compare_exchange_strong(
-          t, t + 1, std::memory_order_seq_cst, std::memory_order_relaxed);
-      bottom.store(b + 1, std::memory_order_relaxed);
-      if (!won) return kEmpty;
-    }
-    return static_cast<int>(base + static_cast<std::uint32_t>(b));
-  }
-
-  /// Thief: claim one shard id from the top, or kEmpty / kAbort.
-  int steal() {
-    std::int64_t t = top.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t b = bottom.load(std::memory_order_acquire);
-    if (t >= b) return kEmpty;
-    if (!top.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                     std::memory_order_relaxed)) {
-      return kAbort;
-    }
-    return static_cast<int>(base + static_cast<std::uint32_t>(t));
+  /// Claim the next chunk (owner or thief). The last chunk is partial.
+  /// A claimant stops at the first empty claim, so the cursor passes
+  /// `size` by at most one chunk per thread and cannot wrap.
+  Claim claim() {
+    const std::uint32_t c = cursor.fetch_add(chunk, std::memory_order_relaxed);
+    if (c >= size) return {};
+    const std::uint32_t hi = base + size - c;
+    return {hi - std::min(chunk, size - c), hi};
   }
 };
 
@@ -216,6 +212,12 @@ struct alignas(64) ShardDeque {
 struct alignas(64) EpochTally {
   /// Advances executed (a per-core sum, so claim-order-independent).
   std::uint64_t advances{0};
+  /// Most advances any single shard executed (a max over cores, so
+  /// claim-order-independent too): the epoch's longest drain.
+  std::uint64_t max_shard{0};
+  /// Shards claimed from other threads' blocks (host-schedule-dependent,
+  /// observability only).
+  std::uint64_t steals{0};
   /// Earliest next-action time among the drained cores at the point
   /// each stopped. Meaningful only for an epoch without an advance
   /// budget, where every core drains to the horizon.
@@ -223,6 +225,8 @@ struct alignas(64) EpochTally {
 
   void add(const EpochTally& o) {
     advances += o.advances;
+    max_shard = std::max(max_shard, o.max_shard);
+    steals += o.steals;
     next = std::min(next, o.next);
   }
 };
@@ -231,8 +235,9 @@ class ParallelEngine {
  public:
   /// `threads` is the total host threads used per epoch, including the
   /// coordinator (clamped to [1, num_cores]); `threads - 1` workers are
-  /// spawned and parked until the first epoch. `steal` enables
-  /// cross-deque shard stealing (off = static blocks).
+  /// spawned and parked until the first epoch. `steal` lets a thread
+  /// claim from other threads' blocks once its own is drained (off =
+  /// static blocks).
   ParallelEngine(Machine& machine, unsigned threads, bool steal);
   ~ParallelEngine();
 
@@ -241,10 +246,14 @@ class ParallelEngine {
 
   [[nodiscard]] unsigned threads() const { return threads_; }
   [[nodiscard]] bool steal_enabled() const { return steal_enabled_; }
-  /// Successful shard steals since construction (observability only;
-  /// the count is host-schedule-dependent, results never are).
-  [[nodiscard]] std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
+  /// Shards drained by a thread other than their block's owner since
+  /// construction (observability only; the count is
+  /// host-schedule-dependent, results never are).
+  [[nodiscard]] std::uint64_t steals() const { return steals_; }
+  /// Work, span and spill totals since construction (see
+  /// ParallelTotals; coordinator-only read).
+  [[nodiscard]] ParallelTotals totals() const {
+    return {work_, span_, outbox_.spills()};
   }
 
   /// Allocate (or drop) the per-core scratch metrics registries. Called
@@ -253,7 +262,7 @@ class ParallelEngine {
   void set_scratch_enabled(bool on);
 
   /// Drain every core of events strictly before `horizon`, fanned out
-  /// across the pool via the work-stealing deques. `max_advances`
+  /// across the pool via the shard blocks' claim cursors. `max_advances`
   /// bounds the advances performed this epoch (0 = unbounded): when the
   /// shared budget is exhausted every thread stops claiming and
   /// draining, so a watchdog-bounded run overshoots by at most the
@@ -299,8 +308,9 @@ class ParallelEngine {
   /// `*tally`; returns false when the epoch advance budget ran out
   /// mid-drain (callers stop claiming shards).
   bool drain_core(unsigned core, Cycles horizon, EpochTally* tally);
-  /// One thread's share of an epoch: drain the own deque, then steal.
-  void drain_pool(unsigned self, Cycles horizon);
+  /// One thread's share of an epoch: drain the own block, then (with
+  /// stealing on) what the other blocks still hold.
+  EpochTally drain_pool(unsigned self, Cycles horizon);
   void worker_main(unsigned self);
 
   Machine& machine_;
@@ -311,9 +321,9 @@ class ParallelEngine {
   EpochArena arena_;
   IpiOutbox outbox_;
   std::vector<Lane> lanes_;  // one per core
-  /// One deque per host thread (array: ShardDeque holds atomics and is
-  /// neither movable nor copyable).
-  std::unique_ptr<ShardDeque[]> deques_;
+  /// One block per host thread (array: ShardBlock holds an atomic and
+  /// is neither movable nor copyable).
+  std::unique_ptr<ShardBlock[]> blocks_;
 
   // Per-epoch advance budget (0 = unlimited). budget_used_ is a shared
   // pre-claim counter: a thread advances only after claiming a slot
@@ -321,7 +331,11 @@ class ParallelEngine {
   std::uint64_t budget_limit_{0};
   std::atomic<std::uint64_t> budget_used_{0};
 
-  std::atomic<std::uint64_t> steals_{0};
+  // Coordinator-only run totals, folded from the tallies (and the
+  // merge) after each barrier.
+  std::uint64_t steals_{0};
+  std::uint64_t work_{0};
+  std::uint64_t span_{0};
 
   /// One tally per host thread, written once per epoch by its owner.
   /// Workers' plain writes are ordered before the coordinator's fold by

@@ -1,14 +1,18 @@
-// Work-stealing epoch engine: the shard deques may move shards between
-// host threads freely, but traces, metrics, fault schedules, and final
-// machine state must stay bit-identical to the sequential schedulers at
-// every (threads, steal-mode, fault-plan) point — including under
-// starvation, where one shard holds ~90% of the events and the static
-// partition would serialize the epoch. Also pins the satellite fixes:
-// the worker pool is rebuilt when the thread count changes between runs
-// on the same Machine, and the watchdogs bound overshoot *within* an
-// epoch (advance budget + horizon clamp) instead of only at barriers.
+// Work-stealing epoch engine: the shard blocks' claim cursors may move
+// shards between host threads freely, but traces, metrics, fault
+// schedules, and final machine state must stay bit-identical to the
+// sequential schedulers at every (threads, steal-mode, fault-plan)
+// point — including under starvation, where one shard holds ~90% of the
+// events and the static partition would serialize the epoch. The
+// engine's work/span/spill totals must be just as host-invariant. Also
+// pins the satellite fixes: the worker pool is rebuilt when the thread
+// count changes between runs on the same Machine, and the watchdogs
+// bound overshoot *within* an epoch (advance budget + horizon clamp)
+// instead of only at barriers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -74,6 +78,7 @@ struct Digest {
   std::uint64_t ipis{0};
   Cycles end_time{0};
   std::uint64_t steals{0};
+  ParallelTotals totals;
 };
 
 void expect_same(const Digest& a, const Digest& b, const std::string& what) {
@@ -99,13 +104,16 @@ std::string budget_label(std::uint64_t max_advances) {
 
 /// Heartbeat-broadcast over per-core spin work (shard-safe: all
 /// cross-core traffic rides the IPI fabric), with trace AND metrics
-/// digests. `steps`/`cost` shape the per-shard load.
+/// digests. `steps`/`cost` shape the per-shard load. `fan_in` makes
+/// every other core answer each beat with an IPI back to core 0, so one
+/// target receives more deliveries per epoch than its outbox slots hold.
 Digest run_workload(unsigned cores, SchedulerKind sched, ShardPolicy policy,
                     unsigned threads, bool steal,
                     const std::vector<std::uint64_t>& steps,
                     const std::vector<Cycles>& cost,
                     const FaultPlan& plan = FaultPlan{},
-                    std::uint64_t max_advances = kWatchdog) {
+                    std::uint64_t max_advances = kWatchdog,
+                    bool fan_in = false) {
   MachineConfig mc;
   mc.num_cores = cores;
   mc.scheduler = sched;
@@ -126,13 +134,23 @@ Digest run_workload(unsigned cores, SchedulerKind sched, ShardPolicy policy,
   std::vector<IrqCell> irqs(cores);
   for (unsigned i = 0; i < cores; ++i) {
     m.core(i).set_driver(&driver);
-    m.core(i).set_irq_handler(0x40, [&irqs](Core& c, int) {
+    m.core(i).set_irq_handler(0x40, [&irqs, fan_in](Core& c, int) {
       c.consume(120);
       ++irqs[c.id()].v;
       // Per-core scratch registry path: merged in core order at run end,
       // so the export must be thread-count- and steal-invariant.
       if (auto* reg = c.machine().metrics()) reg->add("bench.ws_irq");
-      if (c.id() == 0) c.machine().broadcast_ipi(c, 0x40);
+      if (c.id() == 0) {
+        c.machine().broadcast_ipi(c, 0x40);
+      } else if (fan_in) {
+        c.machine().send_ipi(c, 0, 0x41);
+      }
+    });
+  }
+  if (fan_in) {
+    m.core(0).set_irq_handler(0x41, [&irqs](Core& c, int) {
+      c.consume(40);
+      ++irqs[c.id()].v;
     });
   }
   LapicTimer timer(m.core(0), 0x40);
@@ -150,6 +168,7 @@ Digest run_workload(unsigned cores, SchedulerKind sched, ShardPolicy policy,
   d.ipis = m.total_ipis();
   d.end_time = m.now();
   d.steals = m.parallel_steals();
+  d.totals = m.parallel_totals();
   return d;
 }
 
@@ -255,32 +274,212 @@ TEST(WorkStealing, StarvationOneHotShardStaysBitIdentical) {
   }
 }
 
-// -------------------------------------------------- deque unit tests
+// ------------------------------------------ available parallelism
 
-TEST(WorkStealing, DequeTakeAndStealAreExclusive) {
-  ShardDeque d;
-  d.reset(10, 5);  // shards 10..14
-  // Owner claims from the high end, thieves from the low end; every id
-  // comes out exactly once.
-  EXPECT_EQ(d.take(), 14);
-  EXPECT_EQ(d.take(), 13);
-  EXPECT_EQ(d.steal(), 10);
-  EXPECT_EQ(d.steal(), 11);
-  EXPECT_EQ(d.take(), 12);
-  EXPECT_EQ(d.take(), ShardDeque::kEmpty);
-  EXPECT_EQ(d.steal(), ShardDeque::kEmpty);
-  // Reset re-arms the deque for the next epoch.
-  d.reset(0, 2);
-  EXPECT_EQ(d.steal(), 0);
-  EXPECT_EQ(d.take(), 1);
-  EXPECT_EQ(d.take(), ShardDeque::kEmpty);
+TEST(WorkStealing, WorkSpanAndSpillsAreHostInvariant) {
+  // Work (shard advances), span (longest shard drain plus the serial
+  // merge) and outbox spills describe the simulated schedule, so they
+  // must read the same at every host-thread count and steal mode. The
+  // fan-in sends 31 deliveries to core 0 per beat against 8 slots, and
+  // the uneven step counts make the span a real maximum.
+  constexpr unsigned kCores = 32;
+  std::vector<std::uint64_t> steps(kCores);
+  std::vector<Cycles> cost(kCores);
+  for (unsigned i = 0; i < kCores; ++i) {
+    steps[i] = 400 + 97 * i;
+    cost[i] = 150 + 11 * (i % 5);
+  }
+  const Digest seq =
+      run_workload(kCores, SchedulerKind::kFrontier,
+                   ShardPolicy::kSingleGroup, 1, true, steps, cost,
+                   FaultPlan{}, kWatchdog, /*fan_in=*/true);
+  const Digest ref =
+      run_workload(kCores, SchedulerKind::kParallelEpoch,
+                   ShardPolicy::kPerCore, 1, true, steps, cost, FaultPlan{},
+                   0, /*fan_in=*/true);
+  expect_same(seq, ref, "fan-in, threads=1");
+  EXPECT_GT(ref.totals.span, 0u);
+  EXPECT_LT(ref.totals.span, ref.totals.work);
+  EXPECT_LE(ref.totals.work, ref.advances);
+  EXPECT_GT(ref.totals.spills, 0u);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    for (const bool steal : {false, true}) {
+      const Digest par = run_workload(
+          kCores, SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore,
+          threads, steal, steps, cost, FaultPlan{}, 0, /*fan_in=*/true);
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " steal=" + std::to_string(steal);
+      expect_same(seq, par, what);
+      EXPECT_EQ(par.totals.work, ref.totals.work) << what;
+      EXPECT_EQ(par.totals.span, ref.totals.span) << what;
+      EXPECT_EQ(par.totals.spills, ref.totals.spills) << what;
+    }
+  }
 }
 
-TEST(WorkStealing, DequeEmptyBlock) {
-  ShardDeque d;
-  d.reset(3, 0);  // a thread can own zero shards (threads > cores/blocks)
-  EXPECT_EQ(d.take(), ShardDeque::kEmpty);
-  EXPECT_EQ(d.steal(), ShardDeque::kEmpty);
+// ------------------------------------------------ claim-cursor tests
+
+/// Ids [lo, hi) of one claim, in the order a drain walks them.
+std::vector<std::uint32_t> ids_of(const ShardBlock::Claim& c) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t s = c.hi; s-- > c.lo;) ids.push_back(s);
+  return ids;
+}
+
+/// True when the next claim on `b` comes back empty.
+bool exhausted(ShardBlock& b) {
+  const ShardBlock::Claim c = b.claim();
+  return c.lo == c.hi;
+}
+
+TEST(WorkStealing, CursorHandsOutEachIdOnceFromTheTopDown) {
+  ShardBlock b;
+  b.reset(10, 100);  // shards 10..109, chunks of 100 / 32 = 3
+  ASSERT_EQ(b.chunk, 3u);
+  // The owner and a thief claim through the same cursor, interleaved
+  // (owner, thief, thief, owner, ...). Every id comes out exactly once,
+  // and each claim continues downward from where the last one stopped.
+  std::vector<int> seen(100, 0);
+  std::uint32_t next_hi = 110;
+  std::vector<std::uint32_t> owner;
+  std::vector<std::uint32_t> thief;
+  for (unsigned turn = 0;; ++turn) {
+    const ShardBlock::Claim c = b.claim();
+    if (c.lo == c.hi) break;
+    EXPECT_EQ(c.hi, next_hi) << "claims must descend from the block top";
+    next_hi = c.lo;
+    for (const std::uint32_t s : ids_of(c)) {
+      ASSERT_GE(s, 10u);
+      ASSERT_LT(s, 110u);
+      ++seen[s - 10];
+      (turn % 3 == 0 ? owner : thief).push_back(s);
+    }
+  }
+  EXPECT_EQ(next_hi, 10u);
+  for (unsigned i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], 1) << "shard " << 10 + i;
+  }
+  ASSERT_GE(owner.size(), 3u);
+  EXPECT_EQ(owner[0], 109u) << "the first claim starts at the block top";
+  EXPECT_EQ(owner.size() + thief.size(), 100u);
+  // Exhausted stays exhausted for every claimant.
+  EXPECT_TRUE(exhausted(b));
+  EXPECT_TRUE(exhausted(b));
+}
+
+TEST(WorkStealing, CursorLastChunkIsPartial) {
+  ShardBlock b;
+  b.reset(0, 100);  // 33 chunks of 3, then the one id left over
+  for (int i = 0; i < 33; ++i) {
+    const ShardBlock::Claim c = b.claim();
+    EXPECT_EQ(c.hi - c.lo, 3u) << "chunk " << i;
+  }
+  const ShardBlock::Claim last = b.claim();
+  EXPECT_EQ(last.lo, 0u);
+  EXPECT_EQ(last.hi, 1u);
+  EXPECT_TRUE(exhausted(b));
+  // A block smaller than kChunksPerBlock claims one shard at a time.
+  b.reset(7, 5);
+  EXPECT_EQ(b.chunk, 1u);
+  EXPECT_EQ(ids_of(b.claim()), std::vector<std::uint32_t>{11});
+}
+
+TEST(WorkStealing, CursorEmptyBlockYieldsNothing) {
+  ShardBlock b;
+  b.reset(3, 0);  // a thread can own zero shards (threads > cores/blocks)
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(exhausted(b));
+}
+
+TEST(WorkStealing, CursorResetRearms) {
+  ShardBlock b;
+  b.reset(10, 5);
+  while (!exhausted(b)) {
+  }
+  // Reset re-arms the cursor for the next epoch, with a new block.
+  b.reset(0, 2);
+  EXPECT_EQ(ids_of(b.claim()), std::vector<std::uint32_t>{1});
+  EXPECT_EQ(ids_of(b.claim()), std::vector<std::uint32_t>{0});
+  EXPECT_TRUE(exhausted(b));
+  b.reset(64, 64);  // chunks of 2
+  EXPECT_EQ(ids_of(b.claim()), (std::vector<std::uint32_t>{127, 126}));
+}
+
+TEST(WorkStealing, CursorStressEveryShardClaimedOncePerRound) {
+  // Four threads claim chunks of four blocks until all are exhausted. A
+  // per-shard counter must read exactly 1 after every round. Every
+  // thread walks the blocks in the same order, so all four contend on
+  // each cursor (harder than drain_pool's own-block-first order), and
+  // no thread claims before all four have reached the round's start
+  // line, so a slow wake-up cannot leave one thread claiming alone (on
+  // a busy host the release alone can take longer than a whole round's
+  // claims). The counters are atomic so that two claimants of one
+  // shard always read as 2 (plain increments racing on the same chunk
+  // can lose one); TSan checks that the reset of each round's blocks
+  // is ordered before every thread's claims, as the epoch handshake
+  // orders it.
+  constexpr unsigned kThreads = 4;
+  constexpr unsigned kRounds = 3000;
+  constexpr std::uint32_t kMaxBlock = 4096;
+  ShardBlock blocks[kThreads];
+  std::vector<std::atomic<std::uint32_t>> hits(kThreads * kMaxBlock);
+  std::atomic<unsigned> round{0};    // release: blocks seeded for round r
+  std::atomic<unsigned> arrived{0};  // cumulative start-line arrivals
+  std::atomic<unsigned> done{0};     // cumulative worker acks
+  const auto spin_until = [](const std::atomic<unsigned>& v, unsigned n) {
+    for (int spins = 0; v.load(std::memory_order_acquire) < n;) {
+      if (++spins > 200) std::this_thread::yield();
+    }
+  };
+  const auto claim_all = [&](unsigned r) {
+    arrived.fetch_add(1, std::memory_order_relaxed);
+    spin_until(arrived, r * kThreads);
+    for (ShardBlock& block : blocks) {
+      for (ShardBlock::Claim c = block.claim(); c.lo != c.hi;
+           c = block.claim()) {
+        for (std::uint32_t s = c.hi; s-- > c.lo;) {
+          hits[s].fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  for (unsigned t = 1; t < kThreads; ++t) {
+    pool.emplace_back([&] {
+      for (unsigned r = 1; r <= kRounds; ++r) {
+        spin_until(round, r);
+        claim_all(r);
+        done.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+  unsigned bad_rounds = 0;
+  for (unsigned r = 1; r <= kRounds; ++r) {
+    // Block sizes in [1, 4096]; the cap cycles by round so small blocks
+    // (chunk 1, the most contended case) come up as often as large.
+    std::uint32_t base = 0;
+    for (ShardBlock& block : blocks) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const std::uint32_t cap = r % 3 == 0 ? 8 : r % 3 == 1 ? 256 : kMaxBlock;
+      const auto n = static_cast<std::uint32_t>(1 + (state >> 33) % cap);
+      block.reset(base, n);
+      base += n;
+    }
+    for (std::uint32_t s = 0; s < base; ++s) {
+      hits[s].store(0, std::memory_order_relaxed);
+    }
+    round.store(r, std::memory_order_release);
+    claim_all(r);
+    spin_until(done, r * (kThreads - 1));
+    if (!std::all_of(hits.begin(), hits.begin() + base,
+                     [](const std::atomic<std::uint32_t>& h) {
+                       return h.load(std::memory_order_relaxed) == 1;
+                     })) {
+      ++bad_rounds;
+    }
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(bad_rounds, 0u);
 }
 
 // ------------------------------------- pool rebuild on reconfiguration
