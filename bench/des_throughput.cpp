@@ -24,7 +24,10 @@
 // speedup; the guard only requires no collapse there). Per core count
 // it also records the engine's host-independent available parallelism
 // (parallelism_bound = work / span, the speedup ceiling the thread
-// ratios are read against) and its outbox spill count.
+// ratios are read against) and its outbox spill count. Each frontier
+// row of `results` carries dirty_pushes_per_event: cores an
+// invalidation from another context queued for a leaf rewrite, per
+// event (deterministic; the heartbeat broadcast is the only source).
 //
 // Usage: des_throughput [--smoke] [--out=FILE] [--threads=N]
 //   --smoke      ~10x shorter runs (CI artifact mode)
@@ -60,6 +63,9 @@ struct Row {
   double wall_ms{0.0};
   double events_per_sec{0.0};
   hwsim::ParallelTotals totals;  // parallel rows only
+  bool frontier{false};
+  /// Cores pushed onto the frontier's dirty list (frontier rows only).
+  std::uint64_t dirty_pushes{0};
 };
 
 const char* sched_label(hwsim::SchedulerKind sched) {
@@ -83,6 +89,7 @@ Row run_one(unsigned cores, hwsim::SchedulerKind sched, Cycles sim_cycles,
   r.cores = cores;
   r.scheduler = sched_label(sched);
   r.threads = threads;
+  r.frontier = sched == hwsim::SchedulerKind::kFrontier;
   for (int rep = 0; rep < repeats; ++rep) {
     bench::DesWorkload w =
         bench::make_des_workload(cores, sched, 200, 20'000, threads);
@@ -102,9 +109,11 @@ Row run_one(unsigned cores, hwsim::SchedulerKind sched, Cycles sim_cycles,
       r.sim_time = w.machine->now();
       r.wall_ms = wall_ms;
       r.totals = w.machine->parallel_totals();
+      r.dirty_pushes = w.machine->frontier_dirty_pushes();
     } else {
       if (r.advances != w.machine->total_advances() ||
-          r.irqs != w.total_irqs() || r.sim_time != w.machine->now()) {
+          r.irqs != w.total_irqs() || r.sim_time != w.machine->now() ||
+          r.dirty_pushes != w.machine->frontier_dirty_pushes()) {
         std::fprintf(stderr,
                      "des_throughput: repeat diverged (%s, %u cores)\n",
                      r.scheduler, cores);
@@ -343,11 +352,19 @@ int main(int argc, char** argv) {
     if (with_threads) std::fprintf(fp, "\"threads\": %u, ", r.threads);
     std::fprintf(fp,
                  "\"advances\": %llu, \"irqs\": %llu, \"sim_cycles\": "
-                 "%llu, \"wall_ms\": %.2f, \"events_per_sec\": %.0f}%s\n",
+                 "%llu, \"wall_ms\": %.2f, \"events_per_sec\": %.0f",
                  static_cast<unsigned long long>(r.advances),
                  static_cast<unsigned long long>(r.irqs),
                  static_cast<unsigned long long>(r.sim_time), r.wall_ms,
-                 r.events_per_sec, last ? "" : ",");
+                 r.events_per_sec);
+    // Deterministic complexity counter: the stepped core rewrites its
+    // own leaf, so only cross-core invalidations reach the dirty list.
+    if (r.frontier && r.advances > 0) {
+      std::fprintf(fp, ", \"dirty_pushes_per_event\": %.6f",
+                   static_cast<double>(r.dirty_pushes) /
+                       static_cast<double>(r.advances));
+    }
+    std::fprintf(fp, "}%s\n", last ? "" : ",");
   };
   std::fprintf(fp,
                "{\n  \"bench\": \"des_throughput\",\n"

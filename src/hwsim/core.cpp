@@ -190,17 +190,6 @@ unsigned Core::deliver_due_events() {
   return delivered;
 }
 
-bool Core::runnable() { return driver_ != nullptr && driver_->runnable(*this); }
-
-Cycles Core::compute_next_action_time() {
-  if (runnable()) return clock_;
-  const Cycles cb_t = callback_inbox_.peek_time();
-  const Cycles irq_t = irq_enabled_ ? irq_inbox_.peek_time() : kNever;
-  const Cycles t = std::min(cb_t, irq_t);
-  if (t == kNever) return kNever;
-  return std::max(t, clock_);
-}
-
 void Core::commit_fast_forward(const FastForwardPlan& plan) {
   IW_ASSERT(driver_ != nullptr);
   IW_ASSERT_MSG(plan.steps >= 1 && plan.end_clock > clock_,
@@ -220,97 +209,46 @@ void Core::commit_fast_forward(const FastForwardPlan& plan) {
   mark_schedule_dirty();
 }
 
-void Core::advance() {
+Cycles Core::advance() {
   ++steps_;
   if (!runnable()) {
     // Idle: jump to the next deliverable event (HLT wake-up).
-    const Cycles cb_t = callback_inbox_.peek_time();
-    const Cycles irq_t = irq_enabled_ ? irq_inbox_.peek_time() : kNever;
-    const Cycles t = std::min(cb_t, irq_t);
+    const Cycles t = earliest_deliverable();
     IW_ASSERT_MSG(t != kNever, "idle core advanced with no pending events");
     advance_to(t);
     deliver_due_events();
-    mark_schedule_dirty();
-    return;
+    return compute_next_action_time();
   }
-  deliver_due_events();
-  if (runnable()) {
-    // Transient stall injection: the fault plan may steal cycles from a
-    // step (SMI, thermal throttle, a hypervisor preemption) — the core
-    // simply runs late; interrupts queue up behind the stall.
-    auto& faults = machine_.fault_injector();
-    if (faults.enabled()) {
-      // Stalls always strike the advancing core, so the draw comes from
-      // its own stream regardless of which scheduler is running.
-      if (const Cycles stolen = faults.stall_cycles(id_ + 1, clock_);
-          stolen != 0) {
-        const Cycles from = clock_;
-        consume(stolen);
-        if (auto* tr = machine_.tracer()) {
-          tr->span(id_, "fault.stall", from, clock_);
-        }
-        if (auto* mx = machine_.metrics()) {
-          mx->add(obs::names::kFaultsStalls);
-        }
-      }
-    }
-    const Cycles before = clock_;
-    driver_->step(*this);
-    IW_ASSERT_MSG(clock_ > before, "driver step must consume cycles");
-  }
-  mark_schedule_dirty();
-}
-
-Cycles Core::drain_until(Cycles horizon, std::uint64_t* advances) {
-  // Fused form of `while (next_action_time_uncached() < horizon)
-  // advance();` — the parallel epoch engine's inner loop. Identical
-  // observable behavior (same delivery order, same fault draws, same
-  // step/advance accounting), but the wake-time recompute and the
-  // advance dispatch share one runnable()/peek pass per iteration
-  // instead of three. The pass that ends the loop is the uncached
-  // next-action time, returned to the caller.
-  auto& faults = machine_.fault_injector();
-  const bool faults_on = faults.enabled();
-  for (;;) {
-    if (runnable()) {
-      if (clock_ >= horizon) return clock_;
-      ++steps_;
-      ++*advances;
-      deliver_due_events();
-      if (runnable()) {
-        if (faults_on) {
-          if (const Cycles stolen = faults.stall_cycles(id_ + 1, clock_);
-              stolen != 0) {
-            const Cycles from = clock_;
-            consume(stolen);
-            if (auto* tr = machine_.tracer()) {
-              tr->span(id_, "fault.stall", from, clock_);
-            }
-            if (auto* mx = machine_.metrics()) {
-              mx->add(obs::names::kFaultsStalls);
-            }
-          }
-        }
-        const Cycles before = clock_;
-        driver_->step(*this);
-        IW_ASSERT_MSG(clock_ > before, "driver step must consume cycles");
-      }
-      mark_schedule_dirty();
-      continue;
-    }
-    const Cycles cb_t = callback_inbox_.peek_time();
-    const Cycles irq_t = irq_enabled_ ? irq_inbox_.peek_time() : kNever;
-    const Cycles t = std::min(cb_t, irq_t);
-    if (t == kNever) return kNever;
-    if (const Cycles next = std::max(t, clock_); next >= horizon) {
-      return next;
-    }
-    ++steps_;
-    ++*advances;
-    advance_to(t);
+  // Interrupts are taken at the step boundary. Delivery is the only
+  // thing that can change runnable() before the step, so with nothing
+  // due the step needs neither the delivery pass nor a second query.
+  if (earliest_deliverable() <= clock_) {
     deliver_due_events();
-    mark_schedule_dirty();
+    if (!runnable()) return compute_next_action_time();
   }
+  // Transient stall injection: the fault plan may steal cycles from a
+  // step (SMI, thermal throttle, a hypervisor preemption) — the core
+  // simply runs late; interrupts queue up behind the stall.
+  auto& faults = machine_.fault_injector();
+  if (faults.enabled()) {
+    // Stalls always strike the advancing core, so the draw comes from
+    // its own stream regardless of which scheduler is running.
+    if (const Cycles stolen = faults.stall_cycles(id_ + 1, clock_);
+        stolen != 0) {
+      const Cycles from = clock_;
+      consume(stolen);
+      if (auto* tr = machine_.tracer()) {
+        tr->span(id_, "fault.stall", from, clock_);
+      }
+      if (auto* mx = machine_.metrics()) {
+        mx->add(obs::names::kFaultsStalls);
+      }
+    }
+  }
+  const Cycles before = clock_;
+  driver_->step(*this);
+  IW_ASSERT_MSG(clock_ > before, "driver step must consume cycles");
+  return compute_next_action_time();
 }
 
 }  // namespace iw::hwsim

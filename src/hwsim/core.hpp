@@ -17,8 +17,18 @@
 // run queues from a different core's timeline) must call
 // `mark_schedule_dirty()` on the affected core — see nautilus::Kernel's
 // enqueue_ready/submit_task for the canonical examples.
+//
+// The stepping core is the exception: `advance()` returns its next
+// action time, computed after the step. Under kFrontier the machine
+// writes that value into the core's cache and winner-tree leaf itself,
+// holding the core's dirty flag set for the step, so the core's own
+// invalidations cost one flag test and never reach the frontier's
+// dirty list; that list carries only cores dirtied from another context
+// (IPIs, wakes, machine-queue events, fast-forward commits). The epoch
+// engine folds the returned times into its next horizon instead.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -183,7 +193,8 @@ class Core {
 
   /// Deliver all events due at or before the current clock: callbacks
   /// unconditionally, IRQs only while interrupts are enabled. Each IRQ
-  /// pays dispatch + return costs from the cost model.
+  /// pays dispatch + return costs from the cost model. advance() calls
+  /// it only when earliest_deliverable() <= clock().
   unsigned deliver_due_events();
 
   // --- driver ---
@@ -195,7 +206,9 @@ class Core {
   [[nodiscard]] CoreDriver* driver() const { return driver_; }
 
   /// True if the driver reports runnable work.
-  [[nodiscard]] bool runnable();
+  [[nodiscard]] bool runnable() {
+    return driver_ != nullptr && driver_->runnable(*this);
+  }
 
   /// Next time this core needs the machine loop's attention:
   ///  - its own clock if runnable,
@@ -232,19 +245,13 @@ class Core {
     }
   }
 
-  /// Execute one advance: deliver due events, then run one driver step
-  /// (or jump the clock to the next event if idle).
-  void advance();
-
-  /// Advance repeatedly while the next action lies strictly before
-  /// `horizon`, adding the advances executed to `*advances`; returns
-  /// the next-action time at which it stopped (>= horizon, or kNever).
-  /// Exactly equivalent to `while (next_action_time_uncached() <
-  /// horizon) advance();` followed by one more uncached read, but with
-  /// the recompute/dispatch passes fused — the parallel epoch engine's
-  /// budgetless shard drain, which folds the returned times into the
-  /// next epoch's horizon instead of rescanning every core.
-  Cycles drain_until(Cycles horizon, std::uint64_t* advances);
+  /// Execute one advance — deliver due events, then run one driver step
+  /// (or jump the clock to the next event if idle) — and return the
+  /// next action time it leaves (next_action_time_uncached() after the
+  /// step). The only step routine: every scheduler and the epoch
+  /// engine's shard drain loop over it. A runnable core with nothing
+  /// due makes no call beyond the driver's runnable() and step().
+  Cycles advance();
 
   /// Commit one analytic skip (machine-only: the quiet-window proof
   /// lives in Machine::try_fast_forward). Moves the clock through the
@@ -284,7 +291,12 @@ class Core {
     mark_schedule_dirty();
   }
 
-  [[nodiscard]] Cycles compute_next_action_time();
+  /// Inline, like runnable(): advance() ends every step with it.
+  [[nodiscard]] Cycles compute_next_action_time() {
+    if (runnable()) return clock_;
+    // kNever is the largest Cycles value, so an empty inbox stays kNever.
+    return std::max(earliest_deliverable(), clock_);
+  }
   /// Out-of-line slow path: registers with the machine's frontier.
   void notify_machine_dirty();
 

@@ -1,9 +1,12 @@
 #include "hwsim/fault_plan.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/assert.hpp"
+#include "hwsim/event_queue.hpp"
 #include "hwsim/snapshot.hpp"
 
 namespace iw::hwsim {
@@ -34,10 +37,38 @@ bool parse_prob(const std::string& s, double* out) {
   return true;
 }
 
-bool parse_cycles(const std::string& s, Cycles* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return false;
+/// An unsigned decimal cycle count, at most the 48-bit packed event
+/// time every queue and the frontier enforce. strtoull alone would wrap
+/// "-1" to 2^64 - 1, skip leading whitespace and saturate on overflow,
+/// so the digits are checked first. On failure `*why` names the rule
+/// the value broke.
+bool parse_cycles(const std::string& s, Cycles* out, std::string* why) {
+  constexpr Cycles kMax = TimedQueue<IrqEvent>::kMaxTime;
+  const auto quoted = "cycle value '" + s + "'";
+  if (s.empty()) {
+    *why = "missing cycle value";
+    return false;
+  }
+  if (s[0] == '-' || s[0] == '+') {
+    *why = quoted + " must not carry a sign";
+    return false;
+  }
+  if (std::isspace(static_cast<unsigned char>(s[0])) != 0) {
+    *why = quoted + " has leading whitespace";
+    return false;
+  }
+  if (!std::all_of(s.begin(), s.end(),
+                   [](char c) { return c >= '0' && c <= '9'; })) {
+    *why = quoted + " is not a decimal integer";
+    return false;
+  }
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE || v > kMax) {
+    *why = quoted + " exceeds the 48-bit event-time limit " +
+           std::to_string(kMax);
+    return false;
+  }
   *out = static_cast<Cycles>(v);
   return true;
 }
@@ -45,13 +76,13 @@ bool parse_cycles(const std::string& s, Cycles* out) {
 /// "P:C" — probability with a cycle magnitude. `cycles_required` items
 /// reject a bare probability (a rate without a magnitude does nothing).
 bool parse_prob_cycles(const std::string& s, double* p, Cycles* c,
-                       bool cycles_required) {
+                       bool cycles_required, std::string* why) {
   const auto colon = s.find(':');
   if (colon == std::string::npos) {
     return !cycles_required && parse_prob(s, p);
   }
   return parse_prob(s.substr(0, colon), p) &&
-         parse_cycles(s.substr(colon + 1), c);
+         parse_cycles(s.substr(colon + 1), c, why);
 }
 
 }  // namespace
@@ -70,6 +101,7 @@ bool FaultPlan::parse(const std::string& spec, FaultPlan* out,
     if (item.empty()) continue;
     std::string key;
     std::string value;
+    std::string why;  // set by parse_cycles
     bool ok = split_item(item, &key, &value);
     if (ok) {
       if (key == "drop") {
@@ -77,34 +109,34 @@ bool FaultPlan::parse(const std::string& spec, FaultPlan* out,
       } else if (key == "delay") {
         ok = parse_prob_cycles(value, &plan.ipi_delay_rate,
                                &plan.ipi_delay_max,
-                               /*cycles_required=*/true);
+                               /*cycles_required=*/true, &why);
       } else if (key == "dup") {
         ok = parse_prob_cycles(value, &plan.ipi_dup_rate,
                                &plan.ipi_dup_lag_max,
-                               /*cycles_required=*/false);
+                               /*cycles_required=*/false, &why);
       } else if (key == "jitter") {
         ok = parse_prob_cycles(value, &plan.timer_jitter_rate,
                                &plan.timer_jitter_max,
-                               /*cycles_required=*/true);
+                               /*cycles_required=*/true, &why);
       } else if (key == "drift") {
-        ok = parse_cycles(value, &plan.timer_drift);
+        ok = parse_cycles(value, &plan.timer_drift, &why);
       } else if (key == "spurious") {
         ok = parse_prob_cycles(value, &plan.spurious_irq_rate,
                                &plan.spurious_lag_max,
-                               /*cycles_required=*/false);
+                               /*cycles_required=*/false, &why);
       } else if (key == "stall") {
         ok = parse_prob_cycles(value, &plan.stall_rate, &plan.stall_max,
-                               /*cycles_required=*/true);
+                               /*cycles_required=*/true, &why);
       } else if (key == "vector") {
         Cycles v = 0;
-        ok = parse_cycles(value, &v) && v < 256;
+        ok = parse_cycles(value, &v, &why) && v < 256;
         if (ok) plan.vector_filter = static_cast<int>(v);
       } else if (key == "window") {
         const auto dash = value.find('-');
         FaultWindow w;
         ok = dash != std::string::npos &&
-             parse_cycles(value.substr(0, dash), &w.begin) &&
-             parse_cycles(value.substr(dash + 1), &w.end) &&
+             parse_cycles(value.substr(0, dash), &w.begin, &why) &&
+             parse_cycles(value.substr(dash + 1), &w.end, &why) &&
              w.begin < w.end;
         if (ok) plan.windows.push_back(w);
       } else {
@@ -112,7 +144,10 @@ bool FaultPlan::parse(const std::string& spec, FaultPlan* out,
       }
     }
     if (!ok) {
-      if (err != nullptr) *err = "bad fault spec item: '" + item + "'";
+      if (err != nullptr) {
+        *err = "bad fault spec item: '" + item + "'";
+        if (!why.empty()) *err += " (" + why + ")";
+      }
       return false;
     }
     ++items;

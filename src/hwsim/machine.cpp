@@ -25,11 +25,6 @@ constexpr std::uint64_t kFfMinBackoff = 8;
 constexpr std::uint64_t kFfMaxBackoff = 512;
 }  // namespace
 
-Machine::ExecCtx& Machine::exec_ctx() {
-  static thread_local ExecCtx ctx;
-  return ctx;
-}
-
 Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   IW_ASSERT(cfg.num_cores >= 1);
   // Source ids pack into the low 16 bits of event sequence numbers.
@@ -300,6 +295,7 @@ void Machine::frontier_enqueue_dirty(CoreId id) {
   // alone keeps the per-core cache coherent for anyone who reads it.
   if (sched_ != SchedulerKind::kFrontier) return;
   dirty_cores_.push_back(id);
+  ++frontier_dirty_pushes_;
 }
 
 void Machine::refresh_frontier() {
@@ -310,22 +306,24 @@ void Machine::refresh_frontier() {
   }
 }
 
-Machine::Pick Machine::frontier_peek() {
-  // Re-index every core whose schedule changed since the last peek:
-  // rewrite its leaf, then replay the matches on its path to the root.
+void Machine::frontier_set_leaf(CoreId id, Cycles t) {
+  IW_ASSERT_MSG(t == kNever || t < (Cycles{1} << (64 - kFrontierCoreBits)),
+                "virtual time overflows the packed frontier entry");
   FrontierEntry* const tree = frontier_tree_.data();
-  const std::size_t leaves = frontier_tree_.size() / 2;
+  std::size_t k = frontier_tree_.size() / 2 + id;
+  tree[k] = t == kNever ? kNoEntry : (t << kFrontierCoreBits) | id;
+  for (; k > 1; k >>= 1) tree[k >> 1] = std::min(tree[k], tree[k ^ 1]);
+}
+
+Machine::Pick Machine::frontier_peek() {
+  // Re-index every core another context dirtied since the last peek
+  // (the stepped core's leaf is already current; see execute()).
   for (const CoreId id : dirty_cores_) {
-    const Cycles t = cores_[id]->next_action_time();  // recomputes + cleans
-    IW_ASSERT_MSG(t == kNever || t < (Cycles{1} << (64 - kFrontierCoreBits)),
-                  "virtual time overflows the packed frontier entry");
-    std::size_t k = leaves + id;
-    tree[k] = t == kNever ? kNoEntry : (t << kFrontierCoreBits) | id;
-    for (; k > 1; k >>= 1) tree[k >> 1] = std::min(tree[k], tree[k ^ 1]);
+    frontier_set_leaf(id, cores_[id]->next_action_time());  // recomputes
   }
   dirty_cores_.clear();
   const Cycles mq_t = machine_queue_.peek_time();
-  const FrontierEntry top = tree[1];
+  const FrontierEntry top = frontier_tree_[1];
   // The machine queue wins time ties (seed scheduler semantics); the
   // packed min already took the lowest core id among same-time cores.
   if (top == kNoEntry || mq_t <= entry_time(top)) return {mq_t, nullptr};
@@ -362,10 +360,24 @@ void Machine::execute(const Pick& pick) {
     } else {
       machine_queue_.take_fn(ev.fn)();
     }
-  } else {
-    ExecScope scope(*this, pick.core->id() + 1);
-    pick.core->advance();
+    return;
   }
+  const CoreId id = pick.core->id();
+  ExecScope scope(*this, id + 1);
+  if (sched_ != SchedulerKind::kFrontier) {
+    pick.core->advance();
+    return;
+  }
+  // The step re-derives the core's next action anyway, so its own
+  // invalidations need not queue it for a recompute at the next peek:
+  // hold its dirty flag set while it steps (mark_schedule_dirty is then
+  // a flag test), and write the returned time straight into its cache
+  // and leaf. Anything the step dirties on other cores still queues.
+  sched_dirty_[id] = 1;
+  const Cycles t = pick.core->advance();
+  sched_time_[id] = t;
+  sched_dirty_[id] = 0;
+  frontier_set_leaf(id, t);
 }
 
 bool Machine::advance_once() {

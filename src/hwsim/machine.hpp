@@ -6,11 +6,13 @@
 // queue) with the globally smallest next-action timestamp. The
 // interchangeable schedulers produce bit-identical event orderings:
 //  * kFrontier (default) — a winner (tournament) tree over per-core
-//    cached next_action_time values, sized once at construction. Cores
-//    re-register through dirty-marking invalidation hooks; each dirty
-//    core's leaf is rewritten in place and its leaf-to-root path
-//    replayed, so one simulated event costs O(log N) instead of an
-//    O(N) rescan, at every core count.
+//    cached next_action_time values, sized once at construction. The
+//    stepped core's leaf is rewritten in place from the time its
+//    advance() returns; cores dirtied from another context re-register
+//    through dirty-marking invalidation hooks and are rewritten at the
+//    next peek. Each rewrite replays one leaf-to-root path, so one
+//    simulated event costs O(log N) instead of an O(N) rescan, at every
+//    core count.
 //  * kLinearScan — the original reference scheduler: a full uncached
 //    scan per advance. Kept as the golden semantics for equivalence
 //    tests and as the baseline for bench/des_throughput.
@@ -443,6 +445,15 @@ class Machine final : public substrate::StackSubstrate {
   /// epoch; every other epoch start is folded from the previous
   /// epoch's drains and merge. Observability/test hook.
   [[nodiscard]] std::uint64_t horizon_scans() const { return horizon_scans_; }
+  /// Cores an invalidation has pushed onto the kFrontier dirty list
+  /// since construction (run-entry and restore refreshes not counted).
+  /// The stepping core rewrites its own leaf, so only invalidations
+  /// from another context count: IPIs, wakes, machine-queue events,
+  /// fast-forward commits. Deterministic and host-independent; kept
+  /// out of snapshots, like horizon_scans(). Observability/test hook.
+  [[nodiscard]] std::uint64_t frontier_dirty_pushes() const {
+    return frontier_dirty_pushes_;
+  }
 
   /// Execute at most `n` DES iterations; returns how many actually ran
   /// (fewer means the machine went quiescent). No watchdogs, no stop
@@ -525,8 +536,13 @@ class Machine final : public substrate::StackSubstrate {
     IpiOutbox* outbox{nullptr};
   };
   /// One thread-local context cell shared by all machines (scoped per
-  /// machine via the `machine` field; see ExecScope).
-  static ExecCtx& exec_ctx();
+  /// machine via the `machine` field; see ExecScope). Inline and
+  /// constant-initialized, so every hot-path reader (ExecScope,
+  /// next_seq, exec_source, metrics) is a plain thread-local access.
+  static ExecCtx& exec_ctx() {
+    static thread_local ExecCtx ctx;
+    return ctx;
+  }
 
  public:
   /// RAII execution-context scope: binds the calling host thread to a
@@ -618,6 +634,9 @@ class Machine final : public substrate::StackSubstrate {
   /// Replay every dirty core's leaf up the winner tree; the root is the
   /// earliest core, against which the machine queue wins time ties.
   [[nodiscard]] Pick frontier_peek();
+  /// Rewrite core `id`'s leaf with next-action time `t` and replay the
+  /// matches on its path to the root.
+  void frontier_set_leaf(CoreId id, Cycles t);
   [[nodiscard]] Pick linear_peek();
   /// Mark every core dirty so the next peek replays every leaf (run()
   /// entry, restore): makes any driver-state mutation performed outside
@@ -669,8 +688,11 @@ class Machine final : public substrate::StackSubstrate {
   /// word k < L is min(word 2k, word 2k + 1), so word 1 is the earliest
   /// core. Sized at construction: the frontier never allocates.
   std::vector<FrontierEntry> frontier_tree_;
-  /// Cores whose leaf is out of date (kFrontier only drains it).
+  /// Cores whose leaf is out of date (kFrontier only drains it): those
+  /// dirtied from another context. execute() rewrites the stepping
+  /// core's leaf itself.
   std::vector<CoreId> dirty_cores_;
+  std::uint64_t frontier_dirty_pushes_{0};
   /// Dense SoA mirror of the per-core scheduling caches (cached
   /// next-action time + dirty flag), indexed by core id. The sequential
   /// schedulers point every core's cache-slot pointers here, so the

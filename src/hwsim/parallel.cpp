@@ -117,30 +117,30 @@ bool ParallelEngine::drain_core(unsigned core, Cycles horizon,
   Lane& lane = lanes_[core];
   Machine::ExecScope scope(machine_, core + 1, lane.scratch.get(),
                            &outbox_);
-  if (budget_limit_ == 0) {
-    // Hot path: the fused per-core drain (one runnable()/peek pass per
-    // advance instead of a separate wake-time recompute + dispatch),
-    // which also reports the core's next action for the next horizon.
-    std::uint64_t n = 0;
-    const Cycles next = c.drain_until(horizon, &n);
-    tally->advances += n;
-    tally->max_shard = std::max(tally->max_shard, n);
-    tally->next = std::min(tally->next, next);
-    return true;
-  }
-  // Watchdog-bounded epoch: claim a budget slot before every advance.
-  // fetch_add hands out at most budget_limit_ sub-limit slots across
-  // all threads, so the epoch executes at most that many events no
-  // matter how shards are distributed.
-  while (c.next_action_time_uncached() < horizon) {
-    if (budget_used_.fetch_add(1, std::memory_order_relaxed) >=
-        budget_limit_) {
-      return false;
+  // Every advance returns the core's next action, so the loop pays one
+  // next-action computation per advance and stops on the value the next
+  // horizon folds. A watchdog-bounded epoch claims a budget slot before
+  // every advance: fetch_add hands out at most budget_limit_ sub-limit
+  // slots across all threads, so the epoch executes at most that many
+  // events no matter how shards are distributed.
+  const bool budgeted = budget_limit_ != 0;
+  std::uint64_t n = 0;
+  bool ok = true;
+  Cycles next = c.next_action_time_uncached();
+  while (next < horizon) {
+    if (budgeted &&
+        budget_used_.fetch_add(1, std::memory_order_relaxed) >=
+            budget_limit_) {
+      ok = false;
+      break;
     }
-    c.advance();
-    ++tally->advances;
+    next = c.advance();
+    ++n;
   }
-  return true;
+  tally->advances += n;
+  tally->max_shard = std::max(tally->max_shard, n);
+  tally->next = std::min(tally->next, next);
+  return ok;
 }
 
 EpochTally ParallelEngine::drain_pool(unsigned self, Cycles horizon) {

@@ -92,6 +92,39 @@ TEST(FaultPlanParse, RejectsNonFiniteAndNegativeProbabilities) {
   }
 }
 
+TEST(FaultPlanParse, RejectsSignedAndOutOfRangeCycles) {
+  // strtoull alone wraps "-1" to 2^64 - 1, skips leading whitespace and
+  // saturates on overflow. Each cycle value must instead fail with a
+  // diagnostic that names the item and the rule it broke.
+  struct Case {
+    const char* spec;
+    const char* why;
+  };
+  const Case bad[] = {
+      {"delay=0.5:-1", "sign"},
+      {"drift=-3", "sign"},
+      {"delay=0.5:99999999999999999999999", "48-bit"},
+      {"stall=0.5:+200", "sign"},
+      {"drift= 7", "whitespace"},
+      {"window=100- 200", "whitespace"},
+      {"dup=0.1:12x", "decimal"},
+      {"jitter=0.2:281474976710656", "48-bit"},  // 2^48, one past
+  };
+  for (const Case& c : bad) {
+    FaultPlan p;
+    std::string err;
+    EXPECT_FALSE(FaultPlan::parse(c.spec, &p, &err)) << "spec: " << c.spec;
+    EXPECT_NE(err.find(std::string("'") + c.spec + "'"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find(c.why), std::string::npos) << err;
+  }
+  // The limit itself is a legal cycle value.
+  FaultPlan p;
+  std::string err;
+  ASSERT_TRUE(FaultPlan::parse("drift=281474976710655", &p, &err)) << err;
+  EXPECT_EQ(p.timer_drift, TimedQueue<IrqEvent>::kMaxTime);
+}
+
 using FaultPlanValidateDeathTest = ::testing::Test;
 
 TEST(FaultPlanValidateDeathTest, NaNProbabilityAborts) {

@@ -173,6 +173,14 @@ class EdgeWorkload final : public hwsim::CoreDriver,
   std::vector<std::unique_ptr<hwsim::LapicTimer>> far_timers_;
 };
 
+/// Endless fixed-cost spin on every core; posts nothing, so every
+/// invalidation comes from the stepping core itself.
+class SpinDriver final : public hwsim::CoreDriver {
+ public:
+  bool runnable(hwsim::Core&) override { return true; }
+  void step(hwsim::Core& core) override { core.consume(kStep + core.id()); }
+};
+
 struct Result {
   std::uint64_t digest{0};
   std::uint64_t trace{0};
@@ -326,6 +334,47 @@ TEST(FrontierTree, SnapshotRestoreMidRunMatchesLinearScan) {
     ref_tr.clear();
     const Result reference = finish(ref, ref_w, ref_tr);
     expect_same(replay, reference, label);
+  }
+}
+
+TEST(FrontierTree, SpinOnlyCoresNeverQueueThemselves) {
+  // No cross-core traffic: each step's invalidations are the stepping
+  // core's own, and execute() rewrites that core's leaf from the time
+  // its advance() returns, so nothing reaches the dirty list after the
+  // run-entry refresh (which the counter leaves out).
+  for (const unsigned cores : {1u, 5u, 64u}) {
+    hwsim::MachineConfig mc;
+    mc.num_cores = cores;
+    mc.paranoid_frontier = true;
+    hwsim::Machine m(mc);
+    SpinDriver spin;
+    for (unsigned i = 0; i < cores; ++i) m.core(i).set_driver(&spin);
+    EXPECT_TRUE(m.run_until(kMid));
+    EXPECT_TRUE(m.run_until(kEnd));
+    const std::string label = "cores=" + std::to_string(cores);
+    EXPECT_GT(m.total_advances(), std::uint64_t{cores} * (kEnd / 128))
+        << label;
+    EXPECT_EQ(m.frontier_dirty_pushes(), 0u) << label;
+  }
+}
+
+TEST(FrontierTree, DirtyPushesAtMostOnePerIpi) {
+  // Without fast-forward the only invalidations from another context
+  // are IPI deliveries (the heartbeat broadcast, plus the unicast
+  // pings), and a target already on the list is not pushed again.
+  for (const std::uint64_t ping : {0u, 7u}) {
+    Opts o;
+    o.cores = 9;
+    o.ping_every = ping;
+    hwsim::Machine m(make_config(o));
+    obs::TraceRecorder tr;
+    m.set_tracer(&tr);
+    EdgeWorkload w(m, o);
+    const Result frontier = finish(m, w, tr);
+    const std::string label = "ping_every=" + std::to_string(ping);
+    EXPECT_GT(m.frontier_dirty_pushes(), 0u) << label;
+    EXPECT_LE(m.frontier_dirty_pushes(), m.total_ipis()) << label;
+    expect_same(frontier, run(linear(o)), label);
   }
 }
 

@@ -91,15 +91,15 @@ void expect_same(const Digest& a, const Digest& b, const std::string& what) {
 }
 
 /// Advance watchdog of the reference runs. Any nonzero max_advances
-/// routes per-core epochs through the budgeted advance() loop, so the
-/// per-core side of every matrix also runs at 0: the production drain
-/// (Core::drain_until) with the folded epoch start, checked against the
-/// full scan every epoch by paranoid_frontier.
+/// makes per-core epochs claim a budget slot before every advance and
+/// rescan every epoch start, so the per-core side of every matrix also
+/// runs at 0: the production drain with the folded epoch start, checked
+/// against the full scan every epoch by paranoid_frontier.
 constexpr std::uint64_t kWatchdog = 80'000'000;
 constexpr std::uint64_t kDrainBudgets[] = {kWatchdog, 0};
 
 std::string budget_label(std::uint64_t max_advances) {
-  return max_advances == 0 ? " drain_until" : " budgeted";
+  return max_advances == 0 ? " unbudgeted" : " budgeted";
 }
 
 /// Heartbeat-broadcast over per-core spin work (shard-safe: all
