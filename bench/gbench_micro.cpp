@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "carat/native_guards.hpp"
+#include "coherence/simulator.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "des_workload.hpp"
@@ -316,6 +317,45 @@ void BM_TlbAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TlbAccess);
+
+// One composed-run step without the machine around it: 64 cores, each
+// with a deactivated 512-line private region, plus one 128-line shared
+// region taking 15 % of accesses, 4 accesses per step (the defaults of
+// workloads::CoherenceDriver). Cores take steps in turn.
+void BM_CoherenceAccess(benchmark::State& state) {
+  constexpr unsigned kCores = 64;
+  constexpr std::uint64_t kLine = 64, kPrivateLines = 512, kSharedLines = 128;
+  coherence::SimConfig cfg;
+  cfg.num_cores = kCores;
+  cfg.selective_deactivation = true;
+  coherence::CoherenceSim sim(cfg, Rng(1));
+  std::vector<coherence::Region> regions(kCores + 1);
+  regions[0].base = 0x1000'0000;
+  regions[0].size = kSharedLines * kLine;
+  for (unsigned c = 0; c < kCores; ++c) {
+    coherence::Region& r = regions[1 + c];
+    r.id = 1 + c;
+    r.base = 0x2000'0000 + static_cast<Addr>(c) * 0x0100'0000;
+    r.size = kPrivateLines * kLine;
+    r.cls = coherence::RegionClass::kTaskPrivate;
+  }
+  Rng rng(7);
+  unsigned core = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 4; ++i) {
+      const coherence::Region& r = regions[rng.chance(0.15) ? 0 : 1 + core];
+      coherence::Access a;
+      a.core = core;
+      a.type = rng.chance(0.3) ? coherence::AccessType::kWrite
+                               : coherence::AccessType::kRead;
+      a.addr = r.base + rng.uniform(0, r.size / kLine - 1) * kLine;
+      a.region = r.id;
+      benchmark::DoNotOptimize(sim.access(a, r));
+    }
+    core = (core + 1) % kCores;
+  }
+}
+BENCHMARK(BM_CoherenceAccess);
 
 void BM_GuardCheckFull(benchmark::State& state) {
   carat::FullGuard g;

@@ -17,29 +17,57 @@ const char* state_name(LineState s) {
   return "?";
 }
 
+namespace {
+
+constexpr std::uint64_t kNibbles = 0x1111'1111'1111'1111ULL;
+
+}  // namespace
+
 PrivateCache::PrivateCache(CacheConfig cfg) : cfg_(cfg) {
   IW_ASSERT(cfg.line_size >= 8 && std::has_single_bit(cfg.line_size));
   IW_ASSERT(cfg.associativity >= 1);
+  IW_ASSERT_MSG(cfg.associativity <= kMaxWays,
+                "PrivateCache: associativity above kMaxWays (16)");
   num_sets_ = static_cast<unsigned>(
       cfg.size_bytes / (cfg.line_size * cfg.associativity));
   IW_ASSERT(num_sets_ >= 1 && std::has_single_bit(num_sets_));
+  line_shift_ = static_cast<unsigned>(std::countr_zero(cfg.line_size));
   lines_.assign(static_cast<std::size_t>(num_sets_) * cfg.associativity,
                 CacheLine{});
+  // Any initial order will do: a way is first touched by the insert
+  // that makes it valid, and the victim rule reads the order only when
+  // every way is valid.
+  std::uint64_t identity = 0;
+  for (unsigned w = 0; w < cfg.associativity; ++w) {
+    identity |= std::uint64_t{w} << (4 * w);
+  }
+  recency_.assign(num_sets_, identity);
 }
 
-std::size_t PrivateCache::set_index(Addr line) const {
-  return static_cast<std::size_t>((line / cfg_.line_size) & (num_sets_ - 1));
+void PrivateCache::touch(std::size_t set, unsigned way) {
+  std::uint64_t& order = recency_[set];
+  // Position of `way`: the lowest 4-bit field equal to it. The bit trick
+  // flags the lowest zero field of `x` exactly (only fields above a zero
+  // field can be flagged falsely), and fields at or above associativity
+  // hold 0 but sit above the true position.
+  const std::uint64_t x = order ^ (kNibbles * way);
+  const std::uint64_t zero = (x - kNibbles) & ~x & (kNibbles << 3);
+  const int shift = std::countr_zero(zero) & ~3;
+  // Fields below the position move up one; fields above it stay.
+  const std::uint64_t below = order & ((std::uint64_t{1} << shift) - 1);
+  const std::uint64_t above = order & ((~std::uint64_t{0} << shift) << 4);
+  order = above | (below << 4) | way;
 }
 
 CacheLine* PrivateCache::find(Addr addr) {
   const Addr line = line_addr(addr);
-  const std::size_t base = set_index(line) * cfg_.associativity;
+  const std::size_t set = set_index(line);
+  CacheLine* ways = &lines_[set * cfg_.associativity];
   for (unsigned w = 0; w < cfg_.associativity; ++w) {
-    auto& l = lines_[base + w];
-    if (l.state != LineState::kInvalid && l.tag == line) {
-      l.lru = ++tick_;
+    if (ways[w].tag == line && ways[w].state != LineState::kInvalid) {
+      touch(set, w);
       ++hits_;
-      return &l;
+      return &ways[w];
     }
   }
   ++misses_;
@@ -49,22 +77,21 @@ CacheLine* PrivateCache::find(Addr addr) {
 std::optional<CacheLine> PrivateCache::insert(Addr addr, LineState state,
                                               std::uint32_t region) {
   const Addr line = line_addr(addr);
-  const std::size_t base = set_index(line) * cfg_.associativity;
-  // Prefer an invalid way; else evict LRU.
-  std::size_t victim = base;
+  const std::size_t set = set_index(line);
+  CacheLine* ways = &lines_[set * cfg_.associativity];
+  // Prefer an invalid way; else evict the least recently touched.
+  unsigned victim = static_cast<unsigned>(
+      (recency_[set] >> (4 * (cfg_.associativity - 1))) & 0xF);
   for (unsigned w = 0; w < cfg_.associativity; ++w) {
-    auto& l = lines_[base + w];
-    if (l.state == LineState::kInvalid) {
-      victim = base + w;
+    if (ways[w].state == LineState::kInvalid) {
+      victim = w;
       break;
     }
-    if (l.lru < lines_[victim].lru) victim = base + w;
   }
   std::optional<CacheLine> evicted;
-  if (lines_[victim].state != LineState::kInvalid) {
-    evicted = lines_[victim];
-  }
-  lines_[victim] = CacheLine{line, state, ++tick_, region};
+  if (ways[victim].state != LineState::kInvalid) evicted = ways[victim];
+  ways[victim] = CacheLine{line, state, false, region};
+  touch(set, victim);
   return evicted;
 }
 

@@ -23,14 +23,14 @@ enum class LineState : std::uint8_t {
 struct CacheLine {
   Addr tag{0};  // line-aligned address
   LineState state{LineState::kInvalid};
-  std::uint64_t lru{0};
-  std::uint32_t region{0};
   bool dirty{false};  // meaningful for kIncoherent (M implies dirty)
+  std::uint32_t region{0};
 };
+static_assert(sizeof(CacheLine) == 16, "four lines per 64-byte host line");
 
 struct CacheConfig {
   std::uint64_t size_bytes{256 * 1024};
-  unsigned associativity{8};
+  unsigned associativity{8};  // at most PrivateCache::kMaxWays
   unsigned line_size{64};
 };
 
@@ -38,6 +38,10 @@ struct CacheConfig {
 /// of a core: hit costs are charged by the simulator's latency table).
 class PrivateCache {
  public:
+  /// Ways a set's recency order can hold (4 bits per way in one word).
+  static constexpr unsigned kMaxWays = 16;
+
+  /// Aborts with a named diagnostic on an associativity above kMaxWays.
   explicit PrivateCache(CacheConfig cfg);
 
   [[nodiscard]] Addr line_addr(Addr a) const {
@@ -50,8 +54,10 @@ class PrivateCache {
   /// LRU-neutral const lookup (for invariant checkers / debugging).
   [[nodiscard]] const CacheLine* probe(Addr addr) const;
 
-  /// Insert (possibly evicting). Returns the evicted line if it was
-  /// valid (caller handles writeback/directory notification).
+  /// Insert (possibly evicting). The victim is the set's first invalid
+  /// way, else its least recently touched one (insert or hit). Returns
+  /// the evicted line if it was valid (caller handles writeback/directory
+  /// notification).
   std::optional<CacheLine> insert(Addr addr, LineState state,
                                   std::uint32_t region);
 
@@ -66,12 +72,19 @@ class PrivateCache {
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
  private:
-  [[nodiscard]] std::size_t set_index(Addr line) const;
+  [[nodiscard]] std::size_t set_index(Addr line) const {
+    return static_cast<std::size_t>(line >> line_shift_) & (num_sets_ - 1);
+  }
+  /// Make `way` the most recently touched way of `set`.
+  void touch(std::size_t set, unsigned way);
 
   CacheConfig cfg_;
   unsigned num_sets_;
-  std::vector<CacheLine> lines_;  // num_sets x assoc
-  std::uint64_t tick_{0};
+  unsigned line_shift_;  // log2(line_size)
+  std::vector<CacheLine> lines_;  // num_sets x assoc, set-major
+  /// Per set, its ways from most to least recently touched: way indices
+  /// in 4-bit fields, the most recent in the low bits.
+  std::vector<std::uint64_t> recency_;
   std::uint64_t hits_{0};
   std::uint64_t misses_{0};
 };

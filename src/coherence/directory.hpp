@@ -4,9 +4,10 @@
 // from the directory entirely, which this model captures exactly).
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_table.hpp"
 #include "common/types.hpp"
 
 namespace iw::coherence {
@@ -18,17 +19,20 @@ enum class DirState : std::uint8_t {
 };
 
 struct DirEntry {
-  DirState state{DirState::kUncached};
   std::uint64_t sharers{0};  // bitmask over cores
   std::uint32_t owner{0};    // valid when kOwnedBy
+  DirState state{DirState::kUncached};
 };
 
 class Directory {
  public:
   explicit Directory(unsigned num_cores) : num_cores_(num_cores) {}
 
+  /// The entry of `line`, created kUncached if the line is untracked. The
+  /// reference is valid only until the next call that creates an entry
+  /// (entry(), add_sharer() or set_owner() on an untracked line): the
+  /// table may grow and move its entries.
   DirEntry& entry(Addr line) { return map_[line]; }
-  [[nodiscard]] bool known(Addr line) const { return map_.contains(line); }
 
   void add_sharer(Addr line, unsigned core) {
     auto& e = map_[line];
@@ -42,30 +46,27 @@ class Directory {
     e.sharers = (1ULL << core);
   }
   void remove_core(Addr line, unsigned core) {
-    auto it = map_.find(line);
-    if (it == map_.end()) return;
-    it->second.sharers &= ~(1ULL << core);
-    if (it->second.sharers == 0) {
-      it->second.state = DirState::kUncached;
-    } else if (it->second.state == DirState::kOwnedBy &&
-               it->second.owner == core) {
+    DirEntry* e = map_.find(line);
+    if (e == nullptr) return;
+    e->sharers &= ~(1ULL << core);
+    if (e->sharers == 0) {
+      e->state = DirState::kUncached;
+    } else if (e->state == DirState::kOwnedBy && e->owner == core) {
       // Owner dropped; remaining copies (if any) are sharers.
-      it->second.state = DirState::kSharedBy;
+      e->state = DirState::kSharedBy;
     }
   }
-  void drop(Addr line) { map_.erase(line); }
 
   [[nodiscard]] unsigned sharer_count(Addr line) const {
-    auto it = map_.find(line);
-    if (it == map_.end()) return 0;
-    return static_cast<unsigned>(std::popcount(it->second.sharers));
+    const DirEntry* e = map_.find(line);
+    return e ? static_cast<unsigned>(std::popcount(e->sharers)) : 0;
   }
 
   [[nodiscard]] std::size_t tracked_lines() const { return map_.size(); }
 
  private:
   unsigned num_cores_;
-  std::unordered_map<Addr, DirEntry> map_;
+  FlatTable<DirEntry> map_;  // line address -> entry
 };
 
 }  // namespace iw::coherence

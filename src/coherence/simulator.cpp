@@ -10,6 +10,7 @@ namespace iw::coherence {
 CoherenceSim::CoherenceSim(SimConfig cfg, Rng rng)
     : cfg_(cfg), rng_(rng), dir_(cfg.num_cores), noc_(cfg.noc) {
   IW_ASSERT(cfg.num_cores >= 1 && cfg.num_cores <= 64);
+  // Known defect (ROADMAP): dead store, noc_ was already built from cfg.noc.
   cfg_.noc.num_cores = cfg.num_cores;
   for (unsigned c = 0; c < cfg.num_cores; ++c) {
     caches_.push_back(std::make_unique<PrivateCache>(cfg.private_cache));
@@ -96,7 +97,7 @@ Cycles CoherenceSim::fetch_from_home(Addr line, unsigned requester,
   // LLC is modeled as capturing every line after its first fetch (the
   // directory/LLC capacity is not the variable under study); the first
   // touch pays DRAM, subsequent fetches pay the LLC bank.
-  if (llc_seen_.insert(line).second) {
+  if (llc_seen_.insert(line)) {
     ++stats_.memory_fetches;
     const bool remote = noc_.socket_of(home) != noc_.socket_of(requester);
     return remote ? cfg_.lat.memory_remote : cfg_.lat.memory;

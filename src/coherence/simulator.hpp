@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <memory>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "coherence/directory.hpp"
 #include "coherence/interconnect.hpp"
 #include "coherence/trace.hpp"
+#include "common/flat_table.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "substrate/substrate.hpp"
@@ -126,7 +126,7 @@ class CoherenceSim {
 
   SimConfig cfg_;
   Rng rng_;
-  std::unordered_set<Addr> llc_seen_;
+  FlatTable<> llc_seen_;  // lines fetched from memory at least once
   std::vector<std::unique_ptr<PrivateCache>> caches_;
   Directory dir_;
   Interconnect noc_;

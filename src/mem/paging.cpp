@@ -22,7 +22,7 @@ Cycles DemandPaging::touch(Addr addr) {
   Cycles c = tlb_.access(addr);
   stats_.translation_cycles += c;
   const std::uint64_t page = addr / cfg_.page_size;
-  if (populated_.insert(page).second) {
+  if (populated_.insert(page)) {
     ++stats_.minor_faults;
     stats_.fault_cycles += cfg_.minor_fault_cost;
     c += cfg_.minor_fault_cost;

@@ -13,8 +13,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 
+#include "common/flat_table.hpp"
 #include "common/types.hpp"
 #include "mem/tlb.hpp"
 
@@ -73,7 +73,7 @@ class DemandPaging final : public PagingPolicy {
  private:
   Config cfg_;
   Tlb tlb_;
-  std::unordered_set<std::uint64_t> populated_;
+  FlatTable<> populated_;  // pages touched at least once
 };
 
 }  // namespace iw::mem

@@ -5,7 +5,13 @@
 
 namespace iw::mem {
 
-Tlb::Tlb(TlbConfig cfg) : cfg_(cfg) { IW_ASSERT(cfg.entries >= 1); }
+Tlb::Tlb(TlbConfig cfg)
+    : cfg_(cfg), head_(cfg.entries), index_(cfg.entries) {
+  IW_ASSERT_MSG(cfg.entries >= 1, "Tlb: entries must be at least 1");
+  IW_ASSERT_MSG(cfg.page_size != 0, "Tlb: page_size must be non-zero");
+  slots_.resize(static_cast<std::size_t>(cfg.entries) + 1);
+  flush();
+}
 
 void Tlb::bind_substrate(substrate::StackSubstrate* sub, CoreId core) {
   sub_ = sub;
@@ -20,12 +26,27 @@ void Tlb::bind_substrate(substrate::StackSubstrate* sub, CoreId core) {
   }
 }
 
+void Tlb::unlink(std::uint32_t s) {
+  slots_[slots_[s].newer].older = slots_[s].older;
+  slots_[slots_[s].older].newer = slots_[s].newer;
+}
+
+void Tlb::push_front(std::uint32_t s) {
+  const std::uint32_t mru = slots_[head_].older;
+  slots_[s].newer = head_;
+  slots_[s].older = mru;
+  slots_[mru].newer = s;
+  slots_[head_].older = s;
+}
+
 Cycles Tlb::access(Addr addr) {
   const std::uint64_t page = addr / cfg_.page_size;
-  auto it = map_.find(page);
-  if (it != map_.end()) {
+  if (const std::uint32_t* hit = index_.find(page)) {
     ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);  // move to front
+    if (slots_[head_].older != *hit) {  // move to front
+      unlink(*hit);
+      push_front(*hit);
+    }
     if (sub_ != nullptr) {
       sub_->charge(core_, cfg_.hit_cost);
       if (hit_cell_ != nullptr) ++*hit_cell_;
@@ -33,12 +54,17 @@ Cycles Tlb::access(Addr addr) {
     return cfg_.hit_cost;
   }
   ++misses_;
-  if (map_.size() >= cfg_.entries) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
+  std::uint32_t s = used_;
+  if (used_ < cfg_.entries) {
+    ++used_;
+  } else {
+    s = slots_[head_].newer;  // evict the least recently used
+    index_.erase(slots_[s].page);
+    unlink(s);
   }
-  lru_.push_front(page);
-  map_[page] = lru_.begin();
+  slots_[s].page = page;
+  push_front(s);
+  index_[page] = s;
   if (sub_ != nullptr) {
     // A walk is long enough to matter on the timeline: record it as a
     // span so miss storms are visible next to whatever triggered them.
@@ -49,8 +75,9 @@ Cycles Tlb::access(Addr addr) {
 }
 
 void Tlb::flush() {
-  lru_.clear();
-  map_.clear();
+  index_.clear();
+  used_ = 0;
+  slots_[head_].newer = slots_[head_].older = head_;
 }
 
 }  // namespace iw::mem

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
+#include "common/flat_table.hpp"
 #include "common/types.hpp"
 #include "substrate/substrate.hpp"
 
@@ -25,6 +25,7 @@ struct TlbConfig {
 
 class Tlb {
  public:
+  /// Aborts with a named diagnostic on zero entries or a zero page size.
   explicit Tlb(TlbConfig cfg);
 
   /// Run this TLB on a stack substrate: every translation's cost is
@@ -49,10 +50,24 @@ class Tlb {
   [[nodiscard]] const TlbConfig& config() const { return cfg_; }
 
  private:
+  /// A resident translation and its neighbours in recency order.
+  struct Slot {
+    std::uint64_t page{0};
+    std::uint32_t newer{0};
+    std::uint32_t older{0};
+  };
+
+  void unlink(std::uint32_t s);
+  void push_front(std::uint32_t s);
+
   TlbConfig cfg_;
-  // LRU list of page numbers, most-recent at front; map for O(1) lookup.
-  std::list<std::uint64_t> lru_;
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> map_;
+  /// cfg_.entries slots, then the list head: head.older is the most
+  /// recently used slot, head.newer the least (a circular list, so
+  /// neither end needs a branch).
+  std::vector<Slot> slots_;
+  std::uint32_t head_;
+  std::uint32_t used_{0};
+  FlatTable<std::uint32_t> index_;  // page -> slot
   std::uint64_t hits_{0};
   std::uint64_t misses_{0};
 
