@@ -58,35 +58,6 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(64)->Arg(1024)->Arg(65536);
 
-// Same traffic but legacy-closure CoreEvents: each push parks an
-// out-of-line std::function (heap-allocating when the capture exceeds
-// the small-buffer) and each pop takes it back. The gap against
-// BM_EventQueuePushPop is what the tagged timer representation removes
-// from the hot path.
-void BM_EventQueuePushPopFn(benchmark::State& state) {
-  const auto occupancy = static_cast<std::size_t>(state.range(0));
-  hwsim::TimedQueue<hwsim::CoreEvent> q;
-  Rng rng(7);
-  std::uint64_t seq = 0;
-  std::uint64_t sink = 0;
-  const auto make_ev = [&] {
-    hwsim::CoreEvent ev;
-    ev.time = rng.uniform(0, 1'000'000);
-    ev.seq = seq++;
-    const std::uint64_t a = seq, b = seq + 1, c = seq + 2;
-    ev.fn = q.park_fn([&sink, a, b, c] { sink += a + b + c; });
-    return ev;
-  };
-  while (q.size() < occupancy) q.push(make_ev());
-  for (auto _ : state) {
-    q.push(make_ev());
-    hwsim::CoreEvent ev = q.pop();
-    q.take_fn(ev.fn)();
-    benchmark::DoNotOptimize(ev);
-  }
-}
-BENCHMARK(BM_EventQueuePushPopFn)->Arg(64)->Arg(1024)->Arg(65536);
-
 // The packed-heap steady state the tentpole targets: pre-sized slab,
 // provenance-style (counter << 16 | source) seqs, trivially copyable
 // 16-byte heap records. bytes_per_hot_event in the throughput bench is

@@ -77,18 +77,6 @@ void Core::post_irq(Cycles t, int vector, Cycles origin, bool ipi) {
   mark_schedule_dirty();
 }
 
-void Core::post_callback(Cycles t, std::function<void()> fn) {
-  IW_ASSERT_MSG(machine_.shard_guard_ok(id_),
-                "cross-shard post_callback during a per-core parallel "
-                "drain");
-  CoreEvent ev;
-  ev.time = t;
-  ev.seq = machine_.next_seq();
-  ev.fn = callback_inbox_.park_fn(std::move(fn));
-  callback_inbox_.push(ev);
-  mark_schedule_dirty();
-}
-
 void Core::post_event(Cycles t, SinkId sink, const EventPayload& payload) {
   IW_ASSERT_MSG(machine_.shard_guard_ok(id_),
                 "cross-shard post_event during a per-core parallel drain");
@@ -151,11 +139,9 @@ unsigned Core::deliver_due_events() {
         // The sink sees the ideal fire time (== ev.time unless a fault
         // plan jittered recognition), keeping absolute cadences exact.
         ev.timer->on_timer(*this, ev.ideal, ev.gen);
-      } else if (ev.sink != kNoSink) {
+      } else {
         machine_.event_sink(ev.sink)->on_core_event(*this, ev.ideal,
                                                     ev.payload);
-      } else {
-        callback_inbox_.take_fn(ev.fn)();
       }
       ++delivered;
       continue;

@@ -158,30 +158,22 @@ class Core {
   /// inside an IrqHandler; the causing action's virtual time).
   [[nodiscard]] Cycles current_irq_origin() const { return cur_irq_origin_; }
 
-  /// Post a core-local callback at absolute time `t` (used by device
-  /// models and timers that must run on this core's timeline; callbacks
-  /// are machine-internal and ignore the interrupt mask). Legacy
-  /// closure form: same-instance only — a snapshot holding one cannot
-  /// be serialized for cross-instance hydration. Portable code posts
-  /// through post_event.
-  void post_callback(Cycles t, std::function<void()> fn);
-
-  /// Post a portable core-local event at absolute time `t`: dispatched
-  /// to the machine-registered sink's on_core_event with `payload`.
-  /// Ordered identically to post_callback (same queue, same sequence
-  /// source); the queue entry is plain data, so snapshot v2 can
+  /// Post a core-local event at absolute time `t`: dispatched to the
+  /// machine-registered sink's on_core_event with `payload` (device
+  /// models, kernels and runtimes that must run on this core's
+  /// timeline; core events are machine-internal and ignore the
+  /// interrupt mask). The queue entry is plain data, so snapshot v2 can
   /// serialize it.
   void post_event(Cycles t, SinkId sink, const EventPayload& payload = {});
 
   /// Post a timer fire at absolute time `t`: the dominant scheduled-work
-  /// case, carried inline (sink pointer + generation) with no closure
-  /// allocation. Ordered identically to post_callback (same queue, same
-  /// sequence source).
+  /// case, carried inline (sink pointer + generation). Ordered
+  /// identically to post_event (same queue, same sequence source).
   void post_timer(Cycles t, TimerSink* sink, std::uint64_t gen);
 
   [[nodiscard]] std::uint64_t pending_irqs() const { return irq_inbox_.size(); }
 
-  /// Earliest *deliverable* inbox event: callbacks unconditionally,
+  /// Earliest *deliverable* inbox event: core events unconditionally,
   /// IRQs only while interrupts are enabled; kNever if none. The
   /// fast-forward quiet proof reads this for runnable cores — a due
   /// event bounds how far their steps can be skipped, because full
@@ -191,7 +183,7 @@ class Core {
     return std::min(callback_inbox_.peek_time(), irq_t);
   }
 
-  /// Deliver all events due at or before the current clock: callbacks
+  /// Deliver all events due at or before the current clock: core events
   /// unconditionally, IRQs only while interrupts are enabled. Each IRQ
   /// pays dispatch + return costs from the cost model. advance() calls
   /// it only when earliest_deliverable() <= clock().

@@ -1,5 +1,7 @@
 #include "hwsim/event_queue.hpp"
 
+#include <utility>
+
 namespace iw::hwsim {
 
 template <class EventT>

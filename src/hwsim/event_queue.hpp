@@ -16,26 +16,16 @@
 // event representation is split by role instead of one fat struct:
 //  * IrqEvent       — trivially-copyable POD, allocation-free;
 //  * CoreEvent      — core-local scheduled work: an inline timer fire
-//                     (TimerSink* + generation, allocation-free), a
+//                     (TimerSink* + generation, allocation-free) or a
 //                     sink-dispatched plain-data event (SinkId +
-//                     payload, snapshot-portable), or a legacy callback
-//                     parked out of line (FnSlot);
-//  * Event          — machine-level event (sink-dispatched or legacy
-//                     callback).
-// All three are trivially copyable: legacy std::function arms live in a
-// side vector owned by the queue (park_fn/take_fn) and the queued
-// record carries only the slot index.
-//
-// The legacy std::function arms still work for same-instance use
-// (tests, ad-hoc harnesses), but a snapshot holding one cannot be
-// serialized for cross-instance hydration — Snapshot::serialize()
-// rejects it with a diagnostic naming the offending queue.
+//                     payload);
+//  * Event          — machine-level sink-dispatched event.
+// All three are trivially copyable plain data: no queued record holds a
+// closure, so every snapshot of the queues can be serialized.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -74,11 +64,9 @@ struct IrqEvent {
   bool ipi{false};
 };
 
-/// Core-local scheduled work. Tagged, checked in order:
-///  `timer != nullptr`  — inline timer fire (the dominant case);
-///  `sink != kNoSink`   — sink-dispatched plain-data event (portable);
-///  otherwise           — legacy parked closure (same-instance only),
-///                        resolved via TimedQueue::take_fn(fn).
+/// Core-local scheduled work. Tagged: `timer != nullptr` is an inline
+/// timer fire (the dominant case); otherwise `sink` names the
+/// registered EventSink that receives `payload`.
 struct CoreEvent {
   Cycles time{0};
   std::uint64_t seq{0};
@@ -98,18 +86,15 @@ struct CoreEvent {
   SinkId timer_sink{kNoSink};
   SinkId sink{kNoSink};
   EventPayload payload;
-  FnSlot fn{kNoFnSlot};
 };
 
 /// Machine-level event (rare: device models, watchdog checks, test
-/// harnesses). `sink != kNoSink` dispatches through the machine's
-/// table; otherwise the legacy closure parked at `fn` runs.
+/// harnesses), dispatched through the machine's sink table.
 struct Event {
   Cycles time{0};
   std::uint64_t seq{0};
   SinkId sink{kNoSink};
   EventPayload payload;
-  FnSlot fn{kNoFnSlot};
 };
 
 static_assert(std::is_trivially_copyable_v<IrqEvent>,
@@ -189,36 +174,6 @@ class TimedQueue {
     heap_.clear();
     slab_.clear();
     free_.clear();
-    fns_.clear();
-    fn_free_.clear();
-  }
-
-  /// Park a legacy closure out of line; the returned slot goes into the
-  /// queued record's `fn` field and is resolved at dispatch with
-  /// take_fn. Slots are free-listed, so steady-state park/take cycles
-  /// reuse storage.
-  [[nodiscard]] FnSlot park_fn(std::function<void()> fn) {
-    IW_ASSERT(fn != nullptr);
-    FnSlot slot;
-    if (!fn_free_.empty()) {
-      slot = fn_free_.back();
-      fn_free_.pop_back();
-      fns_[slot] = std::move(fn);
-    } else {
-      slot = static_cast<FnSlot>(fns_.size());
-      if (fns_.size() == fns_.capacity()) ++grow_allocs_;
-      fns_.push_back(std::move(fn));
-    }
-    return slot;
-  }
-
-  /// Move a parked closure out and free its slot.
-  [[nodiscard]] std::function<void()> take_fn(FnSlot slot) {
-    IW_ASSERT(slot < fns_.size() && fns_[slot] != nullptr);
-    std::function<void()> fn = std::move(fns_[slot]);
-    fns_[slot] = nullptr;
-    fn_free_.push_back(slot);
-    return fn;
   }
 
   /// Visit every queued event (heap order, not time order — digest code
@@ -239,10 +194,9 @@ class TimedQueue {
     for (const Rec& r : heap_) f(slab_[r.idx]);
   }
 
-  /// Growth reallocations since construction (heap, slab, free lists,
-  /// closure side table). The steady-state hot path should hold this at
-  /// zero once warm; bench/des_throughput reports it as
-  /// allocs_per_million_events.
+  /// Growth reallocations since construction (heap, slab, free list).
+  /// The steady-state hot path should hold this at zero once warm;
+  /// bench/des_throughput reports it as allocs_per_million_events.
   [[nodiscard]] std::uint64_t grow_allocs() const { return grow_allocs_; }
 
  private:
@@ -261,8 +215,6 @@ class TimedQueue {
   std::vector<Rec> heap_;
   std::vector<EventT> slab_;      // indexed by Rec::idx; holes on free_
   std::vector<std::uint32_t> free_;
-  std::vector<std::function<void()>> fns_;
-  std::vector<FnSlot> fn_free_;
   std::uint64_t grow_allocs_{0};
 };
 
@@ -270,7 +222,7 @@ extern template class TimedQueue<IrqEvent>;
 extern template class TimedQueue<CoreEvent>;
 extern template class TimedQueue<Event>;
 
-/// The machine-level queue carries plain callback events.
+/// The machine-level queue.
 using EventQueue = TimedQueue<Event>;
 
 }  // namespace iw::hwsim

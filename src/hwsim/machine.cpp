@@ -224,17 +224,6 @@ void Machine::dump_state(std::FILE* out) {
   }
 }
 
-void Machine::schedule_at(Cycles t, std::function<void()> fn) {
-  IW_ASSERT_MSG(!per_core_drain_active_ || exec_source() == 0,
-                "schedule_at from a core context during a per-core "
-                "parallel drain (the machine queue is coordinator-owned)");
-  Event ev;
-  ev.time = t;
-  ev.seq = next_seq();
-  ev.fn = machine_queue_.park_fn(std::move(fn));
-  machine_queue_.push(ev);
-}
-
 void Machine::schedule_event(Cycles t, SinkId sink,
                              const EventPayload& payload) {
   IW_ASSERT_MSG(!per_core_drain_active_ || exec_source() == 0,
@@ -350,18 +339,19 @@ Cycles Machine::next_event_time() {
                                             : linear_peek().time;
 }
 
-void Machine::execute(const Pick& pick) {
+void Machine::run_machine_event() {
   ++advances_;
+  ExecScope scope(*this, 0);
+  const Event ev = machine_queue_.pop();
+  event_sink(ev.sink)->on_machine_event(*this, ev.time, ev.payload);
+}
+
+void Machine::execute(const Pick& pick) {
   if (pick.core == nullptr) {
-    ExecScope scope(*this, 0);
-    Event ev = machine_queue_.pop();
-    if (ev.sink != kNoSink) {
-      event_sink(ev.sink)->on_machine_event(*this, ev.time, ev.payload);
-    } else {
-      machine_queue_.take_fn(ev.fn)();
-    }
+    run_machine_event();
     return;
   }
+  ++advances_;
   const CoreId id = pick.core->id();
   ExecScope scope(*this, id + 1);
   if (sched_ != SchedulerKind::kFrontier) {

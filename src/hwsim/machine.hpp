@@ -1,4 +1,4 @@
-// The simulated machine: a set of cores, a global callback queue for
+// The simulated machine: a set of cores, a global event queue for
 // non-core entities (devices), an IPI fabric, and the conservative
 // min-timestamp DES loop.
 //
@@ -81,7 +81,7 @@ enum class ShardPolicy : std::uint8_t {
   /// All cores in one shard (default): the epoch loop degenerates to
   /// the sequential pick order, chunked by the lookahead horizon. Safe
   /// for every workload — including drivers that mutate other cores'
-  /// state directly (heartbeat degraded mode, cross-core callbacks) —
+  /// state directly (heartbeat degraded mode, cross-core event posts) —
   /// and bit-identical to kFrontier/kLinearScan by construction.
   kSingleGroup,
   /// One shard per core: the true parallel engine. Requires shard-safe
@@ -304,17 +304,10 @@ class Machine final : public substrate::StackSubstrate {
   /// already final) and merged at the barrier. Asserts `to` is in range.
   IpiStatus post_ipi(CoreId to, int vector, Cycles sent);
 
-  /// Schedule a machine-level callback at absolute time `t`. Illegal
-  /// from a core context during a per-core epoch drain (the machine
-  /// queue is coordinator-owned there). Legacy closure form: works for
-  /// same-instance runs, but a snapshot holding one of these events is
-  /// not serializable for cross-instance hydration — portable code
-  /// posts through schedule_event instead.
-  void schedule_at(Cycles t, std::function<void()> fn);
-
-  /// Schedule a portable machine-level event: at time `t` the
-  /// registered sink's on_machine_event runs with `payload`. Same
-  /// legality rules as schedule_at; the queue entry is plain data, so
+  /// Schedule a machine-level event: at time `t` the registered sink's
+  /// on_machine_event runs with `payload`. Illegal from a core context
+  /// during a per-core epoch drain (the machine queue is
+  /// coordinator-owned there). The queue entry is plain data, so
   /// snapshot v2 can serialize it.
   void schedule_event(Cycles t, SinkId sink, const EventPayload& payload = {});
 
@@ -615,6 +608,9 @@ class Machine final : public substrate::StackSubstrate {
   /// skip horizons (kNever for run()).
   bool run_loop(const std::function<bool()>& stop, Cycles until);
   void execute(const Pick& pick);
+  /// Pop the machine queue's head and dispatch it to its sink, in the
+  /// machine's execution context (source 0). Counts one advance.
+  void run_machine_event();
 
   /// Machine-side quiet proof over [earliest runnable clock, horizon).
   struct QuietProof {

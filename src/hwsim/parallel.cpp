@@ -24,7 +24,7 @@
 //    slot-claim order nor the flush order can affect any pop the
 //    target performs afterwards (a min-heap pops a totally-ordered set
 //    in sorted order regardless of insertion history).
-//  * Coordinator-owned machine queue. Machine-level callbacks run with
+//  * Coordinator-owned machine queue. Machine-level events run with
 //    all shards parked, at exactly the points the sequential loop would
 //    run them (the queue head bounds the horizon, and the queue wins
 //    time ties, matching the seed scheduler).
@@ -371,14 +371,7 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
     // events or move clocks, so loop back and rescan afterwards.
     Cycles mq_t = machine_queue_.peek_time();
     if (mq_t != kNever && mq_t < until && mq_t <= e) {
-      ExecScope scope(*this, 0);
-      ++advances_;
-      Event ev = machine_queue_.pop();
-      if (ev.sink != kNoSink) {
-        event_sink(ev.sink)->on_machine_event(*this, ev.time, ev.payload);
-      } else {
-        machine_queue_.take_fn(ev.fn)();
-      }
+      run_machine_event();
       rescan = true;
       continue;
     }

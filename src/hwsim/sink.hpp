@@ -1,10 +1,10 @@
 // Portable event dispatch: tagged sink IDs + plain-data payloads.
 //
-// Snapshot v2 requires the event queues to be closure-free: a queued
-// event must be expressible as plain words so a captured machine image
-// can hydrate a *different* Machine instance (scenarioserver fan-out).
-// The pattern extends PR 2's TimerSink idiom to every subsystem that
-// used to enqueue a std::function: the receiver object registers itself
+// Sink ids are the only way to post a scheduled event: a queued event
+// is plain words, so a captured machine image can hydrate a *different*
+// Machine instance (scenarioserver fan-out) and every snapshot can be
+// serialized. The pattern extends the TimerSink idiom to every
+// subsystem that schedules work: the receiver object registers itself
 // with the machine once at construction time and is assigned a SinkId
 // (its position in the per-machine dispatch table); queued events then
 // carry only {sink id, payload words}. Because workload construction is
@@ -36,14 +36,6 @@ class Machine;
 /// hole, ids are never reused).
 using SinkId = std::uint32_t;
 inline constexpr SinkId kNoSink = ~SinkId{0};
-
-/// Handle to a legacy std::function parked out-of-line in the queue it
-/// was posted to (TimedQueue::park_fn/take_fn). Keeping only this index
-/// in the queued record keeps the hot event trivially copyable; the
-/// closure itself lives in a side vector owned by the same queue, so
-/// snapshot value-copies of a queue carry their parked closures along.
-using FnSlot = std::uint32_t;
-inline constexpr FnSlot kNoFnSlot = ~FnSlot{0};
 
 /// Plain-data argument block carried by a sink-dispatched event. Four
 /// words cover every current user (the widest, signal delivery, uses

@@ -12,10 +12,9 @@
 //    same-mode restore, but legitimately different across ff modes
 //    (an analytic skip elides step opportunities without changing any
 //    draw), so the digest excludes them.
-//  * live queue copies — the machine callback queue and both per-core
-//    inboxes, value-copied closures and all. This is the same-instance
-//    part of the format: closures capture pointers into the machine and
-//    workload objects, which stay valid only for the original instance.
+//  * queue copies — the machine event queue and both per-core inboxes,
+//    value-copied. Every record is plain data (sink ids and payload
+//    words); serialize() writes them out as such.
 //
 // What is deliberately NOT captured: scheduling caches (frontier tree,
 // dirty lists, cached next-action times, the now() caches) — all
@@ -36,6 +35,10 @@ namespace {
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+/// Queued events once could hold a closure, and the digest mixed a flag
+/// for it after each record. No event holds one now; the word stays, as
+/// a constant 0, so the digests pinned in perfbench/pins still match.
+constexpr std::uint64_t kRetiredClosureFlag = 0;
 
 void mix(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -67,7 +70,7 @@ void mix_queue(std::uint64_t& h, const TimedQueue<Event>& q) {
     mix(h, e->seq);
     mix(h, e->sink);
     for (std::uint64_t wd : e->payload.w) mix(h, wd);
-    mix(h, e->fn != kNoFnSlot ? 1 : 0);
+    mix(h, kRetiredClosureFlag);
   }
 }
 
@@ -96,8 +99,17 @@ void mix_queue(std::uint64_t& h, const TimedQueue<CoreEvent>& q) {
     mix(h, e->timer_sink);
     mix(h, e->sink);
     for (std::uint64_t wd : e->payload.w) mix(h, wd);
-    mix(h, e->fn != kNoFnSlot ? 1 : 0);
+    mix(h, kRetiredClosureFlag);
   }
+}
+
+/// Read a sink-id word, rejecting with `diagnostic` a value wider than
+/// 32 bits instead of truncating it onto some other sink. kNoSink
+/// (absent) passes; the caller decides whether absence is legal.
+SinkId read_sink(SnapshotReader& r, const char* diagnostic) {
+  const std::uint64_t v = r.u64();
+  IW_ASSERT_MSG(v <= kNoSink, diagnostic);
+  return static_cast<SinkId>(v);
 }
 
 /// Read a length word, rejecting it with `diagnostic` unless that many
@@ -165,10 +177,6 @@ std::vector<std::uint64_t> Snapshot::serialize() const {
   // whose queues were populated under different push interleavings.
   w.u64(machine_queue.size());
   for (const Event* e : sorted_view(machine_queue)) {
-    IW_ASSERT_MSG(e->fn == kNoFnSlot,
-                  "snapshot v2 cannot serialize a pending legacy closure "
-                  "in the machine queue (use Machine::schedule_event with "
-                  "a registered EventSink instead of schedule_at)");
     w.u64(e->time);
     w.u64(e->seq);
     w.u64(e->sink);
@@ -186,11 +194,6 @@ std::vector<std::uint64_t> Snapshot::serialize() const {
     }
     w.u64(cq.callbacks.size());
     for (const CoreEvent* e : sorted_view(cq.callbacks)) {
-      IW_ASSERT_MSG(e->fn == kNoFnSlot,
-                    "snapshot v2 cannot serialize a pending legacy "
-                    "closure in a core callback inbox (use "
-                    "Core::post_event with a registered EventSink "
-                    "instead of post_callback)");
       IW_ASSERT_MSG(e->timer == nullptr || e->timer_sink != kNoSink,
                     "snapshot v2 cannot serialize a pending fire for an "
                     "unregistered TimerSink (register the timer with "
@@ -243,7 +246,12 @@ Snapshot Snapshot::deserialize(const std::vector<std::uint64_t>& image) {
     Event e;
     e.time = r.u64();
     e.seq = r.u64();
-    e.sink = static_cast<SinkId>(r.u64());
+    e.sink = read_sink(r,
+                       "snapshot image rejected: machine-queue sink word "
+                       "exceeds 32 bits");
+    IW_ASSERT_MSG(e.sink != kNoSink,
+                  "snapshot image rejected: machine-queue record names no "
+                  "sink");
     for (std::uint64_t& pw : e.payload.w) pw = r.u64();
     s.machine_queue.push(std::move(e));
   }
@@ -279,8 +287,15 @@ Snapshot Snapshot::deserialize(const std::vector<std::uint64_t>& image) {
       e.seq = r.u64();
       e.gen = r.u64();
       e.ideal = r.u64();
-      e.timer_sink = static_cast<SinkId>(r.u64());
-      e.sink = static_cast<SinkId>(r.u64());
+      e.timer_sink = read_sink(r,
+                               "snapshot image rejected: callback-inbox "
+                               "timer-sink word exceeds 32 bits");
+      e.sink = read_sink(r,
+                         "snapshot image rejected: callback-inbox sink "
+                         "word exceeds 32 bits");
+      IW_ASSERT_MSG((e.timer_sink == kNoSink) != (e.sink == kNoSink),
+                    "snapshot image rejected: callback-inbox record must "
+                    "name exactly one of a timer sink and an event sink");
       for (std::uint64_t& pw : e.payload.w) pw = r.u64();
       cq.callbacks.push(std::move(e));
     }
@@ -460,8 +475,8 @@ void Machine::restore(const Snapshot& s) {
                 "snapshot ephemeral stream not consumed");
 
   machine_queue_ = s.machine_queue;
-  machine_queue_.for_each_mutable([this](Event& e) {
-    if (e.sink != kNoSink) (void)event_sink(e.sink);
+  machine_queue_.for_each([this](const Event& e) {
+    (void)event_sink(e.sink);
   });
 
   // Rebuild the derived scheduling state: the now() cache is a pure

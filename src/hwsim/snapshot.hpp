@@ -18,11 +18,10 @@
 // serialize() produces a self-contained word image that hydrates a
 // FRESH Machine built from the same MachineConfig with the same
 // deterministic setup (participants, sinks, and timers registered in
-// the same order), bit-identically to a same-instance restore. The
-// legacy std::function arms (post_callback / schedule_at) still work
-// for same-instance snapshots — the live value-copied queues are kept
-// alongside the portable image — but serialize() rejects a snapshot
-// holding one, with a diagnostic naming the offending queue.
+// the same order), bit-identically to a same-instance restore. No
+// queued event holds a closure, so every snapshot serializes; the one
+// exception is a pending fire of a TimerSink that never registered,
+// which serialize() rejects with a diagnostic.
 //
 // What IS comparable across machines (and across scheduler/steal/ff
 // configurations of the same scenario) is digest(): an FNV-1a hash
@@ -183,8 +182,9 @@ struct Snapshot {
   /// ff on/off (ff legitimately skips fault *opportunities* inside
   /// proven-quiet windows without changing any draw).
   std::vector<std::uint64_t> ephemeral;
-  /// Live value-copies of the event queues (closures and all) — the
-  /// same-instance part of the format.
+  /// Value-copies of the event queues. Every record is plain data; a
+  /// same-instance capture's timer fires also keep their TimerSink
+  /// pointer (restore re-resolves registered ones from `timer_sink`).
   TimedQueue<Event> machine_queue;
   struct CoreQueues {
     TimedQueue<IrqEvent> irq;
@@ -204,14 +204,15 @@ struct Snapshot {
 
   /// Self-contained v2 word image: magic, version, fingerprint, state
   /// words, and every queue as plain-data records (timer-sink ids,
-  /// event-sink ids, payloads). Aborts with a diagnostic if any pending
-  /// event still holds a legacy closure or an unregistered timer — such
-  /// a snapshot is same-instance-only by construction.
+  /// event-sink ids, payloads). Aborts with a diagnostic if a pending
+  /// fire belongs to an unregistered timer.
   [[nodiscard]] std::vector<std::uint64_t> serialize() const;
 
   /// Rebuild a Snapshot from a serialized image. Aborts with a clear
-  /// diagnostic on a bad magic word or a format version this build does
-  /// not read. The result restores into any machine with a matching
+  /// diagnostic on a bad magic word, a format version this build does
+  /// not read, a length past the image, an IRQ vector out of range, or
+  /// a queued record whose sink words cannot name exactly one sink.
+  /// The result restores into any machine with a matching
   /// config fingerprint; Machine::restore() resolves the recorded sink
   /// ids against that machine's dispatch tables.
   [[nodiscard]] static Snapshot deserialize(

@@ -95,35 +95,13 @@ Cycles SignalPath::draw_latency() {
 }
 
 void SignalPath::send(hwsim::Core& sender, CoreId target_core,
-                      SignalHandler handler) {
+                      SignalActionId action, std::uint64_t arg) {
   const auto& c = stack_.costs();
   // tgkill(): user->kernel crossing + queueing work, charged to sender.
   stack_.syscall(sender);
   sender.consume(c.signal_kernel_send);
   ++sent_;
-  deliver_at(sender.clock(), target_core, std::move(handler));
-}
-
-void SignalPath::send(hwsim::Core& sender, CoreId target_core,
-                      SignalActionId action, std::uint64_t arg) {
-  const auto& c = stack_.costs();
-  stack_.syscall(sender);
-  sender.consume(c.signal_kernel_send);
-  ++sent_;
   deliver_at(sender.clock(), target_core, action, arg);
-}
-
-void SignalPath::send_from_kernel(CoreId origin_core, Cycles t,
-                                  CoreId target_core, SignalHandler handler) {
-  const auto& c = stack_.costs();
-  auto& origin = stack_.machine().core(origin_core);
-  ++sent_;
-  origin.post_callback(t, [this, &origin, target_core,
-                           h = std::move(handler)]() mutable {
-    origin.consume(stack_.costs().signal_kernel_send);
-    deliver_at(origin.clock(), target_core, std::move(h));
-  });
-  (void)c;
 }
 
 void SignalPath::send_from_kernel(CoreId origin_core, Cycles t,
@@ -136,23 +114,6 @@ void SignalPath::send_from_kernel(CoreId origin_core, Cycles t,
   p.w[2] = action;
   p.w[3] = arg;
   stack_.machine().core(origin_core).post_event(t, sink_id_, p);
-}
-
-void SignalPath::deliver_at(Cycles queue_time, CoreId target_core,
-                            SignalHandler handler) {
-  const Cycles latency = draw_latency();
-  auto& target = stack_.machine().core(target_core);
-  target.post_callback(
-      queue_time + latency,
-      [this, &target, queue_time, h = std::move(handler)]() {
-        const auto& c = stack_.costs();
-        // The target is interrupted: frame setup, handler, sigreturn.
-        target.consume(c.signal_frame_setup);
-        latency_hist_.add(target.clock() - queue_time);
-        ++delivered_;
-        if (h) h(target);
-        target.consume(c.sigreturn);
-      });
 }
 
 void SignalPath::deliver_at(Cycles queue_time, CoreId target_core,

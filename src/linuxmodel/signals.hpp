@@ -22,13 +22,11 @@
 
 namespace iw::linuxmodel {
 
-/// Handler invoked on the target core at frame-entry time.
-using SignalHandler = std::function<void(hwsim::Core&)>;
-
-/// Registered signal action: like SignalHandler, but installed once (at
-/// setup time) under a stable index so in-flight deliveries can name it
-/// by id instead of carrying a closure. `arg` is a caller-chosen word
-/// traveling with each send (e.g. the timer fire a heartbeat carries).
+/// Registered signal action, run on the target core at frame-entry
+/// time. Installed once (at setup time) under a stable index so
+/// in-flight deliveries name it by id and stay plain data. `arg` is a
+/// caller-chosen word traveling with each send (e.g. the timer fire a
+/// heartbeat carries).
 using SignalAction = std::function<void(hwsim::Core&, std::uint64_t arg)>;
 using SignalActionId = std::uint32_t;
 inline constexpr SignalActionId kNoSignalAction = ~SignalActionId{0};
@@ -53,22 +51,15 @@ class SignalPath final : public hwsim::SnapshotParticipant,
 
   /// Send a signal from `sender` to a thread on `target_core`. Charges
   /// the sender's kernel-side send path now and schedules the target's
-  /// interruption + frame + handler + sigreturn after a drawn latency.
-  void send(hwsim::Core& sender, CoreId target_core, SignalHandler handler);
-
-  /// Portable variant: the in-flight delivery references a registered
-  /// action by id (kNoSignalAction = accounting only). Required for any
-  /// signal that may be pending at snapshot-v2 capture time.
+  /// interruption + frame + action + sigreturn after a drawn latency.
+  /// The in-flight delivery names the registered `action` by id
+  /// (kNoSignalAction = accounting only).
   void send(hwsim::Core& sender, CoreId target_core, SignalActionId action,
             std::uint64_t arg = 0);
 
   /// Kernel-originated signal (timer expiry): no user sender to charge;
   /// the kernel-side queueing work happens on `origin_core`'s timeline
-  /// via a callback at time `t`.
-  void send_from_kernel(CoreId origin_core, Cycles t, CoreId target_core,
-                        SignalHandler handler);
-
-  /// Portable variant of send_from_kernel (see send overloads).
+  /// as a core event at time `t`.
   void send_from_kernel(CoreId origin_core, Cycles t, CoreId target_core,
                         SignalActionId action, std::uint64_t arg = 0);
 
@@ -82,15 +73,12 @@ class SignalPath final : public hwsim::SnapshotParticipant,
   }
 
   // SnapshotParticipant: the latency Rng stream, counters, and the
-  // latency histogram. In-flight deliveries sent by action id are
-  // plain-data sink events in core inboxes (portable); ones sent with
-  // closures are captured by value and restore same-instance only.
+  // latency histogram. In-flight deliveries are plain-data sink events
+  // in core inboxes.
   void save_state(hwsim::SnapshotWriter& w) const override;
   void restore_state(hwsim::SnapshotReader& r) override;
 
  private:
-  void deliver_at(Cycles queue_time, CoreId target_core,
-                  SignalHandler handler);
   void deliver_at(Cycles queue_time, CoreId target_core,
                   SignalActionId action, std::uint64_t arg);
 

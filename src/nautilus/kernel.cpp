@@ -20,9 +20,11 @@ struct DeadlineLater {
 }  // namespace
 
 Kernel::Kernel(hwsim::Machine& machine, KernelConfig cfg)
-    : machine_(machine), cfg_(cfg), cpus_(machine.num_cores()) {}
+    : machine_(machine), cfg_(cfg), cpus_(machine.num_cores()) {
+  sink_id_ = machine_.register_event_sink(this);
+}
 
-Kernel::~Kernel() = default;
+Kernel::~Kernel() { machine_.unregister_event_sink(sink_id_); }
 
 void Kernel::attach() {
   for (unsigned i = 0; i < machine_.num_cores(); ++i) {
@@ -68,15 +70,11 @@ Thread* Kernel::spawn(ThreadConfig cfg, hwsim::Core* creator) {
   }
 
   // Make the thread runnable on its bound core. From a foreign core this
-  // must ride a callback so the target observes it at a causal time.
-  Cpu& cpu = cpus_[raw->bound_core()];
+  // must ride a core event so the target observes it at a causal time.
   if (creator == nullptr || creator->id() == raw->bound_core()) {
-    enqueue_ready(cpu, raw);
+    enqueue_ready(cpus_[raw->bound_core()], raw);
   } else {
-    auto& target = machine_.core(raw->bound_core());
-    target.post_callback(
-        creator->clock() + machine_.costs().ipi_latency,
-        [this, raw, &cpu] { enqueue_ready(cpu, raw); });
+    post_remote_ready(*creator, raw);
   }
   return raw;
 }
@@ -86,14 +84,29 @@ void Kernel::wake(Thread* t, hwsim::Core& from) {
             t->state_ == ThreadState::kReady);
   from.consume(cfg_.wake_cost);
   ++stats_.wakes;
-  Cpu& cpu = cpus_[t->bound_core()];
   if (from.id() == t->bound_core()) {
-    enqueue_ready(cpu, t);
+    enqueue_ready(cpus_[t->bound_core()], t);
     return;
   }
-  auto& target = machine_.core(t->bound_core());
-  target.post_callback(from.clock() + machine_.costs().ipi_latency,
-                       [this, t, &cpu] { enqueue_ready(cpu, t); });
+  post_remote_ready(from, t);
+}
+
+void Kernel::post_remote_ready(hwsim::Core& from, Thread* t) {
+  const std::uint64_t index = t->id() - 1;
+  IW_ASSERT(index < threads_.size() && threads_[index].get() == t);
+  hwsim::EventPayload p;
+  p.w[0] = index;
+  machine_.core(t->bound_core())
+      .post_event(from.clock() + machine_.costs().ipi_latency, sink_id_, p);
+}
+
+void Kernel::on_core_event(hwsim::Core& core, Cycles,
+                           const hwsim::EventPayload& payload) {
+  IW_ASSERT_MSG(payload.w[0] < threads_.size(),
+                "nautilus ready event names no spawned thread");
+  Thread* t = threads_[payload.w[0]].get();
+  IW_ASSERT(t->bound_core() == core.id());
+  enqueue_ready(cpus_[core.id()], t);
 }
 
 void Kernel::submit_task(CoreId core, Task task) {

@@ -23,6 +23,7 @@
 #include "hwsim/core.hpp"
 #include "hwsim/lapic.hpp"
 #include "hwsim/machine.hpp"
+#include "hwsim/sink.hpp"
 #include "mem/numa.hpp"
 #include "nautilus/task.hpp"
 #include "nautilus/thread.hpp"
@@ -75,7 +76,7 @@ struct KernelStats {
   TaskStats tasks;
 };
 
-class Kernel final : public hwsim::CoreDriver {
+class Kernel final : public hwsim::CoreDriver, public hwsim::EventSink {
  public:
   Kernel(hwsim::Machine& machine, KernelConfig cfg = {});
   ~Kernel() override;
@@ -122,6 +123,12 @@ class Kernel final : public hwsim::CoreDriver {
   bool runnable(hwsim::Core& core) override;
   void step(hwsim::Core& core) override;
 
+  // --- EventSink ---
+  /// A remote spawn or wake reached the thread's bound core (payload
+  /// word 0 = the thread's index in threads()).
+  void on_core_event(hwsim::Core& core, Cycles at,
+                     const hwsim::EventPayload& payload) override;
+
  private:
   struct Cpu {
     Thread* current{nullptr};
@@ -133,6 +140,9 @@ class Kernel final : public hwsim::CoreDriver {
   };
 
   void enqueue_ready(Cpu& cpu, Thread* t);
+  /// Make `t` ready on its bound core, observed there one IPI latency
+  /// after `from`'s clock (a remote spawn or wake).
+  void post_remote_ready(hwsim::Core& from, Thread* t);
   /// Arm the per-core tick only while the core is contended (>1 runnable
   /// entity); Nautilus is tickless otherwise, and a quiescent machine
   /// must not keep firing timers.
@@ -145,8 +155,11 @@ class Kernel final : public hwsim::CoreDriver {
   KernelConfig cfg_;
   KernelStats stats_;
   std::vector<Cpu> cpus_;
+  /// Append-only: a thread's index here is its id - 1, and is what
+  /// remote spawn/wake events carry.
   std::vector<std::unique_ptr<Thread>> threads_;
   std::uint64_t next_tid_{1};
+  hwsim::SinkId sink_id_{hwsim::kNoSink};
   std::uint64_t live_threads_{0};
 };
 

@@ -11,6 +11,43 @@
 
 namespace iw::omp {
 
+LinuxNoise::LinuxNoise(hwsim::Machine& m, double gap_us, double burst_us)
+    : machine_(m), gap_us_(gap_us), burst_us_(burst_us) {
+  rngs_.reserve(m.num_cores());
+  for (unsigned c = 0; c < m.num_cores(); ++c) {
+    rngs_.push_back(m.rng().split());
+  }
+  machine_.register_snapshot_participant(this);
+  sink_id_ = machine_.register_event_sink(this);
+  for (unsigned c = 0; c < m.num_cores(); ++c) post_next(m.core(c), 0);
+}
+
+LinuxNoise::~LinuxNoise() {
+  machine_.unregister_event_sink(sink_id_);
+  machine_.unregister_snapshot_participant(this);
+}
+
+void LinuxNoise::post_next(hwsim::Core& core, Cycles from) {
+  const Cycles gap = machine_.costs().freq.us_to_cycles(
+      rngs_[core.id()].lognormal_median(gap_us_, 0.5));
+  core.post_event(from + gap, sink_id_);
+}
+
+void LinuxNoise::on_core_event(hwsim::Core& core, Cycles at,
+                               const hwsim::EventPayload&) {
+  core.consume(machine_.costs().freq.us_to_cycles(
+      rngs_[core.id()].lognormal_median(burst_us_, 0.8)));
+  post_next(core, at);
+}
+
+void LinuxNoise::save_state(hwsim::SnapshotWriter& w) const {
+  for (const Rng& rng : rngs_) hwsim::save_rng(w, rng);
+}
+
+void LinuxNoise::restore_state(hwsim::SnapshotReader& r) {
+  for (Rng& rng : rngs_) hwsim::restore_rng(r, rng);
+}
+
 const char* mode_name(OmpMode m) {
   switch (m) {
     case OmpMode::kLinux: return "Linux";
@@ -133,34 +170,6 @@ Cycles translation_cost(ThreadedRun& run, unsigned wid,
     }
   }
   return c;
-}
-
-/// Arm the Linux OS-noise generator on every core: an endless callback
-/// chain that steals a burst of CPU at lognormal intervals.
-void arm_linux_noise(hwsim::Machine& m, const OmpConfig& cfg) {
-  if (cfg.noise_gap_us <= 0.0) return;
-  const auto& freq = cfg.costs.freq;
-  for (unsigned c = 0; c < m.num_cores(); ++c) {
-    auto rng = std::make_shared<Rng>(m.rng().split());
-    auto& core = m.core(c);
-    auto schedule = std::make_shared<std::function<void(Cycles)>>();
-    // Only the pending callback owns the chain; the function refers to
-    // itself weakly, so destroying the machine's queues frees it.
-    const std::weak_ptr<std::function<void(Cycles)>> self = schedule;
-    *schedule = [&core, rng, self, &freq, cfg](Cycles from) {
-      const Cycles gap = freq.us_to_cycles(
-          rng->lognormal_median(cfg.noise_gap_us, 0.5));
-      const Cycles at = from + gap;
-      core.post_callback(at, [&core, rng, schedule = self.lock(), &freq,
-                              cfg, at] {
-        const Cycles burst = freq.us_to_cycles(
-            rng->lognormal_median(cfg.noise_burst_us, 0.8));
-        core.consume(burst);
-        (*schedule)(at);
-      });
-    };
-    (*schedule)(0);
-  }
 }
 
 nautilus::StepResult worker_step(ThreadedRun& run, unsigned wid,
@@ -359,7 +368,11 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
     run.spin_barrier = std::make_unique<SpinBarrier>(cfg.num_threads);
     run.spin_barrier->set_timeout(cfg.barrier_timeout);
   }
-  if (cfg.mode == OmpMode::kLinux) arm_linux_noise(m, cfg);
+  std::unique_ptr<LinuxNoise> noise;
+  if (cfg.mode == OmpMode::kLinux && cfg.noise_gap_us > 0.0) {
+    noise = std::make_unique<LinuxNoise>(m, cfg.noise_gap_us,
+                                         cfg.noise_burst_us);
+  }
 
   for (unsigned wid = 0; wid < cfg.num_threads; ++wid) {
     nautilus::ThreadConfig tc;

@@ -19,8 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "hwsim/machine.hpp"
+#include "hwsim/sink.hpp"
+#include "hwsim/snapshot.hpp"
 #include "linuxmodel/futex.hpp"
 #include "linuxmodel/linux_stack.hpp"
 #include "mem/paging.hpp"
@@ -80,6 +83,44 @@ struct OmpConfig {
   /// Barrier wait times land in the omp.barrier.wait histogram.
   obs::TraceRecorder* tracer{nullptr};
   obs::MetricsRegistry* metrics{nullptr};
+};
+
+/// The Linux OS-noise generator (OmpConfig::noise_gap_us /
+/// noise_burst_us): on every core an endless chain that waits a
+/// lognormal gap, then steals a lognormal burst of CPU. One sink owns
+/// the per-core Rng streams and saves them as a snapshot participant,
+/// so a restored or hydrated machine replays the same noise. The chain
+/// never quiesces; run with a stop predicate or a time bound.
+class LinuxNoise final : public hwsim::EventSink,
+                         public hwsim::SnapshotParticipant {
+ public:
+  /// Splits one Rng per core from the machine's, in core order, and
+  /// posts each core's first burst one gap after time 0.
+  LinuxNoise(hwsim::Machine& m, double gap_us, double burst_us);
+  ~LinuxNoise();
+
+  LinuxNoise(const LinuxNoise&) = delete;
+  LinuxNoise& operator=(const LinuxNoise&) = delete;
+
+  // EventSink: a burst came due on its core; the next gap is measured
+  // from its scheduled time `at`.
+  void on_core_event(hwsim::Core& core, Cycles at,
+                     const hwsim::EventPayload& payload) override;
+
+  // SnapshotParticipant: the per-core Rng states.
+  void save_state(hwsim::SnapshotWriter& w) const override;
+  void restore_state(hwsim::SnapshotReader& r) override;
+
+ private:
+  /// Draw core `core`'s next gap and post its burst one gap after
+  /// `from`.
+  void post_next(hwsim::Core& core, Cycles from);
+
+  hwsim::Machine& machine_;
+  double gap_us_;
+  double burst_us_;
+  std::vector<Rng> rngs_;
+  hwsim::SinkId sink_id_{hwsim::kNoSink};
 };
 
 struct OmpResult {

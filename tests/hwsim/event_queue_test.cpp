@@ -86,8 +86,8 @@ TEST(EventQueue, IrqEventIsAllocationFreePod) {
 }
 
 TEST(EventQueue, CoreEventTimerTagOrdersLikeCallbacks) {
-  // Timer fires and owning callbacks share one queue and one (time, seq)
-  // order — the tag only changes how the payload is invoked.
+  // Timer fires and sink events share one queue and one (time, seq)
+  // order — the tag only changes how the event is dispatched.
   struct NullSink final : TimerSink {
     void on_timer(Core&, Cycles, std::uint64_t) override {}
   };
@@ -99,18 +99,18 @@ TEST(EventQueue, CoreEventTimerTagOrdersLikeCallbacks) {
   timer_ev.timer = &sink;
   timer_ev.gen = 42;
   q.push(std::move(timer_ev));
-  CoreEvent fn_ev;
-  fn_ev.time = 7;
-  fn_ev.seq = 0;
-  bool fired = false;
-  fn_ev.fn = q.park_fn([&fired] { fired = true; });
-  q.push(std::move(fn_ev));
+  CoreEvent sink_ev;
+  sink_ev.time = 7;
+  sink_ev.seq = 0;
+  sink_ev.sink = 3;
+  sink_ev.payload.w[0] = 99;
+  q.push(sink_ev);
 
   const CoreEvent first = q.pop();
   EXPECT_EQ(first.seq, 0u);
   EXPECT_EQ(first.timer, nullptr);
-  q.take_fn(first.fn)();
-  EXPECT_TRUE(fired);
+  EXPECT_EQ(first.sink, 3u);
+  EXPECT_EQ(first.payload.w[0], 99u);
   const CoreEvent second = q.pop();
   EXPECT_EQ(second.timer, &sink);
   EXPECT_EQ(second.gen, 42u);
@@ -118,8 +118,8 @@ TEST(EventQueue, CoreEventTimerTagOrdersLikeCallbacks) {
 
 TEST(EventQueue, HotRecordsAreTriviallyCopyable) {
   // The packed heap keeps a 16-byte (key, idx) record and a slab of
-  // trivially copyable events; closures live out-of-line behind FnSlot
-  // handles. This is the representation the hot path depends on.
+  // trivially copyable events; no record holds a closure. This is the
+  // representation the hot path depends on.
   static_assert(std::is_trivially_copyable_v<Event>);
   static_assert(std::is_trivially_copyable_v<CoreEvent>);
   static_assert(std::is_trivially_copyable_v<IrqEvent>);
@@ -179,17 +179,6 @@ TEST(EventQueue, ReserveMakesSteadyStatePushAllocationFree) {
   // One more than the reservation grows both the slab and the heap.
   q.push(make(5000, 9999));
   EXPECT_EQ(q.grow_allocs(), 2u);
-}
-
-TEST(EventQueue, ParkedClosureSlotsAreReused) {
-  TimedQueue<CoreEvent> q;
-  int calls = 0;
-  const FnSlot a = q.park_fn([&calls] { ++calls; });
-  q.take_fn(a)();
-  const FnSlot b = q.park_fn([&calls] { calls += 10; });
-  EXPECT_EQ(a, b);  // freed slot recycled, no fns_ growth
-  q.take_fn(b)();
-  EXPECT_EQ(calls, 11);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "action_sink.hpp"
 #include "hwsim/fault_plan.hpp"
 #include "hwsim/lapic.hpp"
 #include "hwsim/machine.hpp"
@@ -163,11 +164,13 @@ RunResult run_heartbeat(const RunOpts& o) {
   // machine queue's head, and the coordinator-owned turn must land at
   // the same virtual times under every mode.
   RunResult r;
-  std::function<void()> tick = [&] {
+  hwsim::ActionSink sink(m);
+  hwsim::EventPayload tick;
+  tick = sink.add([&](Cycles) {
     ++r.mq_ticks;
-    m.schedule_at(m.now() + 50'000, tick);
-  };
-  m.schedule_at(50'000, tick);
+    m.schedule_event(m.now() + 50'000, sink.id(), tick);
+  });
+  m.schedule_event(50'000, sink.id(), tick);
 
   r.ok = m.run_until(o.horizon);
   r.hash = trace_hash(tr);
@@ -355,11 +358,13 @@ TEST(FastForward, TraceSkipSpansAnnotateWindowsWithoutPerturbing) {
   hwsim::LapicTimer timer(m.core(0), 0x40);
   timer.periodic(o.period);
   std::uint64_t mq_ticks = 0;
-  std::function<void()> tick = [&] {
+  hwsim::ActionSink sink(m);
+  hwsim::EventPayload tick;
+  tick = sink.add([&](Cycles) {
     ++mq_ticks;
-    m.schedule_at(m.now() + 50'000, tick);
-  };
-  m.schedule_at(50'000, tick);
+    m.schedule_event(m.now() + 50'000, sink.id(), tick);
+  });
+  m.schedule_event(50'000, sink.id(), tick);
   EXPECT_TRUE(m.run_until(o.horizon));
 
   const auto skips = tr.find(substrate::kFastForwardSpan);
@@ -453,16 +458,18 @@ TEST(FastForward, ProveQuietUntilHonorsEachBound) {
     hwsim::MachineConfig mc;
     mc.num_cores = 2;
     hwsim::Machine m(mc);
-    m.schedule_at(5'000, [] {});
+    hwsim::ActionSink sink(m);
+    sink.at(5'000, [](Cycles) {});
     EXPECT_EQ(m.prove_quiet_until(kNever), 5'000u);
     EXPECT_EQ(m.prove_quiet_until(3'000), 3'000u);  // want clamps
   }
-  // An idle core's deliverable callback bounds it.
+  // An idle core's deliverable core event bounds it.
   {
     hwsim::MachineConfig mc;
     mc.num_cores = 2;
     hwsim::Machine m(mc);
-    m.core(1).post_callback(7'000, [] {});
+    hwsim::ActionSink sink(m);
+    sink.at(m.core(1), 7'000, [](Cycles) {});
     EXPECT_EQ(m.prove_quiet_until(kNever), 7'000u);
   }
   // A masked IRQ is not deliverable and must NOT bound the proof.
@@ -485,7 +492,8 @@ TEST(FastForward, ProveQuietUntilHonorsEachBound) {
     ASSERT_TRUE(hwsim::FaultPlan::parse("stall=0.5:100,window=9000-12000",
                                         &mc.faults, &err));
     hwsim::Machine m(mc);
-    m.core(0).post_callback(30'000, [] {});
+    hwsim::ActionSink sink(m);
+    sink.at(m.core(0), 30'000, [](Cycles) {});
     EXPECT_EQ(m.prove_quiet_until(kNever), 30'000u);  // nothing runnable
     FfSpinDriver driver(2, 50, 1u << 20);
     m.core(0).set_driver(&driver);

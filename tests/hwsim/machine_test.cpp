@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "action_sink.hpp"
+
 namespace iw::hwsim {
 namespace {
 
@@ -63,8 +65,9 @@ TEST(Machine, MinClockOrderKeepsCoresNearEachOther) {
 
 TEST(Machine, ScheduledCallbackRuns) {
   Machine m(small_cfg(1));
+  ActionSink sink(m);
   bool fired = false;
-  m.schedule_at(1234, [&] { fired = true; });
+  sink.at(1234, [&](Cycles) { fired = true; });
   EXPECT_TRUE(m.run());
   EXPECT_TRUE(fired);
 }
@@ -179,8 +182,9 @@ TEST(Machine, MaskedIrqDeferredUntilEnabled) {
   core.set_irq_handler(0x21, [&](Core&, int) { handled = true; });
   core.set_interrupts_enabled(false);
   core.post_irq(10, 0x21);
-  // A callback at t=5000 re-enables interrupts.
-  core.post_callback(5000, [&core] { core.set_interrupts_enabled(true); });
+  // A core event at t=5000 re-enables interrupts.
+  ActionSink sink(m);
+  sink.at(core, 5000, [&core](Cycles) { core.set_interrupts_enabled(true); });
   EXPECT_TRUE(m.run());
   EXPECT_TRUE(handled);
   EXPECT_GE(core.clock(), 5000u);
@@ -195,7 +199,8 @@ TEST(Machine, IpiArrivesAfterLatency) {
   m.core(1).set_irq_handler(0x30,
                             [&](Core& c, int) { recv_time = c.clock(); });
   // After core 0 finishes its step, send the IPI.
-  m.schedule_at(0, [&] {});  // noop to exercise machine queue too
+  ActionSink sink(m);
+  sink.at(0, [](Cycles) {});  // noop to exercise machine queue too
   EXPECT_TRUE(m.run());
   const Cycles send_start = m.core(0).clock();
   m.send_ipi(m.core(0), 1, 0x30);
@@ -240,10 +245,11 @@ TEST(Machine, RunUntilStopsAtFrontier) {
 
 TEST(Machine, CallbackChainsPreserveOrder) {
   Machine m(small_cfg(1));
+  ActionSink sink(m);
   std::vector<int> order;
-  m.schedule_at(100, [&] { order.push_back(1); });
-  m.schedule_at(100, [&] { order.push_back(2); });
-  m.schedule_at(50, [&] { order.push_back(0); });
+  sink.at(100, [&](Cycles) { order.push_back(1); });
+  sink.at(100, [&](Cycles) { order.push_back(2); });
+  sink.at(50, [&](Cycles) { order.push_back(0); });
   EXPECT_TRUE(m.run());
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 0);

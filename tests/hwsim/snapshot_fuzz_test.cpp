@@ -1,7 +1,9 @@
 // Randomized restore-equivalence smoke: random seeds, random fault
 // plans, snapshot at a random cycle, assert the replayed window is
-// bit-identical to the uninterrupted one. The iteration count is small
-// by default (ctest) and raised by CI via IW_FUZZ_ITERS.
+// bit-identical to the uninterrupted one — both restored into the same
+// machine and hydrated from the serialized image into a fresh one. The
+// iteration count is small by default (ctest) and raised by CI via
+// IW_FUZZ_ITERS.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -46,6 +48,7 @@ class FuzzWorkload final : public hwsim::CoreDriver,
   FuzzWorkload(hwsim::Machine& m, Cycles step, Cycles period)
       : machine_(m),
         step_(step),
+        period_(period),
         remaining_(m.num_cores(), 1u << 30),
         cells_(m.num_cores()) {
     for (unsigned i = 0; i < m.num_cores(); ++i) {
@@ -62,6 +65,9 @@ class FuzzWorkload final : public hwsim::CoreDriver,
     timer_->periodic(period);
   }
   ~FuzzWorkload() { machine_.unregister_snapshot_participant(this); }
+
+  [[nodiscard]] Cycles step_cycles() const { return step_; }
+  [[nodiscard]] Cycles period() const { return period_; }
 
   bool runnable(hwsim::Core& core) override {
     return remaining_[core.id()] > 0;
@@ -97,6 +103,7 @@ class FuzzWorkload final : public hwsim::CoreDriver,
  private:
   hwsim::Machine& machine_;
   Cycles step_;
+  Cycles period_;
   std::vector<std::uint64_t> remaining_;
   std::vector<Cell> cells_;
   std::unique_ptr<hwsim::LapicTimer> timer_;
@@ -172,6 +179,7 @@ TEST(SnapshotFuzz, RandomPlansRandomCyclesRestoreEquivalence) {
     FuzzWorkload w(m, rng.uniform(40, 120), rng.uniform(8'000, 38'000));
     ASSERT_TRUE(m.run_until(snap_at)) << label;
     hwsim::Snapshot snap = m.snapshot();
+    const std::vector<std::uint64_t> image = snap.serialize();
 
     obs::TraceRecorder t1;
     m.set_tracer(&t1);
@@ -185,6 +193,15 @@ TEST(SnapshotFuzz, RandomPlansRandomCyclesRestoreEquivalence) {
     ASSERT_TRUE(m.run_until(end_at)) << label;
     EXPECT_EQ(trace_hash(t2), hash) << label;
     EXPECT_EQ(m.snapshot().digest(), digest) << label;
+
+    hwsim::Machine fresh(mc);
+    FuzzWorkload fw(fresh, w.step_cycles(), w.period());
+    fresh.restore(hwsim::Snapshot::deserialize(image));
+    obs::TraceRecorder t3;
+    fresh.set_tracer(&t3);
+    ASSERT_TRUE(fresh.run_until(end_at)) << label;
+    EXPECT_EQ(trace_hash(t3), hash) << label << " (hydrated)";
+    EXPECT_EQ(fresh.snapshot().digest(), digest) << label << " (hydrated)";
   }
 }
 

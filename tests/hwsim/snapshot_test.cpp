@@ -676,25 +676,6 @@ TEST(Snapshot, PackedQueueRoundTripPreservesContentsAndDigest) {
   }
 }
 
-TEST(Snapshot, SerializeRejectsParkedClosuresWithNamedQueue) {
-  // Legacy closures live out-of-line behind FnSlot handles now; the
-  // serialize-time rejection must still trip on the slot handle and
-  // still name which queue holds the offender.
-  {
-    hwsim::Machine m(make_config(kSchedMatrix[0], false, nullptr));
-    SnapWorkload w(m);
-    m.schedule_at(1'000, [] {});
-    EXPECT_DEATH((void)m.snapshot().serialize(), "in the machine queue");
-  }
-  {
-    hwsim::Machine m(make_config(kSchedMatrix[0], false, nullptr));
-    SnapWorkload w(m);
-    m.core(1).post_callback(1'000, [] {});
-    EXPECT_DEATH((void)m.snapshot().serialize(),
-                 "in a core callback inbox");
-  }
-}
-
 /// Image of a bare 2-core machine whose core 0 holds one pending IRQ
 /// (vector 0x40), and the index of that IRQ's vector word. Layout:
 /// magic, version, fingerprint, at, participants, |words|, words,
@@ -722,6 +703,86 @@ TEST(Snapshot, DeserializeRejectsOutOfRangeVector) {
     EXPECT_DEATH((void)hwsim::Snapshot::deserialize(image),
                  "queued IRQ vector outside") << bad;
   }
+}
+
+/// Image of a bare 2-core machine holding one machine-queue event and
+/// one core-0 event, both for a registered sink, and the index of each
+/// sink word. After the state sections the layout is |machine queue|
+/// (1), {time, seq, sink, payload[4]}, |cores|, then core 0's |irq| (0),
+/// |callbacks| (1) and {time, seq, gen, ideal, timer_sink, sink,
+/// payload[4]}.
+struct SinkWords {
+  std::vector<std::uint64_t> image;
+  std::size_t machine_sink{0};
+  std::size_t core_timer_sink{0};
+  std::size_t core_sink{0};
+};
+
+SinkWords image_with_pending_sink_events() {
+  struct NullSink final : hwsim::EventSink {
+    void on_machine_event(hwsim::Machine&, Cycles,
+                          const hwsim::EventPayload&) override {}
+    void on_core_event(hwsim::Core&, Cycles,
+                       const hwsim::EventPayload&) override {}
+  };
+  NullSink sink;
+  hwsim::MachineConfig mc;
+  mc.num_cores = 2;
+  hwsim::Machine m(mc);
+  const hwsim::SinkId id = m.register_event_sink(&sink);
+  m.schedule_event(1'000, id);
+  m.core(0).post_event(1'000, id);
+  const hwsim::Snapshot s = m.snapshot();
+  const std::size_t mq = 7 + s.words.size() + s.ephemeral.size();
+  SinkWords out;
+  out.image = s.serialize();
+  out.machine_sink = mq + 3;
+  out.core_timer_sink = mq + 15;
+  out.core_sink = mq + 16;
+  return out;
+}
+
+TEST(Snapshot, DeserializeRejectsSinkWordsWiderThan32Bits) {
+  const SinkWords good = image_with_pending_sink_events();
+  ASSERT_EQ(good.image[good.machine_sink], 0u);
+  ASSERT_EQ(good.image[good.core_timer_sink], hwsim::kNoSink);
+  ASSERT_EQ(good.image[good.core_sink], 0u);
+  EXPECT_EQ(hwsim::Snapshot::deserialize(good.image).machine_queue.size(),
+            1u);
+  // 2^32 would truncate onto sink 0, a live sink, and dispatch there.
+  const std::uint64_t wide = std::uint64_t{1} << 32;
+  auto corrupt = [&good, wide](std::size_t i) {
+    std::vector<std::uint64_t> image = good.image;
+    image[i] = wide;
+    return image;
+  };
+  EXPECT_DEATH((void)hwsim::Snapshot::deserialize(corrupt(good.machine_sink)),
+               "machine-queue sink word exceeds 32 bits");
+  EXPECT_DEATH(
+      (void)hwsim::Snapshot::deserialize(corrupt(good.core_timer_sink)),
+      "callback-inbox timer-sink word exceeds 32 bits");
+  EXPECT_DEATH((void)hwsim::Snapshot::deserialize(corrupt(good.core_sink)),
+               "callback-inbox sink word exceeds 32 bits");
+}
+
+TEST(Snapshot, DeserializeRejectsMachineRecordWithoutSink) {
+  const SinkWords good = image_with_pending_sink_events();
+  std::vector<std::uint64_t> image = good.image;
+  image[good.machine_sink] = hwsim::kNoSink;
+  EXPECT_DEATH((void)hwsim::Snapshot::deserialize(image),
+               "machine-queue record names no sink");
+}
+
+TEST(Snapshot, DeserializeRejectsCoreRecordWithNeitherOrBothSinks) {
+  const SinkWords good = image_with_pending_sink_events();
+  std::vector<std::uint64_t> neither = good.image;
+  neither[good.core_sink] = hwsim::kNoSink;
+  EXPECT_DEATH((void)hwsim::Snapshot::deserialize(neither),
+               "must name exactly one of a timer sink and an event sink");
+  std::vector<std::uint64_t> both = good.image;
+  both[good.core_timer_sink] = 0;
+  EXPECT_DEATH((void)hwsim::Snapshot::deserialize(both),
+               "must name exactly one of a timer sink and an event sink");
 }
 
 TEST(Snapshot, DeserializeRejectsLengthsPastTheImage) {

@@ -38,12 +38,17 @@ TEST(SignalPath, DeliveryRunsHandlerOnTargetCore) {
   SignalPath sig(lx);
   int handled_on = -1;
   Cycles handled_at = 0;
+  std::uint64_t handled_arg = 0;
+  const SignalActionId action =
+      sig.register_action([&](hwsim::Core& c, std::uint64_t arg) {
+        handled_on = static_cast<int>(c.id());
+        handled_at = c.clock();
+        handled_arg = arg;
+      });
   const Cycles send_time = m.core(0).clock();
-  sig.send(m.core(0), 1, [&](hwsim::Core& c) {
-    handled_on = static_cast<int>(c.id());
-    handled_at = c.clock();
-  });
+  sig.send(m.core(0), 1, action, 7);
   EXPECT_TRUE(m.run());
+  EXPECT_EQ(handled_arg, 7u);
   EXPECT_EQ(handled_on, 1);
   EXPECT_EQ(sig.sent(), 1u);
   EXPECT_EQ(sig.delivered(), 1u);
@@ -58,7 +63,7 @@ TEST(SignalPath, SenderPaysKernelSendPath) {
   LinuxStack lx(m);
   SignalPath sig(lx);
   const Cycles before = m.core(0).clock();
-  sig.send(m.core(0), 1, [](hwsim::Core&) {});
+  sig.send(m.core(0), 1, kNoSignalAction);
   const Cycles sender_cost = m.core(0).clock() - before;
   const auto& c = lx.costs();
   EXPECT_EQ(sender_cost, c.syscall_entry + c.mitigation + c.syscall_exit +
@@ -71,7 +76,7 @@ TEST(SignalPath, LatencyHistogramPopulated) {
   SignalPath sig(lx);
   for (int i = 0; i < 50; ++i) {
     sig.send_from_kernel(0, static_cast<Cycles>(i) * 100'000, 1,
-                         [](hwsim::Core&) {});
+                         kNoSignalAction);
   }
   EXPECT_TRUE(m.run());
   EXPECT_EQ(sig.delivered(), 50u);

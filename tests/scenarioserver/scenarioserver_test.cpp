@@ -352,13 +352,4 @@ TEST(ScenarioVersionGateDeathTest, RejectsTruncatedOrPaddedImages) {
   EXPECT_DEATH((void)hwsim::Snapshot::deserialize(truncated), "");
 }
 
-TEST(ScenarioVersionGateDeathTest, RejectsSerializingLegacyClosures) {
-  // Same-instance snapshots may hold closures; a portable image may not.
-  hwsim::MachineConfig mc = donor_config();
-  hwsim::Machine m(mc);
-  m.schedule_at(1'000, [] {});
-  const hwsim::Snapshot snap = m.snapshot();
-  EXPECT_DEATH((void)snap.serialize(), "registered EventSink");
-}
-
 }  // namespace
