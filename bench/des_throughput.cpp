@@ -130,7 +130,7 @@ Row run_one(unsigned cores, hwsim::SchedulerKind sched, Cycles sim_cycles,
 
 /// Hot-path allocation discipline: growth reallocations per million
 /// events, measured over a post-warmup window (the first fifth of the
-/// run absorbs slab growth past MachineConfig::inbox_reserve; steady
+/// run absorbs slab growth past the machine's fixed queue reserve; steady
 /// state should add ~nothing).
 double measure_allocs_per_million(unsigned cores,
                                   hwsim::SchedulerKind sched,

@@ -8,7 +8,6 @@
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "des_workload.hpp"
-#include "hwsim/arena.hpp"
 #include "hwsim/event_queue.hpp"
 #include "hwsim/machine.hpp"
 #include "mem/buddy_allocator.hpp"
@@ -84,23 +83,6 @@ void BM_EventQueuePushPopPacked(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(q.grow_allocs()));
 }
 BENCHMARK(BM_EventQueuePushPopPacked)->Arg(64)->Arg(1024)->Arg(65536);
-
-// One epoch's worth of arena traffic: carve outbox-sized blocks, then
-// reset. Steady state must be allocation-free (grows() flat) — the
-// per-epoch contract ParallelEngine relies on.
-void BM_EpochArenaReset(benchmark::State& state) {
-  const auto carves = static_cast<std::size_t>(state.range(0));
-  hwsim::EpochArena arena;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < carves; ++i) {
-      benchmark::DoNotOptimize(arena.alloc(192, 64));
-    }
-    arena.reset();
-  }
-  state.counters["grows"] =
-      benchmark::Counter(static_cast<double>(arena.grows()));
-}
-BENCHMARK(BM_EpochArenaReset)->Arg(8)->Arg(64)->Arg(256);
 
 // Allocation-free timer-tagged CoreEvents (the dominant scheduled-work
 // case after the LapicTimer/PosixTimer conversion).

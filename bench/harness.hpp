@@ -16,7 +16,7 @@
 //                        off; results are bit-identical either way —
 //                        this is purely a wall-clock knob)
 //   --checkpoint-every=N capture a deterministic snapshot every N cycles
-//                        into a checkpoint ring (tools/ttreplay,
+//                        into a checkpoint list (tools/ttreplay,
 //                        tools/fault_bisect; omit the flag for off —
 //                        an explicit =0 is a usage error)
 //   --jobs=N             host worker pool size for batch consumers

@@ -252,8 +252,8 @@ class Core {
   void commit_fast_forward(const FastForwardPlan& plan);
 
   /// Pre-size both inboxes (heap + slab + free list) for `n` concurrent
-  /// events. Called by the Machine constructor from
-  /// MachineConfig::inbox_reserve so warm-up stops paying vector growth.
+  /// events. Called by the Machine constructor with its fixed queue
+  /// reserve so warm-up stops paying vector growth.
   void reserve_inboxes(std::size_t n) {
     irq_inbox_.reserve(n);
     callback_inbox_.reserve(n);

@@ -78,12 +78,6 @@ struct CoreEvent {
   /// re-arm from the ideal and jitter never accumulates into drift.
   /// Equal to `time` whenever no fault plan is active.
   Cycles ideal{0};
-  /// Portable identity of `timer` (Machine::register_timer_sink). The
-  /// hot path never reads it; Machine::snapshot() stamps it into queue
-  /// copies so Snapshot::serialize() can encode the fire without the
-  /// pointer, and Machine::restore() resolves it back against the
-  /// target machine's registry.
-  SinkId timer_sink{kNoSink};
   SinkId sink{kNoSink};
   EventPayload payload;
 };
@@ -176,21 +170,12 @@ class TimedQueue {
     free_.clear();
   }
 
-  /// Visit every queued event (heap order, not time order — digest code
-  /// must sort by (time, seq) before hashing so that two machines with
+  /// Visit every queued event (heap order, not time order — snapshot
+  /// code sorts by (time, seq) before writing, so that two machines with
   /// the same *logical* queue contents but different push interleavings
-  /// hash identically). Replaces the old raw() accessor, which exposed
-  /// the heap array directly back when events were stored inline.
+  /// write the same image).
   template <class F>
   void for_each(F&& f) const {
-    for (const Rec& r : heap_) f(slab_[r.idx]);
-  }
-
-  /// Mutable visit, for snapshot code that rewrites non-ordering fields
-  /// in place (timer pointer <-> sink id translation). Mutating `time`
-  /// or `seq` through this would desynchronize the packed keys.
-  template <class F>
-  void for_each_mutable(F&& f) {
     for (const Rec& r : heap_) f(slab_[r.idx]);
   }
 

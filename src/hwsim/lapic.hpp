@@ -42,7 +42,7 @@ class LapicTimer final : public TimerSink, public SnapshotParticipant {
 
   // SnapshotParticipant: arming mode and the generation counter. The
   // in-flight fire events themselves live in the core's callback inbox,
-  // which the machine snapshot copies wholesale; restoring generation_
+  // which the machine's snapshot image records; restoring generation_
   // alongside keeps their gen checks consistent, so a fire scheduled
   // after the snapshot point (gen bumped post-snapshot) is correctly
   // absent after restore and cannot resurrect.

@@ -23,6 +23,19 @@ constexpr unsigned kAutoLinearScanMax = 4;
 /// no-ops, so attempt placement can never change results.
 constexpr std::uint64_t kFfMinBackoff = 8;
 constexpr std::uint64_t kFfMaxBackoff = 512;
+
+/// Smallest profitable fast-forward window, measured past the earliest
+/// runnable core's clock: smaller proven windows step normally (the
+/// proof scan costs O(cores); skipping a handful of steps cannot repay
+/// it).
+constexpr Cycles kFfMinWindow = 256;
+
+/// Concurrent events every queue (the machine queue and both inboxes of
+/// every core: heap, payload slab, and free list) is pre-sized for at
+/// construction, so warm-up runs stop paying std::vector growth on the
+/// hot path. The heartbeat workloads hold a handful of in-flight events
+/// per core; grow_allocs() counts any growth past this.
+constexpr std::size_t kQueueReserve = 16;
 }  // namespace
 
 Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
@@ -68,13 +81,8 @@ Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
     frontier_tree_.assign(2 * std::bit_ceil(std::size_t{cfg.num_cores}),
                           kNoEntry);
   }
-  // Pre-size every event queue from the config so warm-up runs never
-  // pay vector growth on the hot path (satellite of the hot-path memory
-  // discipline pass; grow_allocs() observes any overflow).
-  if (cfg.inbox_reserve != 0) {
-    machine_queue_.reserve(cfg.inbox_reserve);
-    for (auto& c : cores_) c->reserve_inboxes(cfg.inbox_reserve);
-  }
+  machine_queue_.reserve(kQueueReserve);
+  for (auto& c : cores_) c->reserve_inboxes(kQueueReserve);
   // Cores are born dirty but could not register while cores_ was still
   // being filled; seed the frontier index now.
   refresh_frontier();
@@ -546,7 +554,7 @@ bool Machine::try_fast_forward(Cycles want) {
   if (h == kNever) return false;
   // Profitability: the proof scan is O(cores); a window that replays
   // only a few steps per core is cheaper to execute for real.
-  if (h <= saturating_add(proof.earliest_clock, pol.min_skip)) return false;
+  if (h <= saturating_add(proof.earliest_clock, kFfMinWindow)) return false;
   // Driver certification, the second half of the proof obligation:
   // every runnable core below the horizon must certify its steps inert
   // and supply the exact stepped trajectory. One decline aborts the

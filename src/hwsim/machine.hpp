@@ -64,7 +64,7 @@ namespace iw::hwsim {
 
 class IpiOutbox;
 class ParallelEngine;
-struct Snapshot;
+class Snapshot;
 class SnapshotParticipant;
 
 enum class SchedulerKind : std::uint8_t {
@@ -122,10 +122,6 @@ struct PendingIpi {
 /// equivalence matrix), so enabling it is purely a wall-clock choice.
 struct FastForwardPolicy {
   bool enabled{false};
-  /// Minimum profitable window, measured past the earliest runnable
-  /// core's clock: smaller proven windows step normally (the proof scan
-  /// costs O(cores); skipping a handful of steps cannot repay it).
-  Cycles min_skip{256};
   /// Emit an "ff.skip" span per skipped per-core window so Chrome
   /// traces show the analytically-covered region explicitly. Off by
   /// default: the spans are the one observable artifact skipping may
@@ -189,11 +185,6 @@ struct MachineConfig {
   /// Explicit seed for the fault streams (0 = derive from `seed`). Lets a
   /// sweep vary the fault schedule while the workload stays fixed.
   std::uint64_t fault_seed{0};
-  /// Pre-size every event queue (machine queue + both inboxes of every
-  /// core: heap, payload slab, and free list) for this many concurrent
-  /// events at construction, so warm-up runs stop paying std::vector
-  /// growth reallocations on the hot path. 0 disables pre-sizing.
-  std::size_t inbox_reserve{16};
 };
 
 /// The machine IS a stack substrate (the paper's point, made literal):
@@ -333,9 +324,8 @@ class Machine final : public substrate::StackSubstrate {
   /// Register a timer sink so queued timer fires gain a portable
   /// identity (the snapshot stores the id; restore maps it back to the
   /// target machine's table). Timer devices self-register in their
-  /// constructors. An unregistered TimerSink still works for
-  /// same-instance runs — its in-flight fires just make the snapshot
-  /// non-serializable.
+  /// constructors. An unregistered TimerSink still runs, but snapshot()
+  /// aborts while one of its fires is pending.
   SinkId register_timer_sink(TimerSink* s);
   void unregister_timer_sink(SinkId id);
   [[nodiscard]] TimerSink* timer_sink(SinkId id) const {
@@ -456,11 +446,11 @@ class Machine final : public substrate::StackSubstrate {
 
   // --- deterministic checkpoint/restore (src/hwsim/snapshot.cpp) ---
 
-  /// Capture the complete dynamic state. Legal only between runs (never
-  /// from inside this machine's own DES loop — queues are mid-mutation
-  /// there). The snapshot restores only into this same instance; see
-  /// snapshot.hpp for the contract and Snapshot::digest() for the
-  /// cross-machine-comparable part.
+  /// Capture the complete dynamic state as a v2 image. Legal only
+  /// between runs (never from inside this machine's own DES loop —
+  /// queues are mid-mutation there). Aborts on a pending fire of an
+  /// unregistered TimerSink. See snapshot.hpp for the contract and
+  /// Snapshot::digest() for the cross-machine-comparable part.
   [[nodiscard]] Snapshot snapshot();
 
   /// Rewind to a previously captured state. `restore(s); run_until(T)`
@@ -468,7 +458,9 @@ class Machine final : public substrate::StackSubstrate {
   /// uninterrupted original run, under every scheduler × steal × ff
   /// mode. Asserts the snapshot came from this machine shape (version,
   /// fingerprint, core and participant counts) and that no run is in
-  /// progress. Scheduling caches are rebuilt (all cores marked dirty,
+  /// progress. Every queue is cleared and refilled from the image's
+  /// records, their timer and sink ids resolved against this machine's
+  /// tables. Scheduling caches are rebuilt (all cores marked dirty,
   /// frontier refreshed) rather than restored — they are derived state.
   void restore(const Snapshot& s);
 
@@ -516,7 +508,7 @@ class Machine final : public substrate::StackSubstrate {
   [[nodiscard]] std::uint64_t total_advances() const { return advances_; }
   /// Hot-path growth reallocations since construction: queue/slab growth
   /// across the machine queue and every core inbox, plus the parallel
-  /// engine's epoch-scratch arena growth. A warmed steady-state run
+  /// engine's outbox spill growth. A warmed steady-state run
   /// should hold this flat; bench/des_throughput reports the delta as
   /// allocs_per_million_events.
   [[nodiscard]] std::uint64_t hot_path_allocs() const;

@@ -73,21 +73,11 @@ constexpr int kSpinsBeforeYield = 200;
 
 ParallelEngine::ParallelEngine(Machine& machine, unsigned threads,
                                bool steal)
-    : machine_(machine),
-      steal_enabled_(steal),
-      // Size the arena so the outbox carve (slot blocks + padded claim
-      // counters) fits one block; the build is then exactly one heap
-      // allocation, reused for the pool's lifetime.
-      arena_(std::max<std::size_t>(
-          std::size_t{1} << 16,
-          sizeof(IrqEvent) * std::size_t{machine.num_cores()} *
-                  IpiOutbox::kSlotsPerTarget +
-              sizeof(IpiOutbox::Counter) *
-                  (std::size_t{machine.num_cores()} + 1))) {
+    : machine_(machine), steal_enabled_(steal) {
   const unsigned cores = machine.num_cores();
   threads_ = std::max(1u, std::min(threads, cores));
   lanes_.resize(cores);
-  outbox_.configure(arena_, cores);
+  outbox_.configure(cores);
   blocks_ = std::make_unique<ShardBlock[]>(threads_);
   tallies_ = std::make_unique<EpochTally[]>(threads_);
   workers_.reserve(threads_ - 1);

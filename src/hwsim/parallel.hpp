@@ -2,9 +2,8 @@
 // hwsim::Machine (SchedulerKind::kParallelEpoch with
 // ShardPolicy::kPerCore).
 //
-// The engine owns a persistent host worker pool, an epoch-scoped bump
-// arena (hwsim/arena.hpp) backing the fabric outbox, and the per-core
-// scratch lanes that make an epoch drain shard-local. Machine::
+// The engine owns a persistent host worker pool, the fabric outbox, and
+// the per-core scratch lanes that make an epoch drain shard-local. Machine::
 // parallel_run_per_core drives it: compute the epoch horizon from the
 // lookahead bound, fan the drain out across the pool, then merge the
 // staged outbox deliveries deterministically at the barrier. The drain
@@ -41,7 +40,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "hwsim/arena.hpp"
 #include "hwsim/machine.hpp"
 
 namespace iw::obs {
@@ -53,9 +51,9 @@ namespace iw::hwsim {
 /// Fixed-capacity atomic outbox lanes for buffered fabric deliveries
 /// (the HVM2-style replacement for per-lane std::vector outboxes).
 ///
-/// Layout: per target core, kSlotsPerTarget IrqEvent slots carved out
-/// of the engine's EpochArena plus one cache-line-private atomic claim
-/// counter. stage() claims a slot index with a relaxed fetch_add and
+/// Layout: per target core, kSlotsPerTarget IrqEvent slots plus one
+/// cache-line-private atomic claim counter, all in one allocation the
+/// outbox owns. stage() claims a slot index with a relaxed fetch_add and
 /// writes the event in place — no lock, no allocation; the rare
 /// overflow beyond the fixed capacity falls back to a mutex-guarded
 /// spill vector (counted, see spills and spill_grow_allocs).
@@ -84,13 +82,25 @@ class IpiOutbox {
     std::atomic<std::uint32_t> v{0};
   };
 
-  /// Carve slot storage for `num_targets` lanes out of `arena`. Called
-  /// once per pool build; the arena must outlive the outbox.
-  void configure(EpochArena& arena, unsigned num_targets) {
+  /// Allocate the lanes of `num_targets` targets: the slots, then the
+  /// counters from the first cache-line boundary past them, in one
+  /// zero-filled allocation with a spare line for that alignment. The
+  /// 64 KB floor keeps the size the engine's bump arena used to give it:
+  /// parallel_4k's two-thread rate moves with heap placement. Called
+  /// once per pool build.
+  void configure(unsigned num_targets) {
     num_targets_ = num_targets;
-    slots_ = arena.alloc_array<IrqEvent>(
-        static_cast<std::size_t>(num_targets) * kSlotsPerTarget);
-    counters_ = arena.alloc_array<Counter>(num_targets);
+    const std::size_t slot_bytes = sizeof(IrqEvent) *
+                                   std::size_t{num_targets} *
+                                   kSlotsPerTarget;
+    storage_ = std::make_unique<std::byte[]>(std::max<std::size_t>(
+        std::size_t{1} << 16,
+        slot_bytes + sizeof(Counter) * (std::size_t{num_targets} + 1)));
+    slots_ = reinterpret_cast<IrqEvent*>(storage_.get());
+    const std::uintptr_t end =
+        reinterpret_cast<std::uintptr_t>(storage_.get()) + slot_bytes;
+    counters_ = reinterpret_cast<Counter*>(
+        (end + alignof(Counter) - 1) & ~std::uintptr_t{alignof(Counter) - 1});
     for (unsigned i = 0; i < num_targets; ++i) new (&counters_[i]) Counter();
     staged_.store(0, std::memory_order_relaxed);
   }
@@ -148,8 +158,9 @@ class IpiOutbox {
 
  private:
   unsigned num_targets_{0};
-  IrqEvent* slots_{nullptr};       // arena-owned, num_targets_ * kSlots
-  Counter* counters_{nullptr};     // arena-owned, one per target
+  std::unique_ptr<std::byte[]> storage_;  // slots, then counters
+  IrqEvent* slots_{nullptr};       // num_targets_ * kSlotsPerTarget
+  Counter* counters_{nullptr};     // one per target
   std::atomic<std::uint64_t> staged_{0};
   std::mutex spill_mu_;
   std::vector<PendingIpi> spill_;
@@ -289,11 +300,10 @@ class ParallelEngine {
   /// fabric traffic is not part of the snapshot format.
   [[nodiscard]] bool quiescent() const { return outbox_.staged() == 0; }
 
-  /// Heap allocations attributable to the engine's epoch scratch:
-  /// arena block growth plus outbox spill growth (feeds
-  /// Machine::hot_path_allocs).
+  /// Heap allocations of the engine's epoch scratch after the pool
+  /// build: outbox spill growth (feeds Machine::hot_path_allocs).
   [[nodiscard]] std::uint64_t scratch_grow_allocs() const {
-    return arena_.grows() + outbox_.spill_grow_allocs();
+    return outbox_.spill_grow_allocs();
   }
 
  private:
@@ -316,9 +326,6 @@ class ParallelEngine {
   Machine& machine_;
   unsigned threads_{1};
   bool steal_enabled_{true};
-  /// Backing store for the outbox slot blocks and claim counters; built
-  /// once per pool, reused every epoch.
-  EpochArena arena_;
   IpiOutbox outbox_;
   std::vector<Lane> lanes_;  // one per core
   /// One block per host thread (array: ShardBlock holds an atomic and

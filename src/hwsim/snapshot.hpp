@@ -2,8 +2,8 @@
 //
 // A Snapshot is a complete capture of a machine's dynamic state at a
 // point strictly between run_until() calls: core clocks and IRQ state,
-// every event queue (machine callbacks, per-core IRQ inboxes, per-core
-// timer/callback inboxes), the per-source sequence and IPI provenance
+// every event queue (machine sink events, per-core IRQ inboxes, per-core
+// timer/sink-event inboxes), the per-source sequence and IPI provenance
 // counters, the machine Rng, the FaultInjector's per-stream RNG states
 // and counters, fast-forward accounting/backoff, and one opaque blob
 // per registered SnapshotParticipant (timer devices, watchdogs,
@@ -12,21 +12,20 @@
 // schedules — to the uninterrupted run, under every scheduler, steal
 // mode, and fast-forward mode.
 //
-// Restore contract (format v2): pending work is plain data. Timer
-// fires carry a registered TimerSink id, machine/core events carry a
-// registered EventSink id plus an EventPayload — so Snapshot::
-// serialize() produces a self-contained word image that hydrates a
-// FRESH Machine built from the same MachineConfig with the same
+// A snapshot IS its format-v2 word image: Machine::snapshot() writes
+// it once and holds nothing else. Pending work is plain data — a timer
+// fire is its registered TimerSink id, a machine/core event its
+// registered EventSink id plus an EventPayload — so the image hydrates
+// a FRESH Machine built from the same MachineConfig with the same
 // deterministic setup (participants, sinks, and timers registered in
-// the same order), bit-identically to a same-instance restore. No
-// queued event holds a closure, so every snapshot serializes; the one
-// exception is a pending fire of a TimerSink that never registered,
-// which serialize() rejects with a diagnostic.
+// the same order), bit-identically to a same-instance restore. The one
+// state snapshot() cannot encode is a pending fire of a TimerSink that
+// never registered; it aborts with a diagnostic.
 //
 // What IS comparable across machines (and across scheduler/steal/ff
 // configurations of the same scenario) is digest(): an FNV-1a hash
-// over the pointer-free word image plus the (time, seq)-sorted logical
-// queue contents (sink ids and payload words, never pointers).
+// over the digested state words plus the (time, seq)-ordered queue
+// records (sink ids and payload words, never pointers).
 // Wall-clock-heuristic state (fast-forward accounting, backoff, fault
 // opportunity cursors) is restored exactly but kept in a separate
 // non-digested section so digests stay equal across ff on/off. See
@@ -35,14 +34,14 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "hwsim/event_queue.hpp"
 
 namespace iw::hwsim {
 
@@ -60,6 +59,16 @@ class SnapshotWriter {
     words_.push_back(bits);
   }
 
+  /// Open a length-prefixed section: write a placeholder length word
+  /// and return its position for end_section().
+  std::size_t begin_section() {
+    words_.push_back(0);
+    return words_.size() - 1;
+  }
+  /// Close the section opened at `at`: its length word becomes the
+  /// number of words written since.
+  void end_section(std::size_t at) { words_[at] = words_.size() - at - 1; }
+
   [[nodiscard]] std::size_t size() const { return words_.size(); }
   [[nodiscard]] const std::vector<std::uint64_t>& words() const {
     return words_;
@@ -74,12 +83,18 @@ class SnapshotWriter {
 /// reading past its section is a format bug, not a recoverable error.
 class SnapshotReader {
  public:
-  explicit SnapshotReader(const std::vector<std::uint64_t>& words)
+  explicit SnapshotReader(std::span<const std::uint64_t> words)
       : words_(words) {}
 
   std::uint64_t u64() {
     IW_ASSERT_MSG(pos_ < words_.size(), "snapshot word stream underrun");
     return words_[pos_++];
+  }
+  /// The next `n` words, consumed (a length-prefixed section's body).
+  std::span<const std::uint64_t> take(std::size_t n) {
+    IW_ASSERT_MSG(n <= remaining(), "snapshot word stream underrun");
+    pos_ += n;
+    return words_.subspan(pos_ - n, n);
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   bool b() { return u64() != 0; }
@@ -94,7 +109,7 @@ class SnapshotReader {
   [[nodiscard]] std::size_t remaining() const { return words_.size() - pos_; }
 
  private:
-  const std::vector<std::uint64_t>& words_;
+  std::span<const std::uint64_t> words_;
   std::size_t pos_{0};
 };
 
@@ -155,107 +170,54 @@ class SnapshotParticipant {
   ~SnapshotParticipant() = default;
 };
 
-/// One captured machine state. Produced by Machine::snapshot(),
-/// consumed by Machine::restore() — on the same instance, or (via
-/// serialize()/deserialize()) on a fresh machine built from the same
-/// MachineConfig with identical deterministic setup.
-struct Snapshot {
+/// One captured machine state, held as its self-contained v2 word
+/// image: magic, version, config fingerprint, capture time and
+/// participant count, then three length-prefixed sections — the
+/// digested state words, the ephemeral words, and every queue as
+/// plain-data records in (time, seq) order. Produced by
+/// Machine::snapshot(); one validating decoder (snapshot.cpp) serves
+/// deserialize(), digest() and Machine::restore(), which hydrates this
+/// machine or a fresh one built from the same MachineConfig with
+/// identical deterministic setup.
+class Snapshot {
+ public:
   static constexpr std::uint64_t kFormatVersion = 2;
-  /// First word of every serialized image ("IWSNAP\0\0" little-endian):
-  /// lets deserialize() reject arbitrary bytes before trusting lengths.
+  /// First word of every image ("IWSNAP\0\0" little-endian): lets the
+  /// decoder reject arbitrary bytes before trusting lengths.
   static constexpr std::uint64_t kMagic = 0x0000'5041'4E53'5749ULL;
 
-  std::uint64_t version{kFormatVersion};
-  /// Hash of the immutable configuration (core count, seeds) — restore
-  /// refuses a snapshot from a differently-shaped machine. Scheduler,
-  /// thread count, steal, and ff mode are deliberately excluded: they
-  /// are execution strategies, not state, and may change between
-  /// snapshot and restore.
-  std::uint64_t fingerprint{0};
   /// Virtual time the snapshot was taken at (== machine.now()).
-  Cycles at{0};
-  /// Digested state image: everything semantically observable.
-  std::vector<std::uint64_t> words;
-  /// Restored-but-not-digested state: fast-forward accounting/backoff
-  /// and fault opportunity/script cursors. Exact restore needs them;
-  /// including them in the digest would break digest equality across
-  /// ff on/off (ff legitimately skips fault *opportunities* inside
-  /// proven-quiet windows without changing any draw).
-  std::vector<std::uint64_t> ephemeral;
-  /// Value-copies of the event queues. Every record is plain data; a
-  /// same-instance capture's timer fires also keep their TimerSink
-  /// pointer (restore re-resolves registered ones from `timer_sink`).
-  TimedQueue<Event> machine_queue;
-  struct CoreQueues {
-    TimedQueue<IrqEvent> irq;
-    TimedQueue<CoreEvent> callbacks;
-  };
-  std::vector<CoreQueues> cores;
-  std::size_t participant_count{0};
+  [[nodiscard]] Cycles at() const;
 
-  /// FNV-1a over the pointer-free image: version, at, `words`, and the
-  /// (time, seq)-sorted logical contents of every queue. Comparable
-  /// across machines and across scheduler × steal × ff configurations
-  /// of the same scenario; also doubles as a final-state digest.
+  /// FNV-1a over the pointer-free state: version, at, the digested
+  /// words, and every queue record with the same constant words the
+  /// digest has always mixed. Comparable across machines and across
+  /// scheduler × steal × ff configurations of the same scenario; also
+  /// doubles as a final-state digest.
   [[nodiscard]] std::uint64_t digest() const;
 
-  /// Approximate retained size, for ring-capacity decisions.
-  [[nodiscard]] std::size_t footprint_words() const;
+  /// A copy of the image.
+  [[nodiscard]] std::vector<std::uint64_t> serialize() const {
+    return image_;
+  }
 
-  /// Self-contained v2 word image: magic, version, fingerprint, state
-  /// words, and every queue as plain-data records (timer-sink ids,
-  /// event-sink ids, payloads). Aborts with a diagnostic if a pending
-  /// fire belongs to an unregistered timer.
-  [[nodiscard]] std::vector<std::uint64_t> serialize() const;
-
-  /// Rebuild a Snapshot from a serialized image. Aborts with a clear
-  /// diagnostic on a bad magic word, a format version this build does
-  /// not read, a length past the image, an IRQ vector out of range, or
-  /// a queued record whose sink words cannot name exactly one sink.
-  /// The result restores into any machine with a matching
-  /// config fingerprint; Machine::restore() resolves the recorded sink
-  /// ids against that machine's dispatch tables.
+  /// Validate `image` and wrap a copy. Aborts with a clear diagnostic on
+  /// a bad magic word, a format version this build does not read, a
+  /// length past the image, an IRQ vector out of range, a queued record
+  /// whose sink words cannot name exactly one sink, or trailing words.
+  /// The result restores into any machine with a matching config
+  /// fingerprint; Machine::restore() resolves the recorded sink ids
+  /// against that machine's dispatch tables.
   [[nodiscard]] static Snapshot deserialize(
       const std::vector<std::uint64_t>& image);
-};
-
-/// Bounded FIFO ring of checkpoints ordered by capture time. Backs the
-/// `--checkpoint-every=N` harness flag and the restore-point search in
-/// tools/ttreplay and tools/fault_bisect.
-class CheckpointRing {
- public:
-  explicit CheckpointRing(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Append a checkpoint (evicting the oldest at capacity). Capture
-  /// times must be non-decreasing.
-  void push(Snapshot snap) {
-    IW_ASSERT_MSG(snaps_.empty() || snaps_.back().at <= snap.at,
-                  "CheckpointRing: checkpoints must be pushed in time order");
-    if (snaps_.size() == capacity_) snaps_.pop_front();
-    snaps_.push_back(std::move(snap));
-  }
-
-  /// Latest checkpoint with at <= t, or nullptr if none retained.
-  [[nodiscard]] const Snapshot* nearest_at_or_before(Cycles t) const {
-    for (auto it = snaps_.rbegin(); it != snaps_.rend(); ++it) {
-      if (it->at <= t) return &*it;
-    }
-    return nullptr;
-  }
-
-  [[nodiscard]] std::size_t size() const { return snaps_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] bool empty() const { return snaps_.empty(); }
-  /// Oldest-first indexed access.
-  [[nodiscard]] const Snapshot& at(std::size_t i) const {
-    IW_ASSERT(i < snaps_.size());
-    return snaps_[i];
-  }
 
  private:
-  std::size_t capacity_;
-  std::deque<Snapshot> snaps_;
+  friend class Machine;
+
+  explicit Snapshot(std::vector<std::uint64_t> image)
+      : image_(std::move(image)) {}
+
+  std::vector<std::uint64_t> image_;
 };
 
 }  // namespace iw::hwsim

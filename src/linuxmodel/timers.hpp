@@ -44,7 +44,7 @@ class PosixTimer final : public hwsim::TimerSink,
   // and cursor, and the slack Rng stream (restoring it keeps the
   // post-restore expiry slack draws identical to the uninterrupted
   // run). The in-flight expiry event lives in the core's callback
-  // inbox, captured by the machine's queue copy; cb_ is structural.
+  // inbox, recorded in the machine's image; cb_ is structural.
   void save_state(hwsim::SnapshotWriter& w) const override;
   void restore_state(hwsim::SnapshotReader& r) override;
 

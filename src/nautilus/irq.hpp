@@ -134,7 +134,7 @@ class CoreWatchdog final : public hwsim::SnapshotParticipant,
 
   // SnapshotParticipant: armed flag, generation counter, fire count,
   // and the per-core progress probes. Restoring gen_ together with the
-  // machine's queue copy is the stale-fire defense: a check chain armed
+  // machine's queue records is the stale-fire defense: a check chain armed
   // *after* the snapshot (gen_ = G+1) is absent from the restored
   // queues, and the restored gen_ = G matches only the chain that was
   // actually pending at capture time.

@@ -29,7 +29,7 @@ void run_one(const ScenarioBatch& batch, const hwsim::Snapshot& warm,
   auto harness = batch.factory(m);
   m.restore(warm);
   m.install_fault_plan(spec.plan, spec.fault_seed);
-  IW_ASSERT_MSG(spec.horizon > warm.at,
+  IW_ASSERT_MSG(spec.horizon > warm.at(),
                 "scenario horizon must lie past the warmed snapshot");
   const bool ok = m.run_until(spec.horizon);
   IW_ASSERT_MSG(ok, "scenario run hit a machine limit before its horizon");
@@ -49,8 +49,9 @@ void run_one(const ScenarioBatch& batch, const hwsim::Snapshot& warm,
 
 ResultsStore ScenarioServer::run(const ScenarioBatch& batch,
                                  std::vector<ScenarioSpec> specs) {
-  // Hydrating once here also front-loads the format gate: a bad image
-  // aborts before any worker spawns.
+  // Validating the image once here front-loads the format gate: a bad
+  // image aborts before any worker spawns. Every run restores from this
+  // one validated copy.
   const hwsim::Snapshot warm = hwsim::Snapshot::deserialize(batch.image);
 
   ScenarioQueue queue;

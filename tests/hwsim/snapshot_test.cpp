@@ -204,7 +204,7 @@ CellResult run_cell(const SchedCell& cell, bool ff, const char* faults,
   m.set_tracer(&pre);
   EXPECT_TRUE(m.run_until(kMid)) << label;
   hwsim::Snapshot snap = m.snapshot();
-  EXPECT_EQ(snap.at, m.now()) << label;
+  EXPECT_EQ(snap.at(), m.now()) << label;
 
   CellResult r;
   r.prologue_hash = trace_hash(pre);
@@ -224,7 +224,7 @@ CellResult run_cell(const SchedCell& cell, bool ff, const char* faults,
 
   // Replay leg: rewind and re-run the same window.
   m.restore(snap);
-  EXPECT_EQ(m.now(), snap.at) << label;
+  EXPECT_EQ(m.now(), snap.at()) << label;
   obs::TraceRecorder t2;
   m.set_tracer(&t2);
   EXPECT_TRUE(m.run_until(kEnd)) << label;
@@ -246,7 +246,7 @@ CellResult run_cell(const SchedCell& cell, bool ff, const char* faults,
   hwsim::Machine fresh(mc);
   SnapWorkload fw(fresh);
   fresh.restore(warm);
-  EXPECT_EQ(fresh.now(), snap.at) << label;
+  EXPECT_EQ(fresh.now(), snap.at()) << label;
   obs::TraceRecorder t3;
   fresh.set_tracer(&t3);
   EXPECT_TRUE(fresh.run_until(kEnd)) << label;
@@ -627,53 +627,38 @@ TEST(Snapshot, FaultScriptSubsetKeepsOnlySelectedEvents) {
   EXPECT_EQ(m.fault_injector().counters().ipis_dropped, half.size());
 }
 
-// -------------------------------------------------------- checkpoint ring
+// ------------------------------------------------------------ image format
 
-TEST(Snapshot, CheckpointRingEvictsOldestAndSearchesByTime) {
-  hwsim::CheckpointRing ring(3);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.nearest_at_or_before(1'000'000), nullptr);
-  for (Cycles t : {100u, 200u, 300u, 400u}) {
-    hwsim::Snapshot s;
-    s.at = t;
-    ring.push(std::move(s));
-  }
-  EXPECT_EQ(ring.size(), 3u);        // 100 evicted
-  EXPECT_EQ(ring.at(0).at, 200u);    // oldest retained
-  EXPECT_EQ(ring.nearest_at_or_before(150), nullptr);
-  EXPECT_EQ(ring.nearest_at_or_before(200)->at, 200u);
-  EXPECT_EQ(ring.nearest_at_or_before(399)->at, 300u);
-  EXPECT_EQ(ring.nearest_at_or_before(5'000)->at, 400u);
+/// Index of the queue section (its first word is the machine-queue
+/// length) in a v2 image: past the five header words and the two
+/// length-prefixed word sections.
+std::size_t queue_section(const std::vector<std::uint64_t>& image) {
+  const std::size_t ephemeral = 6 + image[5];
+  return ephemeral + 1 + image[ephemeral];
 }
 
 TEST(Snapshot, PackedQueueRoundTripPreservesContentsAndDigest) {
-  // Serialize with populated packed queues (machine sink events, core
-  // IRQ inboxes, timer fires in the callback inboxes) and hydrate the
-  // image back: the deserialized snapshot must carry the same logical
-  // queue contents — same sizes, same digest — even though the donor's
-  // heap/slab layout reflects its push history and the copy's reflects
-  // insertion order from the image.
-  hwsim::Machine m(make_config(kSchedMatrix[0], false, nullptr));
+  // Capture with populated packed queues (machine sink events, core IRQ
+  // inboxes, timer fires in the callback inboxes), deserialize, hydrate
+  // a fresh machine and capture it again: image and digest must come
+  // back word for word, even though the donor's heap/slab layout
+  // reflects its push history and the fresh machine's reflects the
+  // order restore() pushed the decoded records in.
+  const hwsim::MachineConfig mc = make_config(kSchedMatrix[0], false, nullptr);
+  hwsim::Machine m(mc);
   SnapWorkload w(m);
   ASSERT_TRUE(m.run_until(kMid));
   const hwsim::Snapshot donor = m.snapshot();
-  ASSERT_GT(donor.machine_queue.size(), 0u);
-  std::size_t pending_cb = 0;
-  for (const hwsim::Snapshot::CoreQueues& cq : donor.cores) {
-    pending_cb += cq.callbacks.size();
-  }
-  ASSERT_GT(pending_cb, 0u);  // the periodic LAPIC fire is in flight
+  const std::vector<std::uint64_t> image = donor.serialize();
+  ASSERT_GT(image[queue_section(image)], 0u);  // the machine tick chain
 
-  const hwsim::Snapshot copy =
-      hwsim::Snapshot::deserialize(donor.serialize());
+  const hwsim::Snapshot copy = hwsim::Snapshot::deserialize(image);
+  EXPECT_EQ(copy.serialize(), image);
   EXPECT_EQ(copy.digest(), donor.digest());
-  EXPECT_EQ(copy.machine_queue.size(), donor.machine_queue.size());
-  ASSERT_EQ(copy.cores.size(), donor.cores.size());
-  for (std::size_t i = 0; i < copy.cores.size(); ++i) {
-    EXPECT_EQ(copy.cores[i].irq.size(), donor.cores[i].irq.size());
-    EXPECT_EQ(copy.cores[i].callbacks.size(),
-              donor.cores[i].callbacks.size());
-  }
+  hwsim::Machine fresh(mc);
+  SnapWorkload fw(fresh);
+  fresh.restore(copy);
+  EXPECT_EQ(fresh.snapshot().serialize(), image);
 }
 
 /// Image of a bare 2-core machine whose core 0 holds one pending IRQ
@@ -686,16 +671,16 @@ std::vector<std::uint64_t> image_with_pending_irq(std::size_t* vector_at) {
   mc.num_cores = 2;
   hwsim::Machine m(mc);
   m.core(0).post_irq(1'000, 0x40);
-  const hwsim::Snapshot s = m.snapshot();
-  *vector_at = 13 + s.words.size() + s.ephemeral.size();
-  return s.serialize();
+  std::vector<std::uint64_t> image = m.snapshot().serialize();
+  *vector_at = queue_section(image) + 6;
+  return image;
 }
 
 TEST(Snapshot, DeserializeRejectsOutOfRangeVector) {
   std::size_t at = 0;
   const std::vector<std::uint64_t> good = image_with_pending_irq(&at);
   ASSERT_EQ(good[at], 0x40u);
-  EXPECT_EQ(hwsim::Snapshot::deserialize(good).cores[0].irq.size(), 1u);
+  EXPECT_EQ(hwsim::Snapshot::deserialize(good).serialize(), good);
   for (const std::int64_t bad : {std::int64_t{256}, std::int64_t{-1},
                                  std::int64_t{0x1'0000'0040}}) {
     std::vector<std::uint64_t> image = good;
@@ -732,10 +717,9 @@ SinkWords image_with_pending_sink_events() {
   const hwsim::SinkId id = m.register_event_sink(&sink);
   m.schedule_event(1'000, id);
   m.core(0).post_event(1'000, id);
-  const hwsim::Snapshot s = m.snapshot();
-  const std::size_t mq = 7 + s.words.size() + s.ephemeral.size();
   SinkWords out;
-  out.image = s.serialize();
+  out.image = m.snapshot().serialize();
+  const std::size_t mq = queue_section(out.image);
   out.machine_sink = mq + 3;
   out.core_timer_sink = mq + 15;
   out.core_sink = mq + 16;
@@ -747,8 +731,9 @@ TEST(Snapshot, DeserializeRejectsSinkWordsWiderThan32Bits) {
   ASSERT_EQ(good.image[good.machine_sink], 0u);
   ASSERT_EQ(good.image[good.core_timer_sink], hwsim::kNoSink);
   ASSERT_EQ(good.image[good.core_sink], 0u);
-  EXPECT_EQ(hwsim::Snapshot::deserialize(good.image).machine_queue.size(),
-            1u);
+  ASSERT_EQ(good.image[good.machine_sink - 3], 1u);  // |machine queue|
+  EXPECT_EQ(hwsim::Snapshot::deserialize(good.image).serialize(),
+            good.image);
   // 2^32 would truncate onto sink 0, a live sink, and dispatch there.
   const std::uint64_t wide = std::uint64_t{1} << 32;
   auto corrupt = [&good, wide](std::size_t i) {
@@ -812,15 +797,91 @@ TEST(Snapshot, DeserializeRejectsLengthsPastTheImage) {
       "IRQ-inbox length exceeds the remaining image");
 }
 
-TEST(Snapshot, DigestIsStableAndFootprintNonzero) {
+TEST(Snapshot, DigestIsStableAndImageIsVersioned) {
   hwsim::Machine m(make_config(kSchedMatrix[0], false, nullptr));
   SnapWorkload w(m);
   ASSERT_TRUE(m.run_until(60'000));
   const hwsim::Snapshot a = m.snapshot();
   const hwsim::Snapshot b = m.snapshot();
   EXPECT_EQ(a.digest(), b.digest());  // snapshot() is a pure read
-  EXPECT_GT(a.footprint_words(), 0u);
-  EXPECT_EQ(a.version, hwsim::Snapshot::kFormatVersion);
+  const std::vector<std::uint64_t> image = a.serialize();
+  EXPECT_EQ(image, b.serialize());
+  ASSERT_GE(image.size(), 2u);
+  EXPECT_EQ(image[0], hwsim::Snapshot::kMagic);
+  EXPECT_EQ(image[1], hwsim::Snapshot::kFormatVersion);
+}
+
+TEST(Snapshot, RejectsPendingFireOfUnregisteredTimer) {
+  // Timer devices self-register; a TimerSink that did not has no id the
+  // image could record its pending fire by.
+  struct Unregistered final : hwsim::TimerSink {
+    void on_timer(hwsim::Core&, Cycles, std::uint64_t) override {}
+  };
+  Unregistered timer;
+  hwsim::MachineConfig mc;
+  mc.num_cores = 2;
+  hwsim::Machine m(mc);
+  m.core(1).post_timer(1'000, &timer, 0);
+  EXPECT_DEATH((void)m.snapshot(),
+               "cannot serialize a pending fire for an unregistered "
+               "TimerSink");
+}
+
+/// FNV-1a over the bytes of `words`, low byte first (the digest's mix).
+std::uint64_t fnv_words(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::uint64_t w : words) {
+    for (int i = 0; i < 8; ++i, w >>= 8) {
+      h ^= w & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Snapshot, ImageFormatIsPinned) {
+  // A fixed 4-core machine captured with every record kind of the image
+  // pending: a machine sink event; IPIs in two IRQ inboxes, the one on
+  // vector 0x41 delayed and duplicated by the fault plan; a LAPIC timer
+  // fire and a core sink event in the callback inboxes; and a
+  // participant blob. The constants pin the v2 encoding and the digest:
+  // stored images and every pinned digest depend on both.
+  struct Blob final : hwsim::SnapshotParticipant, hwsim::EventSink {
+    void save_state(hwsim::SnapshotWriter& w) const override {
+      w.u64(0xB10B);
+      w.u64(7);
+    }
+    void restore_state(hwsim::SnapshotReader& r) override {
+      (void)r.u64();
+      (void)r.u64();
+    }
+    void on_machine_event(hwsim::Machine&, Cycles,
+                          const hwsim::EventPayload&) override {}
+    void on_core_event(hwsim::Core&, Cycles,
+                       const hwsim::EventPayload&) override {}
+  };
+  Blob blob;
+  hwsim::MachineConfig mc;
+  mc.num_cores = 4;
+  mc.seed = 7;
+  std::string err;
+  ASSERT_TRUE(hwsim::FaultPlan::parse("delay=1:500,dup=1:300,vector=65",
+                                      &mc.faults, &err))
+      << err;
+  hwsim::Machine m(mc);
+  m.register_snapshot_participant(&blob);
+  const hwsim::SinkId sink = m.register_event_sink(&blob);
+  hwsim::LapicTimer timer(m.core(0), 0x30);
+  timer.periodic(50'000);
+  m.schedule_event(70'000, sink, hwsim::EventPayload{{1, 2, 3, 4}});
+  m.core(3).post_event(60'000, sink, hwsim::EventPayload{{5, 6, 7, 8}});
+  EXPECT_EQ(m.post_ipi(1, 0x40, 100), hwsim::IpiStatus::kQueued);
+  EXPECT_EQ(m.post_ipi(2, 0x41, 100), hwsim::IpiStatus::kQueuedDelayed);
+  EXPECT_EQ(m.fault_injector().counters().ipis_duplicated, 1u);
+
+  const hwsim::Snapshot s = m.snapshot();
+  EXPECT_EQ(fnv_words(s.serialize()), 0x2fe37b32d8b8d249ULL);
+  EXPECT_EQ(s.digest(), 0x399c93764a843d3fULL);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //      (every armed event, identified by provenance — stream, site,
 //      opportunity index),
 //   2. re-runs it *scripted* (zero RNG draws) while capturing a
-//      checkpoint ring of deterministic snapshots, and
+//      deterministic snapshot every checkpoint interval, and
 //   3. delta-debugs (ddmin) the event list down to a minimal failing
 //      subset, restoring each trial from the nearest checkpoint that
 //      precedes the first removed event instead of re-running the
@@ -87,9 +87,9 @@ Cycles first_removed_time(const std::vector<hwsim::FaultEvent>& all,
   return kNever;  // subset == all: nothing removed
 }
 
-/// One reusable bisection session: a single machine instance (snapshots
-/// only restore into the machine that took them) plus the checkpoint
-/// ring captured under the full recorded script.
+/// One reusable bisection session: a single machine instance and its
+/// workload, plus the checkpoints (snapshots, oldest first) captured
+/// under the full recorded script.
 class BisectSession {
  public:
   BisectSession(const hwsim::MachineConfig& mc, const hwsim::FaultPlan& plan,
@@ -117,7 +117,7 @@ class BisectSession {
   /// Does the failure reproduce under the subset schedule? In
   /// checkpoint mode the trial restores from the latest snapshot that
   /// strictly precedes the first event the subset removed (relative to
-  /// the schedule the ring was captured under); in scratch mode it
+  /// the schedule the checkpoints were captured under); in scratch mode it
   /// always rewinds to the earliest checkpoint.
   bool trial_fails(const std::vector<hwsim::FaultEvent>& subset,
                    bool use_checkpoints) {
@@ -127,14 +127,14 @@ class BisectSession {
     if (use_checkpoints) {
       const Cycles diverge = first_removed_time(baseline_, subset);
       for (const hwsim::Snapshot& s : checkpoints_) {
-        if (s.at < diverge) from = &s;
+        if (s.at() < diverge) from = &s;
       }
     }
     machine_.restore(*from);
     // The gap predicate is monotone (a running max), so a trial can
     // stop at the first checkpoint interval where it trips — both
     // modes get the early exit; only the skipped prologue differs.
-    Cycles t = from->at;
+    Cycles t = from->at();
     while (t < opt_.horizon && !workload_->failed(opt_.gap_factor)) {
       const Cycles stop =
           std::min<Cycles>((t / opt_.every + 1) * opt_.every, opt_.horizon);
@@ -149,17 +149,17 @@ class BisectSession {
   /// prefix that is still on its trajectory and recapture the suffix
   /// under the new script. Without this, every trial after the first
   /// reduction diverges from the *original* schedule almost
-  /// immediately and the ring degenerates to from-scratch replay.
+  /// immediately and the checkpoints degenerate to from-scratch replay.
   void rebaseline(const std::vector<hwsim::FaultEvent>& cur) {
     const Cycles diverge = first_removed_time(baseline_, cur);
     std::size_t keep = 1;
-    while (keep < checkpoints_.size() && checkpoints_[keep].at < diverge) {
+    while (keep < checkpoints_.size() && checkpoints_[keep].at() < diverge) {
       ++keep;
     }
     machine_.fault_injector().set_script(plan_, cur);
     machine_.restore(checkpoints_[keep - 1]);
-    checkpoints_.resize(keep);
-    const Cycles from = checkpoints_.back().at;
+    checkpoints_.erase(checkpoints_.begin() + keep, checkpoints_.end());
+    const Cycles from = checkpoints_.back().at();
     cycles_replayed_ += opt_.horizon - from;
     for (Cycles t = (from / opt_.every + 1) * opt_.every; t < opt_.horizon;
          t += opt_.every) {
@@ -232,7 +232,7 @@ class BisectSession {
 
   hwsim::FaultPlan plan_;
   std::vector<hwsim::FaultEvent> all_;
-  /// The schedule the checkpoint ring is currently captured under.
+  /// The schedule the checkpoints are currently captured under.
   std::vector<hwsim::FaultEvent> baseline_;
   Options opt_;
   hwsim::Machine machine_;
@@ -303,7 +303,7 @@ int run(const Options& opt, iw::bench::Harness& hx) {
   std::printf("recorded %zu armed fault events, max gap %.2f periods\n",
               events.size(), baseline_gap);
 
-  // Phase 2: scripted baseline with a checkpoint ring.
+  // Phase 2: scripted baseline with checkpoints.
   hwsim::MachineConfig script_mc = mc;  // faults installed via set_script
   BisectSession session(script_mc, plan, events, opt);
   if (!session.full_script_fails()) {

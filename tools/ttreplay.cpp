@@ -68,8 +68,8 @@ struct Options {
   bool selftest{false};
 };
 
-/// One checkpointed forward pass, kept alive so its snapshots can be
-/// restored (snapshots only restore into the machine that took them).
+/// One checkpointed forward pass, kept alive so its snapshots (oldest
+/// first) can be restored into the same machine and workload.
 class Session {
  public:
   Session(const hwsim::MachineConfig& mc, const Options& opt)
@@ -107,13 +107,13 @@ class Session {
     // so it serves as the floor for any earlier `a`.
     const hwsim::Snapshot* from = &ring_.front();
     for (const hwsim::Snapshot& s : ring_) {
-      if (s.at <= a) from = &s;
+      if (s.at() <= a) from = &s;
     }
     machine_.restore(*from);
     machine_.set_paranoid_frontier(true);
     obs::TraceRecorder warmup;
     machine_.set_tracer(&warmup);
-    run_to(std::max(a, from->at));
+    run_to(std::max(a, from->at()));
     obs::TraceRecorder tr;
     machine_.set_tracer(&tr);
     run_to(b);
