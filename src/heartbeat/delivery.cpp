@@ -151,7 +151,7 @@ void NautilusHeartbeat::on_core_event(hwsim::Core& core, Cycles,
   const Cycles fire = payload.w[0];
   core.consume(ft_.poll_cost);
   if (mark_delivery_once(core.id(), core.clock(), fire)) {
-    ++polled_beats_;
+    polled_beats_.fetch_add(1, std::memory_order_relaxed);
     if (auto* mx = machine_->metrics()) {
       mx->add(obs::names::kFaultsPolledBeats);
     }
@@ -170,7 +170,7 @@ void NautilusHeartbeat::save_state(hwsim::SnapshotWriter& w) const {
   w.u64(bad_rounds_);
   w.u64(good_rounds_);
   w.u64(missed_beats_);
-  w.u64(polled_beats_);
+  w.u64(polled_beats());
   w.u64(degraded_entries_);
   w.u64(recoveries_);
 }
@@ -187,7 +187,7 @@ void NautilusHeartbeat::restore_state(hwsim::SnapshotReader& r) {
   bad_rounds_ = static_cast<unsigned>(r.u64());
   good_rounds_ = static_cast<unsigned>(r.u64());
   missed_beats_ = r.u64();
-  polled_beats_ = r.u64();
+  polled_beats_.store(r.u64(), std::memory_order_relaxed);
   degraded_entries_ = r.u64();
   recoveries_ = r.u64();
 }
@@ -204,6 +204,13 @@ void NautilusHeartbeat::start(Cycles period, unsigned num_workers) {
   num_workers_ = num_workers;
   period_ = period;
   ipi_seen_.assign(machine_->num_cores(), 0);
+  // CPU 0's handler supervises every worker: it reads their BeatState
+  // and ipi_seen_, marks them resumed, posts their degraded-mode polls
+  // and writes the last_fire_ their handlers read. Declared serial, it
+  // runs only in sequential epochs under per-core epochs, where every
+  // worker sits at its sequential point; between those epochs each
+  // worker's handlers touch only the worker's own slots.
+  machine_->declare_serial_core(0);
   // Install per-core handlers: the IPI (or local fire on CPU 0) simply
   // sets the promotion flag — the entire handler body. Dedupe by fire
   // window, so a fabric-duplicated IPI cannot double-count a beat; the

@@ -21,6 +21,7 @@
 // folded into the steady-state inter-beat statistics.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -161,7 +162,9 @@ class NautilusHeartbeat final : public HeartbeatBackend,
 
   [[nodiscard]] bool degraded() const { return degraded_; }
   [[nodiscard]] std::uint64_t missed_beats() const { return missed_beats_; }
-  [[nodiscard]] std::uint64_t polled_beats() const { return polled_beats_; }
+  [[nodiscard]] std::uint64_t polled_beats() const {
+    return polled_beats_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] std::uint64_t degraded_entries() const {
     return degraded_entries_;
   }
@@ -193,6 +196,7 @@ class NautilusHeartbeat final : public HeartbeatBackend,
   /// Virtual time of the most recent LAPIC fire (set by the CPU 0
   /// handler before the IPI fan-out; the DES runs handlers in causal
   /// order, so worker deliveries always see the fire that caused them).
+  /// Under per-core epochs it is written only in sequential epochs.
   Cycles last_fire_{0};
   std::unique_ptr<hwsim::LapicTimer> timer_;
 
@@ -205,7 +209,9 @@ class NautilusHeartbeat final : public HeartbeatBackend,
   unsigned bad_rounds_{0};
   unsigned good_rounds_{0};
   std::uint64_t missed_beats_{0};
-  std::uint64_t polled_beats_{0};
+  /// Every worker's degraded poll counts here, in parallel epochs too
+  /// (a relaxed atomic: only the sum is ever read).
+  std::atomic<std::uint64_t> polled_beats_{0};
   std::uint64_t degraded_entries_{0};
   std::uint64_t recoveries_{0};
 };

@@ -183,6 +183,13 @@ class Core {
     return std::min(callback_inbox_.peek_time(), irq_t);
   }
 
+  /// Earliest event in either inbox, whatever the interrupt mask (a
+  /// step may unmask a queued IRQ); kNever if both are empty. The
+  /// per-core epoch engine's serial-core test.
+  [[nodiscard]] Cycles earliest_event() const {
+    return std::min(callback_inbox_.peek_time(), irq_inbox_.peek_time());
+  }
+
   /// Deliver all events due at or before the current clock: core events
   /// unconditionally, IRQs only while interrupts are enabled. Each IRQ
   /// pays dispatch + return costs from the cost model. advance() calls

@@ -276,6 +276,15 @@ SinkId Machine::timer_sink_id(const TimerSink* s) const {
   return kNoSink;
 }
 
+void Machine::declare_serial_core(CoreId core) {
+  IW_ASSERT_MSG(core < cores_.size(),
+                "declare_serial_core: core out of range");
+  if (std::find(serial_cores_.begin(), serial_cores_.end(), core) ==
+      serial_cores_.end()) {
+    serial_cores_.push_back(core);
+  }
+}
+
 void Machine::install_fault_plan(const FaultPlan& plan,
                                  std::uint64_t fault_seed) {
   IW_ASSERT_MSG(exec_ctx().machine != this,

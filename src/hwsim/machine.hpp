@@ -80,15 +80,19 @@ enum class SchedulerKind : std::uint8_t {
 enum class ShardPolicy : std::uint8_t {
   /// All cores in one shard (default): the epoch loop degenerates to
   /// the sequential pick order, chunked by the lookahead horizon. Safe
-  /// for every workload — including drivers that mutate other cores'
-  /// state directly (heartbeat degraded mode, cross-core event posts) —
-  /// and bit-identical to kFrontier/kLinearScan by construction.
+  /// for every workload — including drivers and handlers that post into
+  /// other cores' inboxes or mutate their state directly (nautilus
+  /// remote spawn/wake, SignalPath delivery) — and bit-identical to
+  /// kFrontier/kLinearScan by construction.
   kSingleGroup,
   /// One shard per core: the true parallel engine. Requires shard-safe
-  /// workloads: during an epoch drain a core context may post events
+  /// workloads: during a parallel epoch a core context may post events
   /// only to itself; cross-core traffic must go through the IPI fabric
   /// (send_ipi/broadcast_ipi/post_ipi), which is buffered and merged
-  /// at the barrier. Violations are caught by IW_ASSERT.
+  /// at the barrier. Violations are caught by IW_ASSERT. The one
+  /// exception is a declared serial core (declare_serial_core): its
+  /// events run only in sequential epochs, so its handlers may touch
+  /// every core — the heartbeat supervisor on CPU 0 does.
   kPerCore,
 };
 
@@ -357,9 +361,9 @@ class Machine final : public substrate::StackSubstrate {
 
   /// Run until `stop()` returns true or no work remains.
   /// Returns false if a hard-stop watchdog fired. Under kParallelEpoch
-  /// with ShardPolicy::kPerCore, `stop` and the watchdogs are evaluated
-  /// at epoch barriers only (the sequential schedulers and kSingleGroup
-  /// check per advance).
+  /// with ShardPolicy::kPerCore, `stop` is evaluated at epoch barriers
+  /// only, and so are the watchdogs outside sequential epochs (the
+  /// sequential schedulers and kSingleGroup check per advance).
   bool run(const std::function<bool()>& stop = nullptr);
 
   /// Run until virtual time `t` has been reached on the frontier.
@@ -424,10 +428,28 @@ class Machine final : public substrate::StackSubstrate {
   [[nodiscard]] ParallelTotals parallel_totals() const;
   /// Full O(cores) next-action scans the per-core epoch loop has run
   /// since construction: one per run entry, plus one after every
-  /// machine-queue turn, fast-forward commit and advance-budgeted
-  /// epoch; every other epoch start is folded from the previous
-  /// epoch's drains and merge. Observability/test hook.
+  /// machine-queue turn, fast-forward commit, sequential epoch and
+  /// epoch that ran out of advance budget; every other epoch start is
+  /// folded from the previous epoch's drains and merge.
+  /// Observability/test hook.
   [[nodiscard]] std::uint64_t horizon_scans() const { return horizon_scans_; }
+
+  /// Declare `core` serial for the per-core epoch engine: any epoch
+  /// whose horizon lies past the earliest event in its inboxes (both
+  /// heads, whatever the interrupt mask) runs as one sequential epoch —
+  /// the sequential pick order over every core, with the shard guard
+  /// off — so the core's event handlers may read and post into other
+  /// cores. Its driver steps must still be shard-safe: they also run in
+  /// parallel epochs, and one that posts its own core an event due
+  /// before the epoch horizon aborts with a diagnostic naming the core.
+  /// Idempotent; no other scheduler reads the set, and no snapshot,
+  /// fingerprint or digest carries it (the workload re-declares it on
+  /// every machine it is built on).
+  void declare_serial_core(CoreId core);
+  /// Sequential epochs the per-core epoch engine has run since
+  /// construction. Deterministic and host-independent; kept out of
+  /// snapshots, like horizon_scans(). Observability/test hook.
+  [[nodiscard]] std::uint64_t serial_epochs() const { return serial_epochs_; }
   /// Cores an invalidation has pushed onto the kFrontier dirty list
   /// since construction (run-entry and restore refreshes not counted).
   /// The stepping core rewrites its own leaf, so only invalidations
@@ -637,6 +659,22 @@ class Machine final : public substrate::StackSubstrate {
                                  Cycles until);
   bool parallel_run_per_core(const std::function<bool()>& stop,
                              Cycles until);
+  /// Why run_picks returned.
+  enum class PickExit : std::uint8_t { kHorizon, kStopped, kWatchdog };
+  /// The sequential pick order, one epoch of it: execute the earliest
+  /// entity (the machine queue winning time ties) until every one is at
+  /// or past `horizon`, checking `stop` (may be null) and the watchdogs
+  /// before each advance. kSingleGroup epochs and the per-core engine's
+  /// sequential epochs both run through it.
+  PickExit run_picks(Cycles horizon, const std::function<bool()>& stop);
+  /// Earliest event in any serial core's inboxes, whatever the
+  /// interrupt mask (kNever without serial cores): an epoch whose
+  /// horizon lies past it runs sequentially.
+  [[nodiscard]] Cycles serial_head() const;
+  [[nodiscard]] bool is_serial_core(CoreId id) const {
+    return std::find(serial_cores_.begin(), serial_cores_.end(), id) !=
+           serial_cores_.end();
+  }
   /// Earliest uncached next-action time over all cores (kNever if
   /// none): the per-core loop's full scan.
   [[nodiscard]] Cycles next_action_scan();
@@ -698,10 +736,14 @@ class Machine final : public substrate::StackSubstrate {
   std::vector<PaddedCount> ipis_by_source_;
   std::uint64_t advances_{0};
   /// True while a per-core epoch drain could be executing shard
-  /// contexts (set for the duration of a per-core parallel run).
+  /// contexts (set for the duration of a per-core parallel run, cleared
+  /// for its sequential epochs).
   bool per_core_drain_active_{false};
   std::unique_ptr<ParallelEngine> parallel_;
   std::uint64_t horizon_scans_{0};
+  /// Declared serial cores (declare_serial_core), in declaration order.
+  std::vector<CoreId> serial_cores_;
+  std::uint64_t serial_epochs_{0};
   /// Registered snapshot participants, in registration order.
   std::vector<SnapshotParticipant*> participants_;
   /// Dispatch tables for portable events (sink.hpp). Index = SinkId;

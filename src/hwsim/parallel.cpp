@@ -48,6 +48,18 @@
 //    things the claim pattern changes — are invisible to traces,
 //    metrics, and machine state.
 //
+//  * Sequential epochs for serial cores. A core declared serial
+//    (Machine::declare_serial_core) runs handlers that read and write
+//    other cores' state — the heartbeat supervisor on CPU 0. Any epoch
+//    whose horizon lies past the earliest event in a serial core's
+//    inboxes runs in the sequential pick order instead, with every
+//    shard parked and the shard guard off, then forces the full scan.
+//    Such a delivery therefore sees every core exactly at its
+//    sequential point. Parallel epochs deliver no serial-core event
+//    (the engine checks the inbox heads against the horizon after every
+//    advance of a serial core), so outside sequential epochs only a
+//    core's owner reads or writes the state those handlers touch.
+//
 // ShardPolicy::kSingleGroup keeps the same epoch structure but drains
 // the one shard with the sequential pick loop itself — safe for
 // workloads that mutate other cores' state directly, and trivially
@@ -55,6 +67,7 @@
 #include "hwsim/parallel.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -68,6 +81,23 @@ namespace {
 /// multi-core hosts without live-locking oversubscribed ones (CI
 /// containers may give the whole pool a single CPU).
 constexpr int kSpinsBeforeYield = 200;
+
+/// A serial core's own step posted it an event due inside a parallel
+/// epoch: delivering it there would run a serial handler beside the
+/// other shards, out of the sequential order.
+[[noreturn]] void serial_post_inside_epoch(unsigned core, Cycles due,
+                                           Cycles horizon) {
+  char msg[320];
+  std::snprintf(msg, sizeof msg,
+                "serial core %u posted itself an event due at cycle %llu, "
+                "before the parallel epoch's horizon %llu (a serial "
+                "core's driver steps must stay shard-safe: post its own "
+                "events at or past the horizon)",
+                core, static_cast<unsigned long long>(due),
+                static_cast<unsigned long long>(horizon));
+  detail::assert_fail("serial core inbox head >= epoch horizon", __FILE__,
+                      __LINE__, msg);
+}
 
 }  // namespace
 
@@ -104,28 +134,33 @@ void ParallelEngine::set_scratch_enabled(bool on) {
 bool ParallelEngine::drain_core(unsigned core, Cycles horizon,
                                 EpochTally* tally) {
   Core& c = machine_.core(core);
-  Lane& lane = lanes_[core];
-  Machine::ExecScope scope(machine_, core + 1, lane.scratch.get(),
-                           &outbox_);
+  // The caller's epoch_scope() bound this thread to the machine and the
+  // outbox; the shard retargets only the source and scratch registry.
+  Machine::ExecCtx& ctx = Machine::exec_ctx();
+  ctx.source = core + 1;
+  ctx.scratch = lanes_[core].scratch.get();
   // Every advance returns the core's next action, so the loop pays one
   // next-action computation per advance and stops on the value the next
   // horizon folds. A watchdog-bounded epoch claims a budget slot before
-  // every advance: fetch_add hands out at most budget_limit_ sub-limit
-  // slots across all threads, so the epoch executes at most that many
-  // events no matter how shards are distributed.
+  // every advance (see claim_advance), so the epoch executes at most
+  // budget_limit_ events no matter how shards are distributed. A serial
+  // core starts the epoch with nothing due before the horizon; after
+  // every advance its inbox heads are checked against it again.
   const bool budgeted = budget_limit_ != 0;
+  const bool serial = machine_.is_serial_core(core);
   std::uint64_t n = 0;
   bool ok = true;
   Cycles next = c.next_action_time_uncached();
   while (next < horizon) {
-    if (budgeted &&
-        budget_used_.fetch_add(1, std::memory_order_relaxed) >=
-            budget_limit_) {
+    if (budgeted && !claim_advance()) {
       ok = false;
       break;
     }
     next = c.advance();
     ++n;
+    if (serial && c.earliest_event() < horizon) {
+      serial_post_inside_epoch(core, c.earliest_event(), horizon);
+    }
   }
   tally->advances += n;
   tally->max_shard = std::max(tally->max_shard, n);
@@ -166,6 +201,7 @@ void ParallelEngine::worker_main(unsigned self) {
       if (++spins > kSpinsBeforeYield) std::this_thread::yield();
     }
     last_epoch = e;
+    const Machine::ExecScope scope = epoch_scope();
     tallies_[self] = drain_pool(self, horizon_);
     done_.fetch_add(1, std::memory_order_release);
   }
@@ -174,11 +210,13 @@ void ParallelEngine::worker_main(unsigned self) {
 EpochTally ParallelEngine::drain_epoch(Cycles horizon,
                                        std::uint64_t max_advances) {
   budget_limit_ = max_advances;
+  budget_taken_ = 0;
   budget_used_.store(0, std::memory_order_relaxed);
   EpochTally total;
   if (threads_ == 1) {
     // Threadless path: the coordinator drains every shard itself — no
     // cursors, no barrier, still the same shard-local event order.
+    const Machine::ExecScope scope = epoch_scope();
     for (unsigned i = 0; i < machine_.num_cores(); ++i) {
       if (!drain_core(i, horizon, &total)) break;
     }
@@ -197,7 +235,10 @@ EpochTally ParallelEngine::drain_epoch(Cycles horizon,
     horizon_ = horizon;
     ++epochs_issued_;
     epoch_.store(epochs_issued_, std::memory_order_release);
-    tallies_[0] = drain_pool(0, horizon);
+    {
+      const Machine::ExecScope scope = epoch_scope();
+      tallies_[0] = drain_pool(0, horizon);
+    }
     const std::uint64_t expect = epochs_issued_ * (threads_ - 1);
     int spins = 0;
     while (done_.load(std::memory_order_acquire) != expect) {
@@ -249,14 +290,12 @@ bool Machine::parallel_run(const std::function<bool()>& stop, Cycles until) {
 bool Machine::parallel_run_single_group(const std::function<bool()>& stop,
                                         Cycles until) {
   const Cycles la = std::max<Cycles>(1, lookahead());
-  const bool time_watchdog = cfg_.max_time != 0;
-  const bool advance_watchdog = cfg_.max_advances != 0;
   // Fast-forward target: between epochs the coordinator may take an
   // analytic stride over a proven-quiet span. Unlike an epoch, the
   // stride is NOT bounded by the lookahead — inert steps post nothing,
   // so no cross-core effect exists for the lookahead to order.
   Cycles ff_want = until;
-  if (time_watchdog) {
+  if (cfg_.max_time != 0) {
     ff_want = std::min(ff_want, saturating_add(cfg_.max_time, 1));
   }
   for (;;) {
@@ -264,26 +303,57 @@ bool Machine::parallel_run_single_group(const std::function<bool()>& stop,
     if (cfg_.fast_forward.enabled && try_fast_forward(ff_want)) continue;
     const Pick first = linear_peek();
     if (first.time == kNever || first.time >= until) return true;
-    const Cycles horizon = std::min(until, saturating_add(first.time, la));
     // One shard: the sequential pick loop, chunked by the horizon. The
     // machine queue participates directly (linear_peek gives it time
     // ties), so this is the sequential schedule verbatim.
-    for (;;) {
-      if (stop && stop()) return true;
-      if (time_watchdog && now() > cfg_.max_time) {
-        IW_LOG_WARN("machine watchdog: virtual time limit %llu exceeded",
-                    static_cast<unsigned long long>(cfg_.max_time));
-        return false;
-      }
-      if (advance_watchdog && advances_ > cfg_.max_advances) {
-        IW_LOG_WARN("machine watchdog: advance limit exceeded");
-        return false;
-      }
-      const Pick p = linear_peek();
-      if (p.time >= horizon) break;  // epoch exhausted
-      execute(p);
-    }
+    const PickExit exit =
+        run_picks(std::min(until, saturating_add(first.time, la)), stop);
+    if (exit != PickExit::kHorizon) return exit == PickExit::kStopped;
   }
+}
+
+Machine::PickExit Machine::run_picks(Cycles horizon,
+                                     const std::function<bool()>& stop) {
+  const bool time_watchdog = cfg_.max_time != 0;
+  const bool advance_watchdog = cfg_.max_advances != 0;
+  for (;;) {
+    if (stop && stop()) return PickExit::kStopped;
+    if (time_watchdog && now() > cfg_.max_time) {
+      IW_LOG_WARN("machine watchdog: virtual time limit %llu exceeded",
+                  static_cast<unsigned long long>(cfg_.max_time));
+      return PickExit::kWatchdog;
+    }
+    if (advance_watchdog && advances_ > cfg_.max_advances) {
+      IW_LOG_WARN("machine watchdog: advance limit exceeded");
+      return PickExit::kWatchdog;
+    }
+    // Cached next-action times, recomputed only where an invalidation
+    // marked a core dirty: the contract that keeps the frontier's leaves
+    // exact keeps them exact here, and paranoid_frontier checks every
+    // pick against the uncached scan.
+    Pick p{machine_queue_.peek_time(), nullptr};
+    for (auto& c : cores_) {
+      const Cycles t = c->next_action_time();
+      if (t < p.time) p = {t, c.get()};
+    }
+    if (cfg_.paranoid_frontier) {
+      const Pick ref = linear_peek();
+      IW_ASSERT_MSG(ref.time == p.time && ref.core == p.core,
+                    "sequential pick diverged from the linear scan — a "
+                    "driver mutated runnable state without "
+                    "mark_schedule_dirty()");
+    }
+    if (p.time >= horizon) return PickExit::kHorizon;  // epoch exhausted
+    execute(p);
+  }
+}
+
+Cycles Machine::serial_head() const {
+  Cycles t = kNever;
+  for (const CoreId c : serial_cores_) {
+    t = std::min(t, cores_[c]->earliest_event());
+  }
+  return t;
 }
 
 bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
@@ -378,6 +448,24 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
       horizon = std::min(horizon, saturating_add(cfg_.max_time, 1));
       horizon = std::max(horizon, saturating_add(e, 1));
     }
+    if (serial_head() < horizon) {
+      // Sequential epoch: a serial core has an event due before the
+      // horizon, and its handlers may read or post into any core. Run
+      // the epoch in the sequential pick order on this thread, with
+      // every shard parked and the shard guard off (as for a
+      // machine-queue turn), then rescan: its deliveries may have moved
+      // any core.
+      per_core_drain_active_ = false;
+      const PickExit exit = run_picks(horizon, nullptr);
+      per_core_drain_active_ = true;
+      ++serial_epochs_;
+      rescan = true;
+      if (exit == PickExit::kWatchdog) {
+        ok = false;
+        break;
+      }
+      continue;
+    }
     // Advance budget for this epoch: the watchdog fires at advances_ >
     // max_advances, so cap the epoch at the advances still allowed
     // (overshoot of at most one barrier's worth of in-flight claims
@@ -388,9 +476,11 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
     const EpochTally tally = parallel_->drain_epoch(horizon, budget);
     advances_ += tally.advances;
     e = std::min(tally.next, parallel_->merge_outboxes());
-    // A budget may stop the epoch before some cores reach the horizon,
-    // leaving their next actions unreported.
-    rescan = budget != 0;
+    // An epoch that ran out of budget may have stopped cores short of
+    // the horizon, leaving their next actions unreported. Every failed
+    // claim comes after `budget` successful ones, so an epoch that used
+    // less never ran out and its fold is exact.
+    rescan = budget != 0 && tally.advances >= budget;
   }
   per_core_drain_active_ = false;
   parallel_->merge_scratch_metrics(metrics_);

@@ -8,8 +8,10 @@
 // lookahead bound, fan the drain out across the pool, then merge the
 // staged outbox deliveries deterministically at the barrier. The drain
 // and the merge also report the earliest next-action time they leave
-// behind, so the next horizon needs no O(cores) rescan. See
-// parallel.cpp for the determinism argument.
+// behind, so the next horizon needs no O(cores) rescan. An epoch that
+// must run sequentially (a serial core has an event due before its
+// horizon) bypasses the engine: the coordinator runs the sequential
+// pick order itself. See parallel.cpp for the determinism argument.
 //
 // Shard scheduling inside an epoch: each host thread owns a static
 // block of shard ids, re-seeded at epoch start, with one claim cursor
@@ -230,8 +232,8 @@ struct alignas(64) EpochTally {
   /// observability only).
   std::uint64_t steals{0};
   /// Earliest next-action time among the drained cores at the point
-  /// each stopped. Meaningful only for an epoch without an advance
-  /// budget, where every core drains to the horizon.
+  /// each stopped. Meaningful only for an epoch that did not run out of
+  /// advance budget, where every core drains to the horizon.
   Cycles next{kNever};
 
   void add(const EpochTally& o) {
@@ -277,9 +279,9 @@ class ParallelEngine {
   /// bounds the advances performed this epoch (0 = unbounded): when the
   /// shared budget is exhausted every thread stops claiming and
   /// draining, so a watchdog-bounded run overshoots by at most the
-  /// in-flight events. Returns the advances performed and, for an
-  /// unbudgeted epoch, the earliest next-action time the drained cores
-  /// stopped at. On return all shards are parked.
+  /// in-flight events. Returns the advances performed and, for an epoch
+  /// that did not run out of budget, the earliest next-action time the
+  /// drained cores stopped at. On return all shards are parked.
   EpochTally drain_epoch(Cycles horizon, std::uint64_t max_advances = 0);
 
   /// Flush the staged outbox deliveries into the target inboxes
@@ -314,10 +316,26 @@ class ParallelEngine {
     std::unique_ptr<obs::MetricsRegistry> scratch;
   };
 
+  /// Bind the calling host thread to the machine and the outbox for
+  /// one epoch's drains (drain_core retargets the source per shard).
+  [[nodiscard]] Machine::ExecScope epoch_scope() {
+    return Machine::ExecScope(machine_, 0, nullptr, &outbox_);
+  }
   /// Drain one shard, folding its advances and stop time into
   /// `*tally`; returns false when the epoch advance budget ran out
-  /// mid-drain (callers stop claiming shards).
+  /// mid-drain (callers stop claiming shards). Aborts, naming the core,
+  /// when a serial core's step posts it an event due before `horizon`.
+  /// Runs inside an epoch_scope().
   bool drain_core(unsigned core, Cycles horizon, EpochTally* tally);
+  /// Claim one advance of the epoch budget. One host thread owns the
+  /// whole budget and counts in a plain word; a pool shares it through
+  /// one relaxed fetch_add per advance, which hands out at most
+  /// budget_limit_ sub-limit slots across all threads.
+  bool claim_advance() {
+    if (threads_ == 1) return budget_taken_++ < budget_limit_;
+    return budget_used_.fetch_add(1, std::memory_order_relaxed) <
+           budget_limit_;
+  }
   /// One thread's share of an epoch: drain the own block, then (with
   /// stealing on) what the other blocks still hold.
   EpochTally drain_pool(unsigned self, Cycles horizon);
@@ -332,10 +350,13 @@ class ParallelEngine {
   /// is neither movable nor copyable).
   std::unique_ptr<ShardBlock[]> blocks_;
 
-  // Per-epoch advance budget (0 = unlimited). budget_used_ is a shared
-  // pre-claim counter: a thread advances only after claiming a slot
-  // below the limit, so at most `max_advances` events run epoch-wide.
+  // Per-epoch advance budget (0 = unlimited). A thread advances only
+  // after claiming a slot below the limit, so at most `max_advances`
+  // events run epoch-wide: budget_taken_ counts the slots when the
+  // coordinator drains alone, budget_used_ is the pool's shared
+  // pre-claim counter.
   std::uint64_t budget_limit_{0};
+  std::uint64_t budget_taken_{0};
   std::atomic<std::uint64_t> budget_used_{0};
 
   // Coordinator-only run totals, folded from the tallies (and the

@@ -1,15 +1,14 @@
 // Scenario specs and per-run results for the scenario server.
 //
 // A scenario is one cell of an experiment matrix: an execution strategy
-// (scheduler × shard policy × threads × steal × ff) crossed with a
-// fault environment (FaultPlan × fault_seed) over a fixed workload and
-// machine shape. The workload and shape are pinned by the batch's
-// warmed snapshot (see server.hpp): every run hydrates the same v2
-// image into a fresh Machine and diverges only through the installed
-// fault plan — so two cells with the same (plan, fault_seed) but
-// different execution strategies MUST produce the same digest, and the
-// `group` field names that equivalence class for the results store to
-// check.
+// (scheduler × threads × steal × ff) crossed with a fault environment
+// (FaultPlan × fault_seed) over a fixed workload and machine shape. The
+// workload and shape are pinned by the batch's warmed snapshot (see
+// server.hpp): every run hydrates the same v2 image into a fresh
+// Machine and diverges only through the installed fault plan — so two
+// cells with the same (plan, fault_seed) but different execution
+// strategies MUST produce the same digest, and the `group` field names
+// that equivalence class for the results store to check.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +38,12 @@ struct ScenarioSpec {
   /// Human-readable cell label carried into the JSONL record.
   std::string label;
 
-  hwsim::SchedulerKind scheduler{hwsim::SchedulerKind::kFrontier};
-  hwsim::ShardPolicy shard_policy{hwsim::ShardPolicy::kSingleGroup};
+  /// kParallelEpoch always runs per-core shards (ShardPolicy::kPerCore):
+  /// at one host thread the fastest engine for the heartbeat workloads,
+  /// whose supervisor core is declared serial. A batch whose workload
+  /// posts across cores outside the IPI fabric from a core that is not
+  /// declared serial must ask for kFrontier.
+  hwsim::SchedulerKind scheduler{hwsim::SchedulerKind::kParallelEpoch};
   unsigned threads{1};
   bool work_stealing{true};
   bool fast_forward{false};

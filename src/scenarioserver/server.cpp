@@ -20,7 +20,7 @@ void run_one(const ScenarioBatch& batch, const hwsim::Snapshot& warm,
              const ScenarioSpec& spec, RunArena& arena, ResultsStore& out) {
   hwsim::MachineConfig cfg = batch.base;
   cfg.scheduler = spec.scheduler;
-  cfg.shard_policy = spec.shard_policy;
+  cfg.shard_policy = hwsim::ShardPolicy::kPerCore;
   cfg.threads = spec.threads;
   cfg.work_stealing = spec.work_stealing;
   cfg.fast_forward.enabled = spec.fast_forward;

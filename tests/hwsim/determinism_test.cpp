@@ -70,12 +70,16 @@ constexpr std::uint64_t kBudgets[] = {kWatchdog, 0};
 
 /// Fig. 3-style workload: LAPIC-driven heartbeat on CPU 0 broadcasting
 /// IPIs to every worker, over cores that are busy with uneven spin work.
-HeartbeatRun run_heartbeat(unsigned cores, hwsim::SchedulerKind sched,
-                           bool paranoid = false,
-                           std::uint64_t max_advances = kWatchdog) {
+HeartbeatRun run_heartbeat(
+    unsigned cores, hwsim::SchedulerKind sched, bool paranoid = false,
+    std::uint64_t max_advances = kWatchdog,
+    hwsim::ShardPolicy policy = hwsim::ShardPolicy::kSingleGroup,
+    unsigned threads = 1) {
   hwsim::MachineConfig mc;
   mc.num_cores = cores;
   mc.scheduler = sched;
+  mc.shard_policy = policy;
+  mc.threads = threads;
   mc.paranoid_frontier = paranoid;
   mc.max_advances = max_advances;
   hwsim::Machine m(mc);
@@ -122,21 +126,37 @@ TEST(SchedulerEquivalence, HeartbeatFrontierMatchesLinearScan) {
 }
 
 TEST(SchedulerEquivalence, HeartbeatParallelEpochMatchesFrontier) {
-  // The heartbeat workload mutates worker state across cores (degraded
-  // mode, promotion flags), so it runs kParallelEpoch under the default
-  // single-group shard policy — the epoch loop must still be
-  // bit-identical. (Shard-safe workloads cover kPerCore in
-  // parallel_epoch_test.cpp.)
+  // The CPU 0 handler reads every worker's beat state, so the heartbeat
+  // declares core 0 serial: per-core shards run its deliveries in
+  // sequential epochs and everything else in parallel. Both shard
+  // policies, and per-core shards on 1 and 2 host threads, must be
+  // bit-identical to the frontier. (tests/hwsim/serial_epoch_test.cpp
+  // runs the fault-tolerant supervisor through degraded mode.)
+  struct Leg {
+    hwsim::ShardPolicy policy;
+    unsigned threads;
+  };
+  const Leg legs[] = {{hwsim::ShardPolicy::kSingleGroup, 1},
+                      {hwsim::ShardPolicy::kPerCore, 1},
+                      {hwsim::ShardPolicy::kPerCore, 2}};
   for (const unsigned cores : {2u, 4u, 16u}) {
     const HeartbeatRun frontier =
         run_heartbeat(cores, hwsim::SchedulerKind::kFrontier);
-    for (const std::uint64_t budget : kBudgets) {
-      const HeartbeatRun parallel = run_heartbeat(
-          cores, hwsim::SchedulerKind::kParallelEpoch, false, budget);
-      EXPECT_EQ(frontier.hash, parallel.hash) << "cores=" << cores;
-      EXPECT_EQ(frontier.advances, parallel.advances) << "cores=" << cores;
-      EXPECT_EQ(frontier.ipis, parallel.ipis) << "cores=" << cores;
-      EXPECT_EQ(frontier.end_time, parallel.end_time) << "cores=" << cores;
+    for (const Leg& leg : legs) {
+      for (const std::uint64_t budget : kBudgets) {
+        const HeartbeatRun parallel = run_heartbeat(
+            cores, hwsim::SchedulerKind::kParallelEpoch,
+            /*paranoid=*/budget == 0, budget, leg.policy, leg.threads);
+        const std::string what =
+            "cores=" + std::to_string(cores) + " threads=" +
+            std::to_string(leg.threads) +
+            (leg.policy == hwsim::ShardPolicy::kPerCore ? " per-core"
+                                                        : " single-group");
+        EXPECT_EQ(frontier.hash, parallel.hash) << what;
+        EXPECT_EQ(frontier.advances, parallel.advances) << what;
+        EXPECT_EQ(frontier.ipis, parallel.ipis) << what;
+        EXPECT_EQ(frontier.end_time, parallel.end_time) << what;
+      }
     }
   }
 }

@@ -61,6 +61,8 @@ struct BcastRun {
   std::uint64_t irqs{0};
   std::uint64_t ipis{0};
   Cycles end_time{0};
+  std::uint64_t scans{0};
+  std::uint64_t serial_epochs{0};
 };
 
 /// Advance watchdog of the reference runs. Any nonzero max_advances
@@ -121,6 +123,8 @@ BcastRun run_broadcast(unsigned cores, SchedulerKind sched,
   for (const auto& c : irqs) r.irqs += c.v;
   r.ipis = m.total_ipis();
   r.end_time = m.now();
+  r.scans = m.horizon_scans();
+  r.serial_epochs = m.serial_epochs();
   return r;
 }
 
@@ -210,6 +214,31 @@ TEST(ParallelEpoch, BroadcastFanOutSpansAllShards) {
   std::uint64_t total = 0;
   for (const auto& c : irqs) total += c.v;
   EXPECT_EQ(total, seq.irqs);
+}
+
+TEST(ParallelEpoch, UnreachedAdvanceBudgetFoldsLikeNoBudget) {
+  // A watchdog the run never reaches must not cost full scans: only an
+  // epoch that ran out of budget leaves next actions unreported. Two run
+  // entries scan; every other epoch start is folded, budget or not.
+  for (const unsigned threads : {1u, 2u}) {
+    const BcastRun budgeted = run_broadcast(
+        8, SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore, threads,
+        kWatchdog);
+    const BcastRun free = run_broadcast(8, SchedulerKind::kParallelEpoch,
+                                        ShardPolicy::kPerCore, threads, 0);
+    EXPECT_EQ(budgeted.scans, free.scans) << "threads=" << threads;
+    EXPECT_EQ(free.scans, 2u) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelEpoch, NoSerialCoreRunsNoSequentialEpoch) {
+  // The broadcast workload declares no serial core: every epoch drains
+  // its shards in parallel, at every thread count.
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const BcastRun r = run_broadcast(8, SchedulerKind::kParallelEpoch,
+                                     ShardPolicy::kPerCore, threads, 0);
+    EXPECT_EQ(r.serial_epochs, 0u) << "threads=" << threads;
+  }
 }
 
 // ------------------------------------------------- epoch-boundary edges
