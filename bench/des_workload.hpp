@@ -17,37 +17,9 @@
 
 #include "hwsim/lapic.hpp"
 #include "hwsim/machine.hpp"
+#include "workloads/spin_driver.hpp"
 
 namespace iw::bench {
-
-/// Endless spin work: every core always runnable, constant step cost.
-/// Keeps the frontier maximally contended (N candidates every advance).
-/// Certifies its steps for fast-forward: a spin step consumes step_
-/// cycles and touches nothing else, so the trajectory to any horizon is
-/// closed-form (the quiescent-region case the skip-ahead mode exists
-/// for — between heartbeats every core is doing exactly this).
-class SpinForeverDriver final : public hwsim::CoreDriver {
- public:
-  explicit SpinForeverDriver(Cycles step) : step_(step) {}
-  bool runnable(hwsim::Core&) override { return true; }
-  void step(hwsim::Core& core) override { core.consume(step_); }
-
-  bool plan_fast_forward(hwsim::Core& core, Cycles horizon,
-                         hwsim::FastForwardPlan* plan) override {
-    // Stepping while clock < horizon executes ceil(gap / step_) steps,
-    // the last one carrying the clock to the first multiple at/past the
-    // horizon — exactly what the stepped loop would do.
-    const Cycles gap = horizon - core.clock();
-    const std::uint64_t steps = (gap + step_ - 1) / step_;
-    plan->end_clock = core.clock() + steps * step_;
-    plan->steps = steps;
-    return true;
-  }
-  // apply_fast_forward: nothing to commit (the spin has no state).
-
- private:
-  Cycles step_;
-};
 
 /// Cache-line-private IRQ counter cell (one per core: handlers on
 /// different shards must not share a line).
@@ -57,7 +29,7 @@ struct alignas(64) IrqCell {
 
 struct DesWorkload {
   std::unique_ptr<hwsim::Machine> machine;
-  std::unique_ptr<SpinForeverDriver> driver;
+  std::unique_ptr<workloads::SpinDriver> driver;
   std::unique_ptr<hwsim::LapicTimer> timer;
   /// Heap storage so the handler closures stay valid across moves of
   /// this struct; cell i is written only by core i's handler.
@@ -87,7 +59,7 @@ inline DesWorkload make_des_workload(unsigned cores,
   mc.shard_policy = hwsim::ShardPolicy::kPerCore;
   mc.threads = threads;
   w.machine = std::make_unique<hwsim::Machine>(mc);
-  w.driver = std::make_unique<SpinForeverDriver>(step);
+  w.driver = std::make_unique<workloads::SpinDriver>(step);
   w.irqs_by_core = std::make_shared<std::vector<IrqCell>>(cores);
 
   auto cells = w.irqs_by_core;

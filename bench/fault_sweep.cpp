@@ -45,6 +45,7 @@
 #include "hwsim/snapshot.hpp"
 #include "obs/metrics.hpp"
 #include "scenarioserver/server.hpp"
+#include "workloads/spin_driver.hpp"
 
 #include "../tools/replay_workload.hpp"
 
@@ -90,7 +91,7 @@ Row run_one(double drop, double delay_rate, Cycles delay_max, bool retry,
   obs::MetricsRegistry mx;
   m.set_metrics(&mx);
 
-  bench::SpinForeverDriver driver(200);
+  workloads::SpinDriver driver(200);
   for (unsigned c = 0; c < kCores; ++c) m.core(c).set_driver(&driver);
 
   const Cycles period = mc.costs.freq.us_to_cycles(20.0);

@@ -136,6 +136,18 @@ BENCHMARK(BM_MachineAdvanceOnce)
     ->Args({256, 0})
     ->Args({256, 1});
 
+/// A spin that declines fast-forward certificates, so its core's send
+/// horizon is its clock and every epoch stays one lookahead wide.
+class LookaheadSpin final : public hwsim::CoreDriver {
+ public:
+  explicit LookaheadSpin(Cycles step) : step_(step) {}
+  bool runnable(hwsim::Core&) override { return true; }
+  void step(hwsim::Core& core) override { core.consume(step_); }
+
+ private:
+  Cycles step_;
+};
+
 // Per-epoch overhead of the per-core parallel engine: 4096 cores whose
 // spin step costs exactly the lookahead, so every epoch drains one cheap
 // event per shard and the shard claims, barrier and fold dominate.
@@ -151,7 +163,7 @@ void BM_ParallelEpochClaims(benchmark::State& state) {
   mc.threads = static_cast<unsigned>(state.range(0));
   hwsim::Machine m(mc);
   const Cycles la = mc.costs.ipi_latency;
-  bench::SpinForeverDriver driver(la);
+  LookaheadSpin driver(la);
   for (unsigned i = 0; i < kCores; ++i) m.core(i).set_driver(&driver);
   Cycles until = kEpochs * la;
   m.run_until(until);  // builds the worker pool outside the timing

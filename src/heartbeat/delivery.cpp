@@ -207,8 +207,8 @@ void NautilusHeartbeat::start(Cycles period, unsigned num_workers) {
   // CPU 0's handler supervises every worker: it reads their BeatState
   // and ipi_seen_, marks them resumed, posts their degraded-mode polls
   // and writes the last_fire_ their handlers read. Declared serial, it
-  // runs only in sequential epochs under per-core epochs, where every
-  // worker sits at its sequential point; between those epochs each
+  // runs only in serial deliveries under per-core epochs, where every
+  // worker sits at its sequential point; between those deliveries each
   // worker's handlers touch only the worker's own slots.
   machine_->declare_serial_core(0);
   // Install per-core handlers: the IPI (or local fire on CPU 0) simply

@@ -196,7 +196,7 @@ class NautilusHeartbeat final : public HeartbeatBackend,
   /// Virtual time of the most recent LAPIC fire (set by the CPU 0
   /// handler before the IPI fan-out; the DES runs handlers in causal
   /// order, so worker deliveries always see the fire that caused them).
-  /// Under per-core epochs it is written only in sequential epochs.
+  /// Under per-core epochs it is written only in serial deliveries.
   Cycles last_fire_{0};
   std::unique_ptr<hwsim::LapicTimer> timer_;
 

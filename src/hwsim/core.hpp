@@ -93,6 +93,14 @@ class CoreDriver {
   /// side-effect free; state is committed later via apply_fast_forward.
   /// Return false to decline (the default): the DES then steps the
   /// window cycle-accurately. Declining is always safe.
+  ///
+  /// The certificate is also the core's send horizon under per-core
+  /// epochs (Machine::send_horizon): a core whose steps are inert can
+  /// post nothing before its next delivery, so epochs widen to it. The
+  /// query then runs in the core's shard context, beside other shards'
+  /// drains, so it must be shard-safe like step(): read only this core
+  /// and this driver's own per-core state. A driver whose certified
+  /// steps send anyway aborts at the epoch's staging check.
   virtual bool plan_fast_forward(Core& core, Cycles horizon,
                                  FastForwardPlan* plan) {
     (void)core;

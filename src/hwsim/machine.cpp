@@ -121,13 +121,14 @@ void Machine::enqueue_ipi(CoreId to, const IrqEvent& ev) {
   if (ctx.machine == this && ctx.outbox != nullptr) {
     // Per-core epoch drain: the delivery is final (fate and sequence
     // number drawn above, in the sender's context); it lands in the
-    // target inbox at the barrier. The lookahead bound guarantees its
-    // arrival time is at or past the epoch horizon, so deferring the
-    // push cannot reorder it relative to anything the target processes
-    // this epoch. Staging order across senders is irrelevant: the
+    // target inbox at the barrier. The send-horizon bound guarantees
+    // its arrival time is at or past the epoch horizon, so deferring
+    // the push cannot reorder it relative to anything the target
+    // processes this epoch; a delivery that breaks the bound aborts
+    // in stage(). Staging order across senders is irrelevant: the
     // target inbox pop order is a pure function of the (time, seq)
     // multiset (see parallel.hpp on IpiOutbox determinism).
-    ctx.outbox->stage(to, ev);
+    ctx.outbox->stage(ctx.source - 1, to, ev);
     return;
   }
   cores_[to]->enqueue_irq(ev);
@@ -334,12 +335,6 @@ Machine::Pick Machine::frontier_peek() {
   // packed min already took the lowest core id among same-time cores.
   if (top == kNoEntry || mq_t <= entry_time(top)) return {mq_t, nullptr};
   return {entry_time(top), cores_[entry_core(top)].get()};
-}
-
-Cycles Machine::next_action_scan() {
-  Cycles e = kNever;
-  for (auto& c : cores_) e = std::min(e, c->next_action_time_uncached());
-  return e;
 }
 
 Machine::Pick Machine::linear_peek() {

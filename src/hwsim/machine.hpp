@@ -17,15 +17,18 @@
 //    scan per advance. Kept as the golden semantics for equivalence
 //    tests and as the baseline for bench/des_throughput.
 //  * kParallelEpoch — conservative parallel discrete-event simulation:
-//    virtual time advances in epochs bounded by the minimum cross-core
-//    communication latency (the IPI fabric latency is the lookahead;
-//    fault plans only ever ADD latency, so the bound is safe under
-//    injection). Within an epoch every core's events are independent
-//    by construction, so shards drain without synchronization and all
-//    cross-core traffic is buffered and merged deterministically at
-//    the epoch barrier. Traces, metrics counters, fault schedules and
-//    final machine state are bit-identical to the sequential
-//    schedulers (see src/hwsim/parallel.cpp for the argument).
+//    virtual time advances in epochs bounded by the cores' send
+//    horizons plus the minimum cross-core communication latency (the
+//    IPI fabric latency is the lookahead; fault plans only ever ADD
+//    latency, so the bound is safe under injection). A core's send
+//    horizon is its clock, or its next delivery when its driver
+//    certifies its steps inert. Within an epoch every core's events are
+//    independent by construction, so shards drain without
+//    synchronization and all cross-core traffic is buffered and merged
+//    deterministically at the epoch barrier. Traces, metrics counters,
+//    fault schedules and final machine state are bit-identical to the
+//    sequential schedulers (see src/hwsim/parallel.cpp for the
+//    argument).
 //  * kAuto — resolves at construction to kLinearScan (up to 4 cores)
 //    or kFrontier by core count.
 //
@@ -91,7 +94,7 @@ enum class ShardPolicy : std::uint8_t {
   /// (send_ipi/broadcast_ipi/post_ipi), which is buffered and merged
   /// at the barrier. Violations are caught by IW_ASSERT. The one
   /// exception is a declared serial core (declare_serial_core): its
-  /// events run only in sequential epochs, so its handlers may touch
+  /// events run only in serial deliveries, so its handlers may touch
   /// every core — the heartbeat supervisor on CPU 0 does.
   kPerCore,
 };
@@ -361,9 +364,11 @@ class Machine final : public substrate::StackSubstrate {
 
   /// Run until `stop()` returns true or no work remains.
   /// Returns false if a hard-stop watchdog fired. Under kParallelEpoch
-  /// with ShardPolicy::kPerCore, `stop` is evaluated at epoch barriers
-  /// only, and so are the watchdogs outside sequential epochs (the
-  /// sequential schedulers and kSingleGroup check per advance).
+  /// with ShardPolicy::kPerCore, `stop` and the watchdogs are evaluated
+  /// at epoch barriers and serial deliveries only (the sequential
+  /// schedulers and kSingleGroup check per advance). Without a target,
+  /// per-core epochs ask no send-horizon certificate, so they stay one
+  /// lookahead wide.
   bool run(const std::function<bool()>& stop = nullptr);
 
   /// Run until virtual time `t` has been reached on the frontier.
@@ -428,28 +433,42 @@ class Machine final : public substrate::StackSubstrate {
   [[nodiscard]] ParallelTotals parallel_totals() const;
   /// Full O(cores) next-action scans the per-core epoch loop has run
   /// since construction: one per run entry, plus one after every
-  /// machine-queue turn, fast-forward commit, sequential epoch and
+  /// machine-queue turn, fast-forward commit, serial delivery and
   /// epoch that ran out of advance budget; every other epoch start is
   /// folded from the previous epoch's drains and merge.
   /// Observability/test hook.
   [[nodiscard]] std::uint64_t horizon_scans() const { return horizon_scans_; }
+  /// Parallel epochs (drain + barrier + merge) the per-core epoch engine
+  /// has run since construction. Deterministic and host-independent;
+  /// kept out of snapshots, like horizon_scans(). Observability/test
+  /// hook.
+  [[nodiscard]] std::uint64_t parallel_epochs() const {
+    return parallel_epochs_;
+  }
 
-  /// Declare `core` serial for the per-core epoch engine: any epoch
-  /// whose horizon lies past the earliest event in its inboxes (both
-  /// heads, whatever the interrupt mask) runs as one sequential epoch —
-  /// the sequential pick order over every core, with the shard guard
-  /// off — so the core's event handlers may read and post into other
-  /// cores. Its driver steps must still be shard-safe: they also run in
-  /// parallel epochs, and one that posts its own core an event due
-  /// before the epoch horizon aborts with a diagnostic naming the core.
+  /// Declare `core` serial for the per-core epoch engine: when an event
+  /// in its inboxes (either head, whatever the interrupt mask) lies
+  /// before an epoch's horizon, the parallel epochs stop at the core's
+  /// delivery point, and its pick there runs in sequence — after the
+  /// lower core ids' picks at that cycle, with the shard guard off — so
+  /// the core's event handlers may read and post into other cores. Its
+  /// driver steps must still be shard-safe: they also run in parallel
+  /// epochs, and one that posts its own core an event due before the
+  /// epoch horizon aborts with a diagnostic naming the core.
   /// Idempotent; no other scheduler reads the set, and no snapshot,
   /// fingerprint or digest carries it (the workload re-declares it on
   /// every machine it is built on).
   void declare_serial_core(CoreId core);
-  /// Sequential epochs the per-core epoch engine has run since
-  /// construction. Deterministic and host-independent; kept out of
-  /// snapshots, like horizon_scans(). Observability/test hook.
+  /// Serial deliveries the per-core epoch engine has run since
+  /// construction: sequential sections that end with a serial core's
+  /// pick. Deterministic and host-independent; kept out of snapshots,
+  /// like horizon_scans(). Observability/test hook.
   [[nodiscard]] std::uint64_t serial_epochs() const { return serial_epochs_; }
+  /// Picks those serial deliveries ran in sequence, the serial cores'
+  /// own included (one per delivery when no lower core id is tied at
+  /// the delivery point). Deterministic and host-independent; kept out
+  /// of snapshots. Observability/test hook.
+  [[nodiscard]] std::uint64_t serial_picks() const { return serial_picks_; }
   /// Cores an invalidation has pushed onto the kFrontier dirty list
   /// since construction (run-entry and restore refreshes not counted).
   /// The stepping core rewrites its own leaf, so only invalidations
@@ -664,26 +683,49 @@ class Machine final : public substrate::StackSubstrate {
   /// The sequential pick order, one epoch of it: execute the earliest
   /// entity (the machine queue winning time ties) until every one is at
   /// or past `horizon`, checking `stop` (may be null) and the watchdogs
-  /// before each advance. kSingleGroup epochs and the per-core engine's
-  /// sequential epochs both run through it.
+  /// before each advance. kSingleGroup epochs run through it.
   PickExit run_picks(Cycles horizon, const std::function<bool()>& stop);
-  /// Earliest event in any serial core's inboxes, whatever the
-  /// interrupt mask (kNever without serial cores): an epoch whose
-  /// horizon lies past it runs sequentially.
-  [[nodiscard]] Cycles serial_head() const;
+  /// Lower `horizon` so that no serial core delivers inside the next
+  /// parallel epoch: to a serial core's inbox head while it steps
+  /// toward it, else to its next action. `*due` becomes the serial core
+  /// (lowest id first) whose delivery point is the epoch start `e`, the
+  /// one that must run next in sequence; null if none is.
+  [[nodiscard]] Cycles serial_cut(Cycles horizon, Cycles e, Core** due);
+  /// Run the sequential picks due at cycle `d`, lower core ids first,
+  /// up to and including `serial`'s own pick, with the shard guard off.
+  void run_serial_delivery(Core& serial, Cycles d);
   [[nodiscard]] bool is_serial_core(CoreId id) const {
     return std::find(serial_cores_.begin(), serial_cores_.end(), id) !=
            serial_cores_.end();
   }
-  /// Earliest uncached next-action time over all cores (kNever if
-  /// none): the per-core loop's full scan.
-  [[nodiscard]] Cycles next_action_scan();
+  /// Send horizon of core `c`, whose next action is `next`, in a run
+  /// toward `until`: the earliest cycle at which it could post a
+  /// cross-core event. A runnable core below `until` whose driver
+  /// certifies its steps inert up to `until` (plan_fast_forward) can
+  /// send only from a handler, so from its next delivery on:
+  /// min(until, max(next, earliest_deliverable())); it then sets
+  /// `*certified` when non-null. Any other core returns `next`: a
+  /// declining driver may send from its next step, an idle core only
+  /// at its next action, and a run without a target (kNever) asks no
+  /// certificate.
+  [[nodiscard]] Cycles send_horizon(Core& c, Cycles next, Cycles until,
+                                    bool* certified = nullptr);
+  /// The per-core loop's full scan: the earliest uncached next-action
+  /// time and send horizon over all cores (kNever if none), and whether
+  /// any driver certified.
+  struct EpochStart {
+    Cycles next{kNever};
+    Cycles send{kNever};
+    bool certified{false};
+  };
+  [[nodiscard]] EpochStart epoch_scan(Cycles until);
   /// Lookahead: the minimum fabric latency any cross-core interaction
   /// pays (fault plans only add on top of it).
   [[nodiscard]] Cycles lookahead() const { return cfg_.costs.ipi_latency; }
 
   /// Fabric delivery: buffer in the sender's outbox during a per-core
-  /// drain, else push straight into the target inbox.
+  /// drain (IpiOutbox::stage checks it against the epoch's horizon),
+  /// else push straight into the target inbox.
   void enqueue_ipi(CoreId to, const IrqEvent& ev);
 
   /// Shard-safety check for event posts targeting `target`'s inboxes:
@@ -737,13 +779,15 @@ class Machine final : public substrate::StackSubstrate {
   std::uint64_t advances_{0};
   /// True while a per-core epoch drain could be executing shard
   /// contexts (set for the duration of a per-core parallel run, cleared
-  /// for its sequential epochs).
+  /// for its serial deliveries).
   bool per_core_drain_active_{false};
   std::unique_ptr<ParallelEngine> parallel_;
   std::uint64_t horizon_scans_{0};
+  std::uint64_t parallel_epochs_{0};
   /// Declared serial cores (declare_serial_core), in declaration order.
   std::vector<CoreId> serial_cores_;
   std::uint64_t serial_epochs_{0};
+  std::uint64_t serial_picks_{0};
   /// Registered snapshot participants, in registration order.
   std::vector<SnapshotParticipant*> participants_;
   /// Dispatch tables for portable events (sink.hpp). Index = SinkId;

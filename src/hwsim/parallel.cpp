@@ -2,15 +2,22 @@
 //
 // Why the result is bit-identical to the sequential schedulers:
 //
-//  * Lookahead. Every cross-core interaction goes through the IPI
+//  * Send horizons. Every cross-core interaction goes through the IPI
 //    fabric and pays at least cfg.costs.ipi_latency (L) cycles; fault
-//    plans only ever ADD latency (delay, duplicate lag). An epoch
-//    starting at E = min next-action time therefore cannot deliver any
-//    cross-core effect before E + L, so all events strictly before the
-//    horizon H = min(E + L, machine-queue head, run target) are
-//    shard-local: each core's drain up to H is exactly the sequence of
-//    picks the sequential loop would have made for that core, in the
-//    same order.
+//    plans only ever ADD latency (delay, duplicate lag). Core c's send
+//    horizon σ_c (Machine::send_horizon) is the earliest cycle at which
+//    it could post one: its clock, or, when its driver certifies its
+//    steps inert up to the run target, its next delivery (only a
+//    handler can send then). An idle core's is its next action. No
+//    cross-core effect can therefore arrive before min_c σ_c + L, so
+//    all events strictly before the horizon H = min(min_c σ_c + L,
+//    machine-queue head, run target) are shard-local: each core's
+//    drain up to H is exactly the sequence of picks the sequential
+//    loop would have made for that core, in the same order. Declining
+//    drivers give σ_c = next action, i.e. the lookahead bound
+//    E + L. The staging check (IpiOutbox::stage) aborts on any
+//    delivery arriving before H, naming the sender: a certificate that
+//    lied cannot go unnoticed.
 //  * Provenance sequencing. Event sequence numbers are
 //    (per-source counter << 16) | source, and fault RNG draws come from
 //    per-source streams, both drawn eagerly in the acting context — so
@@ -34,9 +41,13 @@
 //    or at the barrier merge (which re-reads each delivered-to core; a
 //    delivery can only lower a core's next action). So the min of those
 //    reports IS the full scan's answer. Anything else that can move a
-//    core — a machine-queue turn, a fast-forward commit, an epoch cut
-//    short by the advance budget — forces the full scan again, and
-//    paranoid_frontier re-checks the fold against the scan every epoch.
+//    core — a machine-queue turn, a fast-forward commit, a serial
+//    delivery, an epoch cut short by the advance budget — forces the
+//    full scan again, and paranoid_frontier re-checks the fold against
+//    the scan every epoch. The min send horizon folds the same way
+//    (a delivery only lowers σ), but only while some driver certified
+//    at the last full scan: otherwise it equals E, and neither drains
+//    nor merges pay anything for it.
 //  * Chunked claims and stealing move nothing observable. Each block's
 //    claim cursor hands every shard id to exactly one claimant per
 //    epoch (one atomic fetch_add per chunk; see ShardBlock), and a
@@ -48,17 +59,27 @@
 //    things the claim pattern changes — are invisible to traces,
 //    metrics, and machine state.
 //
-//  * Sequential epochs for serial cores. A core declared serial
+//  * Serial deliveries. A core declared serial
 //    (Machine::declare_serial_core) runs handlers that read and write
-//    other cores' state — the heartbeat supervisor on CPU 0. Any epoch
-//    whose horizon lies past the earliest event in a serial core's
-//    inboxes runs in the sequential pick order instead, with every
-//    shard parked and the shard guard off, then forces the full scan.
-//    Such a delivery therefore sees every core exactly at its
-//    sequential point. Parallel epochs deliver no serial-core event
-//    (the engine checks the inbox heads against the horizon after every
-//    advance of a serial core), so outside sequential epochs only a
-//    core's owner reads or writes the state those handlers touch.
+//    other cores' state — the heartbeat supervisor on CPU 0. When a
+//    serial core's inbox head s lies before the horizon, the parallel
+//    epoch stops at s, and then at d, the core's next action at or
+//    after s, where its next advance may deliver. At d the coordinator
+//    runs, with every shard parked and the shard guard off, only the
+//    picks due at d up to and including the serial core's own, lower
+//    core ids first (the sequential tie order), then forces the full
+//    scan. Every event before d has run, and so have the picks at d
+//    that the sequential loop would run first, so the delivery sees
+//    every core exactly at its sequential point. Cores tied at d with
+//    higher ids run in the next parallel epoch, exactly as they would
+//    after it in sequence: whatever the delivery posted them is in
+//    their inboxes. A masked head cannot be delivered at d; the core's
+//    pick there is one driver step, and it repeats until the step
+//    unmasks, so the loop still makes progress. Parallel epochs deliver
+//    no serial-core event (the engine checks the inbox heads against
+//    the horizon after every advance of a serial core), so outside
+//    serial deliveries only a core's owner reads or writes the state
+//    those handlers touch.
 //
 // ShardPolicy::kSingleGroup keeps the same epoch structure but drains
 // the one shard with the sequential pick loop itself — safe for
@@ -82,6 +103,9 @@ namespace {
 /// containers may give the whole pool a single CPU).
 constexpr int kSpinsBeforeYield = 200;
 
+/// Largest batch of advance-budget slots a pool thread claims at once.
+constexpr std::uint64_t kBudgetBatch = 64;
+
 /// A serial core's own step posted it an event due inside a parallel
 /// epoch: delivering it there would run a serial handler beside the
 /// other shards, out of the sequential order.
@@ -100,6 +124,20 @@ constexpr int kSpinsBeforeYield = 200;
 }
 
 }  // namespace
+
+void IpiOutbox::staged_before_horizon(unsigned sender, Cycles arrival,
+                                      Cycles horizon) {
+  char msg[320];
+  std::snprintf(msg, sizeof msg,
+                "core %u sent an IPI arriving at cycle %llu, before the "
+                "parallel epoch's horizon %llu (a driver that certifies "
+                "its steps inert for fast-forward must not send from "
+                "them: the certificate is its core's send horizon)",
+                sender, static_cast<unsigned long long>(arrival),
+                static_cast<unsigned long long>(horizon));
+  detail::assert_fail("staged IPI arrival >= epoch horizon", __FILE__,
+                      __LINE__, msg);
+}
 
 ParallelEngine::ParallelEngine(Machine& machine, unsigned threads,
                                bool steal)
@@ -132,7 +170,7 @@ void ParallelEngine::set_scratch_enabled(bool on) {
 }
 
 bool ParallelEngine::drain_core(unsigned core, Cycles horizon,
-                                EpochTally* tally) {
+                                EpochTally* tally, BudgetSlots* slots) {
   Core& c = machine_.core(core);
   // The caller's epoch_scope() bound this thread to the machine and the
   // outbox; the shard retargets only the source and scratch registry.
@@ -152,8 +190,9 @@ bool ParallelEngine::drain_core(unsigned core, Cycles horizon,
   bool ok = true;
   Cycles next = c.next_action_time_uncached();
   while (next < horizon) {
-    if (budgeted && !claim_advance()) {
+    if (budgeted && !claim_advance(slots)) {
       ok = false;
+      tally->ran_out = true;
       break;
     }
     next = c.advance();
@@ -165,7 +204,20 @@ bool ParallelEngine::drain_core(unsigned core, Cycles horizon,
   tally->advances += n;
   tally->max_shard = std::max(tally->max_shard, n);
   tally->next = std::min(tally->next, next);
+  if (send_until_ != kNever) {
+    tally->send =
+        std::min(tally->send, machine_.send_horizon(c, next, send_until_));
+  }
   return ok;
+}
+
+bool ParallelEngine::claim_batch(BudgetSlots* slots) {
+  const std::uint64_t base =
+      budget_used_.fetch_add(budget_batch_, std::memory_order_relaxed);
+  if (base >= budget_limit_) return false;
+  slots->next = base + 1;
+  slots->end = std::min(base + budget_batch_, budget_limit_);
+  return true;
 }
 
 EpochTally ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
@@ -177,6 +229,7 @@ EpochTally ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
   // for every thread at its first empty claim: a cursor only grows, so
   // an exhausted block never has work again this epoch.
   EpochTally tally;
+  BudgetSlots slots;
   const unsigned blocks = steal_enabled_ ? threads_ : 1;
   for (unsigned k = 0; k < blocks; ++k) {
     ShardBlock& block = blocks_[(self + k) % threads_];
@@ -184,7 +237,8 @@ EpochTally ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
          c = block.claim()) {
       if (k != 0) tally.steals += c.hi - c.lo;
       for (std::uint32_t s = c.hi; s-- > c.lo;) {
-        if (!drain_core(s, horizon, &tally)) return tally;  // budget out
+        // A false return means the budget ran out.
+        if (!drain_core(s, horizon, &tally, &slots)) return tally;
       }
     }
   }
@@ -202,23 +256,32 @@ void ParallelEngine::worker_main(unsigned self) {
     }
     last_epoch = e;
     const Machine::ExecScope scope = epoch_scope();
-    tallies_[self] = drain_pool(self, horizon_);
+    tallies_[self] = drain_pool(self, outbox_.horizon());
     done_.fetch_add(1, std::memory_order_release);
   }
 }
 
 EpochTally ParallelEngine::drain_epoch(Cycles horizon,
-                                       std::uint64_t max_advances) {
+                                       std::uint64_t max_advances,
+                                       Cycles send_until) {
   budget_limit_ = max_advances;
+  // A few batches per thread: the shared counter is touched once per
+  // batch, and a nearly spent budget shrinks the batch (down to one
+  // slot) so stranded slots stay a small share of it.
+  budget_batch_ = std::clamp<std::uint64_t>(
+      max_advances / (std::uint64_t{4} * threads_), 1, kBudgetBatch);
   budget_taken_ = 0;
   budget_used_.store(0, std::memory_order_relaxed);
+  send_until_ = send_until;
+  outbox_.set_horizon(horizon);
   EpochTally total;
   if (threads_ == 1) {
     // Threadless path: the coordinator drains every shard itself — no
     // cursors, no barrier, still the same shard-local event order.
     const Machine::ExecScope scope = epoch_scope();
+    BudgetSlots unused;  // one thread counts in budget_taken_
     for (unsigned i = 0; i < machine_.num_cores(); ++i) {
-      if (!drain_core(i, horizon, &total)) break;
+      if (!drain_core(i, horizon, &total, &unused)) break;
     }
   } else {
     // Seed the blocks with the static partition; stealing rebalances
@@ -232,7 +295,6 @@ EpochTally ParallelEngine::drain_epoch(Cycles horizon,
       const unsigned lo = b * base + std::min(b, rem);
       blocks_[b].reset(lo, base + (b < rem ? 1 : 0));
     }
-    horizon_ = horizon;
     ++epochs_issued_;
     epoch_.store(epochs_issued_, std::memory_order_release);
     {
@@ -256,21 +318,25 @@ EpochTally ParallelEngine::drain_epoch(Cycles horizon,
   return total;
 }
 
-Cycles ParallelEngine::merge_outboxes() {
+void ParallelEngine::merge_outboxes(EpochTally* fold) {
   // Target-id order, claim order within a lane — both unobservable (see
   // IpiOutbox in parallel.hpp). The coordinator has no outbox in scope
   // here, so enqueue_ipi pushes straight into the target inboxes. O(1)
   // when the epoch staged nothing. A delivery only ever lowers its
-  // target's next action, so reading it after each push and keeping
-  // the min yields each target's post-merge value. The merge is serial,
-  // so its deliveries extend the epoch's span.
+  // target's next action and send horizon, so reading them after each
+  // push and keeping the min yields each target's post-merge values.
+  // The merge is serial, so its deliveries extend the epoch's span.
   if (budget_limit_ == 0) span_ += outbox_.staged();
-  Cycles next = kNever;
-  outbox_.drain([this, &next](CoreId to, const IrqEvent& ev) {
+  outbox_.drain([this, fold](CoreId to, const IrqEvent& ev) {
     machine_.enqueue_ipi(to, ev);
-    next = std::min(next, machine_.core(to).next_action_time_uncached());
+    Core& c = machine_.core(to);
+    const Cycles next = c.next_action_time_uncached();
+    fold->next = std::min(fold->next, next);
+    if (send_until_ != kNever) {
+      fold->send =
+          std::min(fold->send, machine_.send_horizon(c, next, send_until_));
+    }
   });
-  return next;
 }
 
 void ParallelEngine::merge_scratch_metrics(obs::MetricsRegistry* into) {
@@ -348,12 +414,72 @@ Machine::PickExit Machine::run_picks(Cycles horizon,
   }
 }
 
-Cycles Machine::serial_head() const {
-  Cycles t = kNever;
-  for (const CoreId c : serial_cores_) {
-    t = std::min(t, cores_[c]->earliest_event());
+Cycles Machine::send_horizon(Core& c, Cycles next, Cycles until,
+                             bool* certified) {
+  // Only a runnable core (its next action is its clock) below the run
+  // target has driver steps to certify.
+  if (until == kNever || next != c.clock() || next >= until ||
+      !c.runnable()) {
+    return next;
   }
-  return t;
+  FastForwardPlan plan;
+  if (!c.driver()->plan_fast_forward(c, until, &plan)) return next;
+  if (certified != nullptr) *certified = true;
+  return std::min(until, std::max(next, c.earliest_deliverable()));
+}
+
+Machine::EpochStart Machine::epoch_scan(Cycles until) {
+  EpochStart s;
+  for (auto& c : cores_) {
+    const Cycles next = c->next_action_time_uncached();
+    s.next = std::min(s.next, next);
+    s.send = std::min(s.send, send_horizon(*c, next, until, &s.certified));
+  }
+  return s;
+}
+
+Cycles Machine::serial_cut(Cycles horizon, Cycles e, Core** due) {
+  *due = nullptr;
+  for (const CoreId id : serial_cores_) {
+    Core& c = *cores_[id];
+    const Cycles head = c.earliest_event();
+    if (head >= horizon) continue;
+    // Before its head the core only steps its (shard-safe) driver, so
+    // those steps may run in parallel up to the head. From there on its
+    // next advance may deliver, so the epoch stops at it.
+    const Cycles next = c.next_action_time_uncached();
+    const Cycles cut = next < head ? head : next;
+    horizon = std::min(horizon, cut);
+    if (next == e && next >= head && (*due == nullptr || id < (*due)->id())) {
+      *due = &c;
+    }
+  }
+  return horizon;
+}
+
+void Machine::run_serial_delivery(Core& serial, Cycles d) {
+  // Every core is at or past d and the machine queue past it, so the
+  // sequential loop's picks at d come next: lower core ids first, the
+  // serial core's own pick last. Only those ids are scanned.
+  per_core_drain_active_ = false;
+  for (;;) {
+    Pick p;
+    for (CoreId id = 0; id <= serial.id(); ++id) {
+      const Cycles t = cores_[id]->next_action_time_uncached();
+      if (t < p.time) p = {t, cores_[id].get()};
+    }
+    if (p.time != d) break;
+    if (cfg_.paranoid_frontier) {
+      const Pick ref = linear_peek();
+      IW_ASSERT_MSG(ref.time == p.time && ref.core == p.core,
+                    "serial delivery pick diverged from the linear scan");
+    }
+    execute(p);
+    ++serial_picks_;
+    if (p.core == &serial) break;
+  }
+  per_core_drain_active_ = true;
+  ++serial_epochs_;
 }
 
 bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
@@ -383,11 +509,15 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
   }
   per_core_drain_active_ = true;
   bool ok = true;
-  // Epoch start E: the earliest next-action time over all cores. Only
-  // the run entry and the events listed at `rescan` below pay a full
-  // O(cores) scan; every other epoch folds E from what its drain and
-  // merge report (see the determinism notes at the top of this file).
-  Cycles e = kNever;
+  // Epoch start E: the earliest next-action time over all cores, and
+  // Σ, the earliest send horizon. Only the run entry and the events
+  // listed at `rescan` below pay a full O(cores) scan; every other
+  // epoch folds both from what its drain and merge report (see the
+  // determinism notes at the top of this file). Σ is folded only while
+  // some driver certified at the last full scan (send_until set);
+  // otherwise it is E.
+  EpochStart start;
+  Cycles send_until = kNever;
   bool rescan = true;
   for (;;) {
     // Stop predicate and watchdogs are barrier-granular in this mode.
@@ -417,15 +547,22 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
       continue;
     }
     if (rescan) {
-      e = next_action_scan();
+      start = epoch_scan(until);
+      send_until = start.certified ? until : kNever;
       ++horizon_scans_;
       rescan = false;
     } else if (cfg_.paranoid_frontier) {
-      IW_ASSERT_MSG(e == next_action_scan(),
+      const EpochStart ref = epoch_scan(until);
+      IW_ASSERT_MSG(start.next == ref.next,
                     "per-core epoch engine: folded epoch start diverged "
                     "from the full next-action scan — a core's schedule "
                     "changed outside its own drain");
+      IW_ASSERT_MSG(send_until == kNever || start.send == ref.send,
+                    "per-core epoch engine: folded send horizon diverged "
+                    "from the full scan — a driver's certificate changed "
+                    "outside its core's drain");
     }
+    const Cycles e = start.next;
     // Machine-queue turn (queue wins time ties, seed semantics): run
     // due machine events with every shard parked. They may post core
     // events or move clocks, so loop back and rescan afterwards.
@@ -436,7 +573,8 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
       continue;
     }
     if (e == kNever || e >= until) break;  // quiescent / target reached
-    Cycles horizon = std::min({until, mq_t, saturating_add(e, la)});
+    const Cycles sigma = send_until == kNever ? e : start.send;
+    Cycles horizon = std::min({until, mq_t, saturating_add(sigma, la)});
     if (time_watchdog) {
       // Keep an epoch from sailing past the virtual-time budget: with
       // a large lookahead one unclamped epoch could advance every core
@@ -448,22 +586,13 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
       horizon = std::min(horizon, saturating_add(cfg_.max_time, 1));
       horizon = std::max(horizon, saturating_add(e, 1));
     }
-    if (serial_head() < horizon) {
-      // Sequential epoch: a serial core has an event due before the
-      // horizon, and its handlers may read or post into any core. Run
-      // the epoch in the sequential pick order on this thread, with
-      // every shard parked and the shard guard off (as for a
-      // machine-queue turn), then rescan: its deliveries may have moved
-      // any core.
-      per_core_drain_active_ = false;
-      const PickExit exit = run_picks(horizon, nullptr);
-      per_core_drain_active_ = true;
-      ++serial_epochs_;
+    Core* due = nullptr;
+    horizon = serial_cut(horizon, e, &due);
+    if (due != nullptr) {
+      // A serial core's delivery point is the earliest action: run it
+      // in sequence, then rescan — its handlers may have moved any core.
+      run_serial_delivery(*due, e);
       rescan = true;
-      if (exit == PickExit::kWatchdog) {
-        ok = false;
-        break;
-      }
       continue;
     }
     // Advance budget for this epoch: the watchdog fires at advances_ >
@@ -473,14 +602,15 @@ bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
     // the budget is always >= 1 and progress is guaranteed.
     std::uint64_t budget = 0;
     if (advance_watchdog) budget = cfg_.max_advances + 1 - advances_;
-    const EpochTally tally = parallel_->drain_epoch(horizon, budget);
+    EpochTally tally = parallel_->drain_epoch(horizon, budget, send_until);
     advances_ += tally.advances;
-    e = std::min(tally.next, parallel_->merge_outboxes());
+    ++parallel_epochs_;
+    parallel_->merge_outboxes(&tally);
+    start.next = tally.next;
+    start.send = tally.send;
     // An epoch that ran out of budget may have stopped cores short of
-    // the horizon, leaving their next actions unreported. Every failed
-    // claim comes after `budget` successful ones, so an epoch that used
-    // less never ran out and its fold is exact.
-    rescan = budget != 0 && tally.advances >= budget;
+    // the horizon, leaving their next actions unreported.
+    rescan = tally.ran_out;
   }
   per_core_drain_active_ = false;
   parallel_->merge_scratch_metrics(metrics_);

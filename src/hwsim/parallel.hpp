@@ -5,13 +5,13 @@
 // The engine owns a persistent host worker pool, the fabric outbox, and
 // the per-core scratch lanes that make an epoch drain shard-local. Machine::
 // parallel_run_per_core drives it: compute the epoch horizon from the
-// lookahead bound, fan the drain out across the pool, then merge the
-// staged outbox deliveries deterministically at the barrier. The drain
-// and the merge also report the earliest next-action time they leave
-// behind, so the next horizon needs no O(cores) rescan. An epoch that
-// must run sequentially (a serial core has an event due before its
-// horizon) bypasses the engine: the coordinator runs the sequential
-// pick order itself. See parallel.cpp for the determinism argument.
+// cores' send horizons, fan the drain out across the pool, then merge
+// the staged outbox deliveries deterministically at the barrier. The
+// drain and the merge also report the earliest next-action time and
+// send horizon they leave behind, so the next horizon needs no
+// O(cores) rescan. A serial core's delivery bypasses the engine: the
+// coordinator runs that one pick itself. See parallel.cpp for the
+// determinism argument.
 //
 // Shard scheduling inside an epoch: each host thread owns a static
 // block of shard ids, re-seeded at epoch start, with one claim cursor
@@ -107,8 +107,18 @@ class IpiOutbox {
     staged_.store(0, std::memory_order_relaxed);
   }
 
-  /// Stage one fully-formed delivery for `to` (shard context, hot).
-  void stage(CoreId to, const IrqEvent& ev) {
+  /// The horizon of the epoch being drained: every staged delivery must
+  /// arrive at or past it. Set by the coordinator while the workers are
+  /// parked; the epoch publish orders it for them.
+  [[nodiscard]] Cycles horizon() const { return horizon_; }
+  void set_horizon(Cycles h) { horizon_ = h; }
+
+  /// Stage one fully-formed delivery from core `sender` for `to` (shard
+  /// context, hot). A delivery arriving before the horizon aborts,
+  /// naming the sender: its send horizon was wrong, and the target may
+  /// already have run past the arrival.
+  void stage(unsigned sender, CoreId to, const IrqEvent& ev) {
+    if (ev.time < horizon_) staged_before_horizon(sender, ev.time, horizon_);
     const std::uint32_t i =
         counters_[to].v.fetch_add(1, std::memory_order_relaxed);
     if (i < kSlotsPerTarget) {
@@ -146,6 +156,10 @@ class IpiOutbox {
     staged_.store(0, std::memory_order_relaxed);
   }
 
+  [[noreturn]] static void staged_before_horizon(unsigned sender,
+                                                 Cycles arrival,
+                                                 Cycles horizon);
+
   /// Deliveries staged and not yet drained (coordinator-only read).
   [[nodiscard]] std::uint64_t staged() const {
     return staged_.load(std::memory_order_relaxed);
@@ -160,6 +174,7 @@ class IpiOutbox {
 
  private:
   unsigned num_targets_{0};
+  Cycles horizon_{0};
   std::unique_ptr<std::byte[]> storage_;  // slots, then counters
   IrqEvent* slots_{nullptr};       // num_targets_ * kSlotsPerTarget
   Counter* counters_{nullptr};     // one per target
@@ -235,12 +250,21 @@ struct alignas(64) EpochTally {
   /// each stopped. Meaningful only for an epoch that did not run out of
   /// advance budget, where every core drains to the horizon.
   Cycles next{kNever};
+  /// Earliest send horizon among the drained cores at the point each
+  /// stopped (Machine::send_horizon), folded only while some driver
+  /// certified at the last full scan. Meaningful like `next`.
+  Cycles send{kNever};
+  /// Some claim of the epoch's advance budget failed: cores may have
+  /// stopped short of the horizon, so `next` and `send` are partial.
+  bool ran_out{false};
 
   void add(const EpochTally& o) {
     advances += o.advances;
     max_shard = std::max(max_shard, o.max_shard);
     steals += o.steals;
     next = std::min(next, o.next);
+    send = std::min(send, o.send);
+    ran_out = ran_out || o.ran_out;
   }
 };
 
@@ -281,16 +305,19 @@ class ParallelEngine {
   /// draining, so a watchdog-bounded run overshoots by at most the
   /// in-flight events. Returns the advances performed and, for an epoch
   /// that did not run out of budget, the earliest next-action time the
-  /// drained cores stopped at. On return all shards are parked.
-  EpochTally drain_epoch(Cycles horizon, std::uint64_t max_advances = 0);
+  /// drained cores stopped at. With `send_until` != kNever it also
+  /// folds each drained core's send horizon toward that run target;
+  /// kNever skips that per-core work. On return all shards are parked.
+  EpochTally drain_epoch(Cycles horizon, std::uint64_t max_advances = 0,
+                         Cycles send_until = kNever);
 
   /// Flush the staged outbox deliveries into the target inboxes
   /// (target-id order, slot-claim order within a target — both
-  /// unobservable, see IpiOutbox) and return the earliest next-action
-  /// time among the cores that received one (kNever if none did).
-  /// Coordinator-only, between epochs. O(1) when the epoch staged
-  /// nothing.
-  Cycles merge_outboxes();
+  /// unobservable, see IpiOutbox) and fold each target's next-action
+  /// time and, under the last drain's `send_until`, its send horizon
+  /// into `fold`. Coordinator-only, between epochs. O(1) when the epoch
+  /// staged nothing.
+  void merge_outboxes(EpochTally* fold);
 
   /// Fold the per-core scratch registries into `into`, in core-id
   /// order, and clear them. Coordinator-only, at run end.
@@ -321,21 +348,36 @@ class ParallelEngine {
   [[nodiscard]] Machine::ExecScope epoch_scope() {
     return Machine::ExecScope(machine_, 0, nullptr, &outbox_);
   }
-  /// Drain one shard, folding its advances and stop time into
-  /// `*tally`; returns false when the epoch advance budget ran out
-  /// mid-drain (callers stop claiming shards). Aborts, naming the core,
-  /// when a serial core's step posts it an event due before `horizon`.
-  /// Runs inside an epoch_scope().
-  bool drain_core(unsigned core, Cycles horizon, EpochTally* tally);
+  /// A host thread's unused budget slots [next, end), claimed from the
+  /// shared counter in batches.
+  struct BudgetSlots {
+    std::uint64_t next{0};
+    std::uint64_t end{0};
+  };
+
+  /// Drain one shard, folding its advances, stop time and send horizon
+  /// into `*tally`; returns false (and flags tally->ran_out) when the
+  /// epoch advance budget ran out mid-drain (callers stop claiming
+  /// shards). Aborts, naming the core, when a serial core's step posts
+  /// it an event due before `horizon`. Runs inside an epoch_scope().
+  bool drain_core(unsigned core, Cycles horizon, EpochTally* tally,
+                  BudgetSlots* slots);
   /// Claim one advance of the epoch budget. One host thread owns the
-  /// whole budget and counts in a plain word; a pool shares it through
-  /// one relaxed fetch_add per advance, which hands out at most
-  /// budget_limit_ sub-limit slots across all threads.
-  bool claim_advance() {
+  /// whole budget and counts in a plain word. A pool shares it as a
+  /// limit counter: each thread takes budget_batch_ slots at a time
+  /// with one relaxed fetch_add and spends them locally, so at most
+  /// budget_limit_ slots are handed out across all threads. A thread's
+  /// leftover slots are stranded when the epoch ends; a failed claim,
+  /// not the advance total, marks an epoch that ran out.
+  bool claim_advance(BudgetSlots* slots) {
     if (threads_ == 1) return budget_taken_++ < budget_limit_;
-    return budget_used_.fetch_add(1, std::memory_order_relaxed) <
-           budget_limit_;
+    if (slots->next == slots->end) return claim_batch(slots);
+    ++slots->next;
+    return true;
   }
+  /// Refill `slots` with the next batch and claim its first slot;
+  /// false once the budget is spent.
+  bool claim_batch(BudgetSlots* slots);
   /// One thread's share of an epoch: drain the own block, then (with
   /// stealing on) what the other blocks still hold.
   EpochTally drain_pool(unsigned self, Cycles horizon);
@@ -354,10 +396,14 @@ class ParallelEngine {
   // after claiming a slot below the limit, so at most `max_advances`
   // events run epoch-wide: budget_taken_ counts the slots when the
   // coordinator drains alone, budget_used_ is the pool's shared
-  // pre-claim counter.
+  // pre-claim counter, handed out budget_batch_ slots at a time.
   std::uint64_t budget_limit_{0};
+  std::uint64_t budget_batch_{1};
   std::uint64_t budget_taken_{0};
   std::atomic<std::uint64_t> budget_used_{0};
+  /// Run target the epoch folds send horizons toward (kNever = off).
+  /// Published to the workers with the epoch horizon.
+  Cycles send_until_{kNever};
 
   // Coordinator-only run totals, folded from the tallies (and the
   // merge) after each barrier.
@@ -371,8 +417,8 @@ class ParallelEngine {
   /// the next epoch's writes by the epoch_ release store.
   std::unique_ptr<EpochTally[]> tallies_;
 
-  // Epoch handshake (workers_ == threads_ - 1 spawned threads).
-  Cycles horizon_{0};  // published-before epoch_ store
+  // Epoch handshake (workers_ == threads_ - 1 spawned threads). The
+  // epoch's horizon travels in outbox_, set before the epoch_ store.
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> done_{0};  // cumulative worker acks
   std::atomic<bool> shutdown_{false};

@@ -4,6 +4,36 @@
 
 namespace iw::ir {
 
+namespace {
+
+// Register arithmetic wraps in two's complement, like LLVM's add, sub
+// and mul without nsw: the sums are taken in uint64_t, where overflow
+// is defined, and converted back (modular since C++20).
+std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+
+// x / 0 and x % 0 are 0. INT64_MIN / -1 wraps to INT64_MIN, and any
+// x % -1 is 0 (the host's division would trap on INT64_MIN).
+std::int64_t wrap_div(std::int64_t a, std::int64_t b) {
+  if (b == 0) return 0;
+  return b == -1 ? wrap_sub(0, a) : a / b;
+}
+std::int64_t wrap_rem(std::int64_t a, std::int64_t b) {
+  return b == 0 || b == -1 ? 0 : a % b;
+}
+
+}  // namespace
+
 Interp::Interp(Module& m, InterpHooks hooks)
     : m_(m), hooks_(std::move(hooks)) {}
 
@@ -38,11 +68,11 @@ void Interp::exec_instr(const Function&, const Instr& i,
   switch (i.op) {
     case Op::kConst: wr(i.r, i.imm); break;
     case Op::kMov: wr(i.r, rd(i.a)); break;
-    case Op::kAdd: wr(i.r, rd(i.a) + rd(i.b)); break;
-    case Op::kSub: wr(i.r, rd(i.a) - rd(i.b)); break;
-    case Op::kMul: wr(i.r, rd(i.a) * rd(i.b)); break;
-    case Op::kDiv: wr(i.r, rd(i.b) == 0 ? 0 : rd(i.a) / rd(i.b)); break;
-    case Op::kRem: wr(i.r, rd(i.b) == 0 ? 0 : rd(i.a) % rd(i.b)); break;
+    case Op::kAdd: wr(i.r, wrap_add(rd(i.a), rd(i.b))); break;
+    case Op::kSub: wr(i.r, wrap_sub(rd(i.a), rd(i.b))); break;
+    case Op::kMul: wr(i.r, wrap_mul(rd(i.a), rd(i.b))); break;
+    case Op::kDiv: wr(i.r, wrap_div(rd(i.a), rd(i.b))); break;
+    case Op::kRem: wr(i.r, wrap_rem(rd(i.a), rd(i.b))); break;
     case Op::kAnd: wr(i.r, rd(i.a) & rd(i.b)); break;
     case Op::kOr: wr(i.r, rd(i.a) | rd(i.b)); break;
     case Op::kXor: wr(i.r, rd(i.a) ^ rd(i.b)); break;
@@ -55,14 +85,14 @@ void Interp::exec_instr(const Function&, const Instr& i,
     case Op::kCmpLt: wr(i.r, rd(i.a) < rd(i.b) ? 1 : 0); break;
     case Op::kCmpLe: wr(i.r, rd(i.a) <= rd(i.b) ? 1 : 0); break;
     case Op::kLoad: {
-      const Addr a = static_cast<Addr>(rd(i.a) + i.imm);
+      const Addr a = static_cast<Addr>(wrap_add(rd(i.a), i.imm));
       if (hooks_.on_access) hooks_.on_access(a, false);
       auto it = memory_.find(a);
       wr(i.r, it == memory_.end() ? 0 : it->second);
       break;
     }
     case Op::kStore: {
-      const Addr a = static_cast<Addr>(rd(i.a) + i.imm);
+      const Addr a = static_cast<Addr>(wrap_add(rd(i.a), i.imm));
       if (hooks_.on_access) hooks_.on_access(a, true);
       memory_[a] = rd(i.b);
       break;
@@ -84,7 +114,7 @@ void Interp::exec_instr(const Function&, const Instr& i,
       break;
     case Op::kGuard:
       if (hooks_.on_guard) {
-        hooks_.on_guard(static_cast<Addr>(rd(i.a) + i.imm),
+        hooks_.on_guard(static_cast<Addr>(wrap_add(rd(i.a), i.imm)),
                         static_cast<std::uint64_t>(i.imm2), i.b == 1);
       }
       break;

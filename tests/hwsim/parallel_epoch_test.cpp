@@ -4,8 +4,10 @@
 // edge cases — an IPI landing exactly on the lookahead horizon, a fault
 // delay pushing a delivery across an epoch, a broadcast fanning out over
 // every shard, a 1-thread run that spawns nothing — must all reduce to
-// the same schedule. Also covers kAuto's construction-time resolution
-// and the shard-safety guard for per-core drains.
+// the same schedule. Also covers kAuto's construction-time resolution,
+// the shard-safety guard for per-core drains, the epochs send horizons
+// allow (a declining driver keeps lookahead-wide ones), and the staging
+// check that catches a driver whose certificate lied.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +18,8 @@
 #include "hwsim/lapic.hpp"
 #include "hwsim/machine.hpp"
 #include "obs/trace.hpp"
+
+#include "../../bench/des_workload.hpp"
 
 namespace iw::hwsim {
 namespace {
@@ -63,6 +67,7 @@ struct BcastRun {
   Cycles end_time{0};
   std::uint64_t scans{0};
   std::uint64_t serial_epochs{0};
+  std::uint64_t parallel_epochs{0};
 };
 
 /// Advance watchdog of the reference runs. Any nonzero max_advances
@@ -125,6 +130,7 @@ BcastRun run_broadcast(unsigned cores, SchedulerKind sched,
   r.end_time = m.now();
   r.scans = m.horizon_scans();
   r.serial_epochs = m.serial_epochs();
+  r.parallel_epochs = m.parallel_epochs();
   return r;
 }
 
@@ -239,6 +245,77 @@ TEST(ParallelEpoch, NoSerialCoreRunsNoSequentialEpoch) {
                                      ShardPolicy::kPerCore, threads, 0);
     EXPECT_EQ(r.serial_epochs, 0u) << "threads=" << threads;
   }
+}
+
+// ------------------------------------------------------ send horizons
+
+TEST(ParallelEpoch, DecliningDriverKeepsLookaheadWideEpochs) {
+  // The broadcast's spin driver declines fast-forward certificates, so
+  // every core's send horizon is its next action and each epoch is one
+  // lookahead wide: exactly the epochs the lookahead-bounded engine ran
+  // before send horizons (882, measured on it), at every thread count.
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const BcastRun r = run_broadcast(8, SchedulerKind::kParallelEpoch,
+                                     ShardPolicy::kPerCore, threads, 0);
+    EXPECT_EQ(r.parallel_epochs, 882u) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelEpoch, CertifyingSpinWidensEpochsToTheBroadcast) {
+  // The benchmarks' heartbeat broadcast over certifying spins: only the
+  // LAPIC fire and the IPI arrivals bound epochs, a few per 20 000-cycle
+  // period instead of one per 600-cycle lookahead (33 per period before
+  // send horizons).
+  constexpr Cycles kPeriods = 40;
+  for (const unsigned threads : {1u, 4u}) {
+    bench::DesWorkload w = bench::make_des_workload(
+        1024, SchedulerKind::kParallelEpoch, 200, 20'000, threads);
+    ASSERT_TRUE(w.machine->run_until(kPeriods * 20'000));
+    EXPECT_LE(w.machine->parallel_epochs(), 4 * kPeriods)
+        << "threads=" << threads;
+    EXPECT_EQ(w.total_irqs(), (kPeriods - 1) * 1024) << "threads=" << threads;
+  }
+}
+
+/// Certifies its steps inert for fast-forward, then sends an IPI from
+/// its second step anyway.
+class LyingSpin final : public CoreDriver {
+ public:
+  bool runnable(Core& core) override { return core.id() == 0 && steps_ < 4; }
+  void step(Core& core) override {
+    core.consume(100);
+    if (++steps_ == 2) core.machine().send_ipi(core, 1, 0x30);
+  }
+  bool plan_fast_forward(Core& core, Cycles horizon,
+                         FastForwardPlan* plan) override {
+    const std::uint64_t need = (horizon - core.clock() + 99) / 100;
+    plan->steps = std::min<std::uint64_t>(4 - steps_, need);
+    plan->end_clock = core.clock() + plan->steps * 100;
+    return true;
+  }
+
+ private:
+  std::uint64_t steps_{0};
+};
+
+TEST(ParallelEpoch, CertifiedDriverSendingInsideItsWindowIsNamed) {
+  // Core 0's certificate makes its send horizon the run target, so the
+  // first epoch spans the whole run; the IPI its step sends would land
+  // inside it, after core 1 may already have run past the arrival.
+  auto run = [] {
+    MachineConfig mc;
+    mc.num_cores = 2;
+    mc.scheduler = SchedulerKind::kParallelEpoch;
+    mc.shard_policy = ShardPolicy::kPerCore;
+    mc.threads = 1;  // single host thread: the death is deterministic
+    Machine m(mc);
+    LyingSpin d;
+    m.core(0).set_driver(&d);
+    (void)m.run_until(10'000);
+  };
+  EXPECT_DEATH(run(),
+               "core 0 sent an IPI arriving at cycle [0-9]+, before the "
+               "parallel epoch's horizon 10000");
 }
 
 // ------------------------------------------------- epoch-boundary edges

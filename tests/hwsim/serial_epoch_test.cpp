@@ -2,11 +2,14 @@
 // heartbeat of tools/replay_workload.hpp, whose CPU 0 supervisor reads
 // and writes every worker's beat state, must run on per-core shards
 // bit-identically to the frontier scheduler — at every host-thread count
-// and steal mode, under fault plans that drive the supervisor into
-// degraded polling and back out, and across a capture taken
-// mid-degraded and hydrated into a fresh machine. Also covers the
-// sequential-epoch counter and the diagnostic for a serial core whose
-// own step posts it an event inside a parallel epoch.
+// and steal mode, at 1024 cores, under fault plans that drive the
+// supervisor into degraded polling and back out, and across a capture
+// taken mid-degraded and hydrated into a fresh machine. Also covers the
+// serial-delivery counters, the epochs the spin driver's send horizons
+// allow per heartbeat period, a serial core whose head is a masked IRQ,
+// serial cores above core 0, the batched advance budget, and the
+// diagnostic for a serial core whose own step posts it an event inside
+// a parallel epoch.
 //
 // The SerialEpoch suite runs in CI's ThreadSanitizer job.
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "hwsim/lapic.hpp"
 #include "hwsim/machine.hpp"
 #include "hwsim/snapshot.hpp"
 #include "obs/trace.hpp"
@@ -203,6 +207,39 @@ TEST(SerialEpoch, ReplayMatchesFrontierThroughDegradeAndRecovery) {
   EXPECT_GT(ref.recoveries, 0u);
 }
 
+TEST(SerialEpoch, ReplayMatchesFrontierAt1024Cores) {
+  // Serial deliveries at scale: each LAPIC fire runs one pick in
+  // sequence whatever the core count, and the picks between them run in
+  // parallel epochs. Twenty periods and no O(cores) paranoid check per
+  // advance keep the legs cheap under TSan.
+  constexpr unsigned kCores = 1024;
+  const auto scaled = [](const Plan& p, const Leg& l) {
+    MachineConfig mc = config(kCores, p, l);
+    mc.paranoid_frontier = false;
+    return mc;
+  };
+  for (const Plan& p : {plans()[0], plans()[2]}) {
+    Machine ref_m(scaled(p, Leg{}));
+    obs::TraceRecorder ref_tr;
+    ref_m.set_tracer(&ref_tr);
+    tools::ReplayWorkload ref_w(ref_m, kPeriod, true);
+    ASSERT_TRUE(ref_m.run_until(20 * kPeriod));
+    const ReplayRun ref = collect(ref_m, ref_w, ref_tr);
+    for (const unsigned threads : {1u, 4u}) {
+      const Leg l{SchedulerKind::kParallelEpoch, threads, true, 0};
+      Machine m(scaled(p, l));
+      obs::TraceRecorder tr;
+      m.set_tracer(&tr);
+      tools::ReplayWorkload w(m, kPeriod, true);
+      ASSERT_TRUE(m.run_until(20 * kPeriod));
+      const ReplayRun r = collect(m, w, tr);
+      expect_same(ref, r, label(kCores, p, l));
+      EXPECT_EQ(r.serial_epochs, r.fires) << label(kCores, p, l);
+      EXPECT_EQ(m.serial_picks(), r.fires) << label(kCores, p, l);
+    }
+  }
+}
+
 TEST(SerialEpoch, MidDegradedCaptureHydratesIntoFreshPerCoreMachine) {
   // Capture inside the drop window, with the supervisor polling, on a
   // per-core machine; serialize; hydrate a fresh per-core machine at a
@@ -241,6 +278,212 @@ TEST(SerialEpoch, MidDegradedCaptureHydratesIntoFreshPerCoreMachine) {
   const ReplayRun r = collect(m, w, tr);
   expect_same(ref, r, "hydrated mid-degraded");
   EXPECT_GT(r.serial_epochs, 0u);
+}
+
+TEST(SerialEpoch, SerialCoresAboveCoreZeroRunAfterLowerIdsAtTheirCycle) {
+  // Workers 3 and 5 declared serial too: their IPI deliveries run in
+  // sequence, after the picks of every lower core id due at the same
+  // cycle (the broadcast lands on all workers at once, so those ties
+  // occur), and the higher ids tied there run in the next parallel
+  // epoch. Any core may be declared serial without changing results.
+  for (const Plan& p : {plans()[0], plans()[2]}) {
+    const ReplayRun ref = run_replay(8, p, Leg{});
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      const Leg l{SchedulerKind::kParallelEpoch, threads, true, 0};
+      Machine m(config(8, p, l));
+      obs::TraceRecorder tr;
+      m.set_tracer(&tr);
+      tools::ReplayWorkload w(m, kPeriod, /*fault_tolerant=*/true);
+      m.declare_serial_core(3);
+      m.declare_serial_core(5);
+      ASSERT_TRUE(m.run_until(kEnd));
+      const ReplayRun r = collect(m, w, tr);
+      const std::string what = label(8, p, l) + ", cores 0, 3, 5 serial";
+      expect_same(ref, r, what);
+      // Every worker IPI delivery to core 3 or 5 is a serial delivery,
+      // and some ran lower-id picks tied at their cycle first.
+      EXPECT_GT(r.serial_epochs, 2 * r.fires) << what;
+      EXPECT_GT(m.serial_picks(), r.serial_epochs) << what;
+    }
+  }
+}
+
+// ------------------------------------------------------- epoch counts
+
+/// Deterministic epoch counters of one fault-tolerant replay run over
+/// kCountPeriods heartbeat periods on per-core epochs.
+struct EpochCounts {
+  std::uint64_t digest{0};
+  std::uint64_t parallel_epochs{0};
+  std::uint64_t serial_epochs{0};
+  std::uint64_t serial_picks{0};
+  std::uint64_t fires{0};
+};
+
+constexpr Cycles kCountPeriods = 40;
+
+EpochCounts count_epochs(unsigned cores, const FaultPlan& faults,
+                         unsigned threads) {
+  MachineConfig mc;
+  mc.num_cores = cores;
+  mc.scheduler = SchedulerKind::kParallelEpoch;
+  mc.shard_policy = ShardPolicy::kPerCore;
+  mc.threads = threads;
+  mc.faults = faults;
+  mc.fault_seed = 7;
+  Machine m(mc);
+  tools::ReplayWorkload w(m, kPeriod, /*fault_tolerant=*/true);
+  EXPECT_TRUE(m.run_until(kCountPeriods * kPeriod));
+  EpochCounts c;
+  c.digest = m.snapshot().digest();
+  c.parallel_epochs = m.parallel_epochs();
+  c.serial_epochs = m.serial_epochs();
+  c.serial_picks = m.serial_picks();
+  c.fires = m.core(0).irqs_delivered();
+  return c;
+}
+
+double per_period(std::uint64_t n) {
+  return static_cast<double>(n) / static_cast<double>(kCountPeriods);
+}
+
+TEST(SerialEpoch, SpinSendHorizonsWidenEpochsToThePeriod) {
+  // The spin driver certifies its steps, so only deliveries bound an
+  // epoch: the LAPIC fire, its serial delivery and the IPI fan-out, a
+  // few epochs per period instead of one per 600-cycle lookahead (31.8
+  // per period before send horizons). The count depends on the
+  // simulated schedule only: the same at every core and thread count.
+  std::uint64_t epochs = 0;
+  for (const unsigned cores : {8u, 64u, 1024u}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      const EpochCounts c = count_epochs(cores, FaultPlan{}, threads);
+      const std::string what = std::to_string(cores) + " cores, threads=" +
+                               std::to_string(threads);
+      if (epochs == 0) epochs = c.parallel_epochs;
+      EXPECT_EQ(c.parallel_epochs, epochs) << what;
+      EXPECT_LE(per_period(c.parallel_epochs), 3.0) << what;
+      // One serial delivery per LAPIC fire, and it runs one pick: the
+      // supervisor's core has the lowest id, so nothing is tied before
+      // it.
+      EXPECT_GE(c.fires, kCountPeriods - 1) << what;
+      EXPECT_EQ(c.serial_epochs, c.fires) << what;
+      EXPECT_EQ(c.serial_picks, c.fires) << what;
+    }
+  }
+}
+
+TEST(SerialEpoch, FaultedFabricSplitsEpochsOnlyAtArrivals) {
+  // Delayed and duplicated IPIs arrive at scattered cycles, and each
+  // arrival bounds the epoch its receiver's handler runs in; drops send
+  // the supervisor into degraded polling, whose polls bound epochs too.
+  // Still far below the lookahead's 31.9 epochs per period.
+  FaultPlan p;
+  p.enabled = true;
+  p.ipi_drop_rate = 0.2;
+  p.ipi_delay_rate = 0.25;
+  p.ipi_delay_max = 14'000;
+  p.ipi_dup_rate = 0.1;
+  std::uint64_t epochs = 0;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const EpochCounts c = count_epochs(8, p, threads);
+    if (epochs == 0) epochs = c.parallel_epochs;
+    EXPECT_EQ(c.parallel_epochs, epochs) << "threads=" << threads;
+    EXPECT_LE(per_period(c.parallel_epochs), 6.0) << "threads=" << threads;
+    EXPECT_LE(c.serial_epochs, c.fires) << "threads=" << threads;
+  }
+}
+
+TEST(SerialEpoch, UnreachedBudgetInBatchesMatchesUnbudgeted) {
+  // A pool thread claims advance-budget slots in batches, and a batch it
+  // does not spend is stranded. A budget the run never reaches must
+  // still leave the schedule and the folds untouched: same digest, and
+  // no scan beyond the unbudgeted run's.
+  for (const unsigned threads : {2u, 4u}) {
+    for (const Plan& p : {plans()[0], plans()[2]}) {
+      const Leg free{SchedulerKind::kParallelEpoch, threads, true, 0};
+      const Leg budgeted{SchedulerKind::kParallelEpoch, threads, true,
+                         kWatchdog};
+      const ReplayRun a = run_replay(64, p, free);
+      const ReplayRun b = run_replay(64, p, budgeted);
+      const std::string what = label(64, p, budgeted);
+      expect_same(a, b, what);
+      EXPECT_EQ(b.scans, a.scans) << what;
+    }
+  }
+}
+
+// ------------------------------------------------------- masked head
+
+/// Core 0 masks its interrupts for steps [10, 40) of its 60; every core
+/// spins 60 steps of 100 cycles. Each core counts its steps in its own
+/// slot.
+class MaskingSpin final : public CoreDriver {
+ public:
+  explicit MaskingSpin(unsigned cores) : steps_(cores, 0) {}
+  bool runnable(Core& core) override { return steps_[core.id()] < 60; }
+  void step(Core& core) override {
+    core.consume(100);
+    const std::uint64_t n = ++steps_[core.id()];
+    if (core.id() == 0 && n == 10) core.set_interrupts_enabled(false);
+    if (core.id() == 0 && n == 40) core.set_interrupts_enabled(true);
+  }
+
+ private:
+  std::vector<std::uint64_t> steps_;
+};
+
+struct MaskedRun {
+  std::uint64_t digest{0};
+  std::uint64_t trace{0};
+  std::uint64_t serial_epochs{0};
+};
+
+/// A one-shot LAPIC fire lands on serial core 0 while it is masked, so
+/// the IRQ sits at the head of its inbox for 25 steps; once delivered,
+/// its handler broadcasts an IPI that every other core takes.
+MaskedRun run_masked(SchedulerKind sched, unsigned threads) {
+  constexpr unsigned kCores = 4;
+  MachineConfig mc;
+  mc.num_cores = kCores;
+  mc.scheduler = sched;
+  mc.shard_policy = ShardPolicy::kPerCore;
+  mc.threads = threads;
+  mc.paranoid_frontier = true;
+  Machine m(mc);
+  obs::TraceRecorder tr;
+  m.set_tracer(&tr);
+  MaskingSpin d(kCores);
+  for (unsigned c = 0; c < kCores; ++c) {
+    m.core(c).set_driver(&d);
+    m.core(c).set_irq_handler(0x40, [](Core& core, int) {
+      core.consume(50);
+      if (core.id() == 0) core.machine().broadcast_ipi(core, 0x40);
+    });
+  }
+  m.declare_serial_core(0);
+  LapicTimer timer(m.core(0), 0x40);
+  timer.oneshot(1'500);
+  EXPECT_TRUE(m.run_until(3'000));
+  EXPECT_EQ(m.core(0).pending_irqs(), 1u);  // fired, still masked
+  EXPECT_TRUE(m.run_until(100'000));
+  EXPECT_TRUE(m.run());
+  for (unsigned c = 0; c < kCores; ++c) {
+    EXPECT_EQ(m.core(c).irqs_delivered(), 1u) << "core " << c;
+  }
+  return {m.snapshot().digest(), trace_hash(tr), m.serial_epochs()};
+}
+
+TEST(SerialEpoch, MaskedSerialHeadMakesProgressAndMatchesFrontier) {
+  // While the head is masked the core's pick at its delivery point is a
+  // plain step, run in sequence; the loop must keep stepping it until a
+  // step unmasks and the IRQ is delivered.
+  const MaskedRun ref = run_masked(SchedulerKind::kFrontier, 1);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const MaskedRun r = run_masked(SchedulerKind::kParallelEpoch, threads);
+    EXPECT_EQ(r.digest, ref.digest) << "threads=" << threads;
+    EXPECT_EQ(r.trace, ref.trace) << "threads=" << threads;
+    EXPECT_GT(r.serial_epochs, 1u) << "threads=" << threads;
+  }
 }
 
 // ------------------------------------------------------------ diagnostic

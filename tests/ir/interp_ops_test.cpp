@@ -3,6 +3,10 @@
 // would corrupt results downstream.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "ir/builder.hpp"
 #include "ir/interp.hpp"
 
@@ -37,6 +41,55 @@ TEST(InterpOps, DivisionByZeroIsDefined) {
   // cannot crash the host.
   EXPECT_EQ(eval(Op::kDiv, 42, 0), 0);
   EXPECT_EQ(eval(Op::kRem, 42, 0), 0);
+}
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+TEST(InterpOps, AddSubMulWrapInTwosComplement) {
+  // Like LLVM's add/sub/mul without nsw: overflow wraps, it is never
+  // undefined behaviour in the host.
+  EXPECT_EQ(eval(Op::kAdd, kMax, 1), kMin);
+  EXPECT_EQ(eval(Op::kAdd, kMin, -1), kMax);
+  EXPECT_EQ(eval(Op::kSub, kMin, 1), kMax);
+  EXPECT_EQ(eval(Op::kSub, 0, kMin), kMin);
+  EXPECT_EQ(eval(Op::kMul, kMax, 2), -2);
+  EXPECT_EQ(eval(Op::kMul, kMin, -1), kMin);
+  EXPECT_EQ(eval(Op::kMul, std::int64_t{1} << 32, std::int64_t{1} << 32), 0);
+}
+
+TEST(InterpOps, MinDividedByMinusOneIsDefined) {
+  // The one quotient that overflows wraps to INT64_MIN, and its
+  // remainder is 0 (the host's idiv would trap on both).
+  EXPECT_EQ(eval(Op::kDiv, kMin, -1), kMin);
+  EXPECT_EQ(eval(Op::kRem, kMin, -1), 0);
+  EXPECT_EQ(eval(Op::kDiv, 7, -1), -7);
+  EXPECT_EQ(eval(Op::kRem, 7, -1), 0);
+  EXPECT_EQ(eval(Op::kRem, -7, 2), -1);
+}
+
+TEST(InterpOps, LoadStoreAddressSumsWrap) {
+  // base + offset wraps like the register arithmetic: a store at
+  // INT64_MAX + 1 and a load at INT64_MIN name the same address.
+  Module m;
+  Function* f = m.add_function("addr", 1);
+  const BlockId e = f->add_block();
+  Builder bld(*f);
+  bld.at(e);
+  const Reg base = f->arg_reg(0);
+  const Reg v = bld.constant(99);
+  bld.store(base, v, 1);
+  const Reg min = bld.constant(kMin);
+  const Reg r = bld.load(min, 0);
+  bld.ret(r);
+  std::vector<Addr> seen;
+  InterpHooks hooks;
+  hooks.on_access = [&seen](Addr a, bool) { seen.push_back(a); };
+  Interp in(m, hooks);
+  EXPECT_EQ(in.run(f->id(), {kMax}).ret, 99);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], Addr{1} << 63);
+  EXPECT_EQ(seen[1], Addr{1} << 63);
 }
 
 TEST(InterpOps, Bitwise) {

@@ -3,8 +3,8 @@
 // the two tools bisect and replay the *same* trajectory — a divergence
 // localized by ttreplay can be handed to fault_bisect unchanged.
 //
-// The spin driver is stateless (a fixed cycle cost per step), so the
-// only snapshot participant the workload adds is the heartbeat backend
+// The spin driver (workloads/spin_driver.hpp) is stateless, so the only
+// snapshot participant the workload adds is the heartbeat backend
 // itself — which self-registers in its constructor. Construction order
 // still matters: build the workload only after the injector is in its
 // final mode (recording or scripted), because starting the heartbeat
@@ -16,21 +16,14 @@
 #include "common/types.hpp"
 #include "heartbeat/delivery.hpp"
 #include "hwsim/machine.hpp"
+#include "workloads/spin_driver.hpp"
 
 namespace iw::tools {
 
-/// Fixed-cost spin: every core always runnable, 200 cycles per step.
-/// Stateless by design — nothing to snapshot.
-class SpinDriver final : public hwsim::CoreDriver {
- public:
-  bool runnable(hwsim::Core&) override { return true; }
-  void step(hwsim::Core& core) override { core.consume(200); }
-};
-
-/// Heartbeat-supervised spin workload. The interbeat statistics the
-/// supervisor keeps per worker are the tools' failure oracle: a fault
-/// schedule "fails" when some worker's worst interbeat gap exceeds
-/// `gap_factor` periods.
+/// Heartbeat-supervised spin workload: every core spins 200 cycles per
+/// step. The interbeat statistics the supervisor keeps per worker are
+/// the tools' failure oracle: a fault schedule "fails" when some
+/// worker's worst interbeat gap exceeds `gap_factor` periods.
 class ReplayWorkload {
  public:
   ReplayWorkload(hwsim::Machine& m, Cycles period, bool fault_tolerant)
@@ -66,7 +59,7 @@ class ReplayWorkload {
 
  private:
   hwsim::Machine& machine_;
-  SpinDriver driver_;
+  workloads::SpinDriver driver_{200};
   heartbeat::NautilusHeartbeat hb_;
   Cycles period_;
 };
