@@ -24,7 +24,10 @@ class SpinBarrier {
   explicit SpinBarrier(unsigned parties) : parties_(parties) {}
 
   /// Arrive; pays one atomic RMW on `core`. Returns the generation to
-  /// poll against (passed() flips when everyone arrived).
+  /// poll against (passed() flips when everyone arrived). The arrival
+  /// that flips a generation records its step's start clock and core:
+  /// its place in the DES pick order, which check_poll_order tests
+  /// spinners' blind polls against.
   std::uint64_t arrive(hwsim::Core& core);
 
   [[nodiscard]] bool passed(std::uint64_t gen) const {
@@ -44,6 +47,23 @@ class SpinBarrier {
   /// `core`'s clock. Panics (dump + abort) when the timeout is exceeded.
   void check_timeout(hwsim::Core& core, Cycles entered) const;
 
+  /// First poll cycle at which check_timeout panics for a spinner that
+  /// arrived at `entered` (kNever while the timeout is off).
+  [[nodiscard]] Cycles timeout_poll(Cycles entered) const {
+    if (timeout_ == 0) return kNever;
+    return saturating_add(entered, saturating_add(timeout_, 1));
+  }
+
+  /// Exactness guard for blind polls (DESIGN.md, "OpenMP spin waits"):
+  /// the spinner on `core` has just observed the last flip, and the
+  /// last blind poll its previous step covered, at `last_poll`, read
+  /// "not passed". That poll must precede the flipping arrival in pick
+  /// order: an earlier cycle, or the same cycle on a lower core.
+  /// Otherwise it panics (dump + abort), naming the worker (worker w
+  /// runs on core w), the poll and the flip. kNever = the previous step
+  /// took no blind poll.
+  void check_poll_order(hwsim::Core& core, Cycles last_poll) const;
+
   void reset(unsigned parties) {
     parties_ = parties;
     count_ = 0;
@@ -54,6 +74,9 @@ class SpinBarrier {
   unsigned count_{0};
   std::uint64_t generation_{0};
   Cycles timeout_{0};
+  /// The last flip's arrival: its step's start clock and its core.
+  Cycles flip_at_{0};
+  CoreId flip_core_{0};
 };
 
 class FutexBarrier {

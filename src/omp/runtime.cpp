@@ -89,6 +89,9 @@ struct WorkerState {
   std::uint64_t end_iter{0};
   std::uint64_t barrier_gen{0};
   Cycles barrier_enter{0};
+  /// Last blind poll the previous kSpinWait step covered (kNever if it
+  /// polled only at its own pick, or was the arrival).
+  Cycles last_poll{kNever};
   Addr mem_cursor{0};
   Cycles done_at{0};
 };
@@ -170,6 +173,42 @@ Cycles translation_cost(ThreadedRun& run, unsigned wid,
     }
   }
   return c;
+}
+
+/// Polls the spinner `ws` on `core` performs in one step once the poll
+/// at its clock s read "not passed": s and every later s + 40 i that
+/// starts before
+///  (a) the clock of every worker not yet arrived at this generation:
+///      the flip happens inside such a worker's step, which starts at
+///      or after its clock;
+///  (b) the spinner core's next deliverable event (a noise burst or a
+///      tick), which a step boundary would take first;
+///  (c) the first poll an armed barrier_timeout panics at.
+/// Each such poll precedes the flip under every sequential pick order,
+/// so it reads "not passed" there too (DESIGN.md, "OpenMP spin waits").
+std::uint64_t blind_polls(const ThreadedRun& run, const WorkerState& ws,
+                          hwsim::Core& core) {
+  using S = WorkerState::S;
+  hwsim::Machine& m = core.machine();
+  Cycles flip_floor = kNever;
+  for (unsigned w = 0; w < run.workers.size(); ++w) {
+    const WorkerState& o = run.workers[w];
+    // Arrived: spinning on this generation, or done. A worker still
+    // spinning on an older generation that has flipped has not.
+    if (o.s == S::kDone ||
+        (o.s == S::kSpinWait && o.barrier_gen == ws.barrier_gen)) {
+      continue;
+    }
+    flip_floor = std::min(flip_floor, m.core(w).clock());
+  }
+  IW_ASSERT_MSG(flip_floor != kNever,
+                "omp spin wait with every worker arrived");
+  const Cycles bound =
+      std::min({flip_floor, core.earliest_deliverable(),
+                run.spin_barrier->timeout_poll(ws.barrier_enter)});
+  const Cycles s = core.clock();
+  if (bound <= s) return 1;
+  return 1 + (bound - 1 - s) / SpinBarrier::spin_cost();
 }
 
 nautilus::StepResult worker_step(ThreadedRun& run, unsigned wid,
@@ -276,22 +315,31 @@ nautilus::StepResult worker_step(ThreadedRun& run, unsigned wid,
         return nautilus::StepResult::cont(std::max<Cycles>(charge, 1));
       }
       ws.s = S::kSpinWait;
+      ws.last_poll = kNever;
       return nautilus::StepResult::cont(std::max<Cycles>(charge, 1));
     }
     case S::kSpinWait: {
-      charge += SpinBarrier::spin_cost();
-      run.spin_barrier->check_timeout(ctx.core, ws.barrier_enter);
-      if (run.spin_barrier->passed(ws.barrier_gen)) {
-        if (run.cfg.metrics != nullptr) {
-          const Cycles now = ctx.core.clock() + charge;
-          run.cfg.metrics->record(
-              obs::names::kOmpBarrierWait,
-              now > ws.barrier_enter ? now - ws.barrier_enter : 0);
-        }
-        ++ws.phase;
-        ws.s = S::kStartPhase;
+      SpinBarrier& barrier = *run.spin_barrier;
+      barrier.check_timeout(ctx.core, ws.barrier_enter);
+      if (!barrier.passed(ws.barrier_gen)) {
+        // The step's first poll ran at its own pick; the guard checks
+        // only the blind polls after it.
+        const Cycles poll = SpinBarrier::spin_cost();
+        const std::uint64_t polls = blind_polls(run, ws, ctx.core);
+        ws.last_poll =
+            polls > 1 ? ctx.core.clock() + (polls - 1) * poll : kNever;
+        return nautilus::StepResult::cont(polls * poll);
       }
-      return nautilus::StepResult::cont(charge);
+      barrier.check_poll_order(ctx.core, ws.last_poll);
+      if (run.cfg.metrics != nullptr) {
+        const Cycles now = ctx.core.clock() + SpinBarrier::spin_cost();
+        run.cfg.metrics->record(
+            obs::names::kOmpBarrierWait,
+            now > ws.barrier_enter ? now - ws.barrier_enter : 0);
+      }
+      ++ws.phase;
+      ws.s = S::kStartPhase;
+      return nautilus::StepResult::cont(SpinBarrier::spin_cost());
     }
     case S::kResumed: {
       // Woken from the futex barrier.
@@ -320,6 +368,10 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
   mc.max_advances = 4'000'000'000ULL;
   mc.scheduler = cfg.scheduler;
   hwsim::Machine m(mc);
+  // Blind polls (blind_polls) assume no fault plan: a plan draws a
+  // stall per step, and the batched polls would skip those draws.
+  IW_ASSERT_MSG(!m.fault_injector().enabled(),
+                "the OMP machine carries no fault plan");
   m.set_tracer(cfg.tracer);
   m.set_metrics(cfg.metrics);
 
@@ -397,6 +449,7 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
     res.makespan = std::max(res.makespan, w.done_at);
   }
   res.barriers_passed = run.barriers_passed;
+  res.advances = m.total_advances();
   res.syscalls = lx ? lx->syscall_count() : 0;
   std::uint64_t hits = 0, misses = 0;
   for (auto& p : run.paging) {
@@ -472,6 +525,7 @@ OmpResult run_cck(const workloads::MiniApp& app, const OmpConfig& cfg) {
   OmpResult res;
   res.makespan = m.now();
   res.tasks_executed = k.stats().tasks.executed;
+  res.advances = m.total_advances();
   (void)total_tasks;
   return res;
 }
@@ -480,6 +534,14 @@ OmpResult run_cck(const workloads::MiniApp& app, const OmpConfig& cfg) {
 
 OmpResult run_miniapp(const workloads::MiniApp& app, const OmpConfig& cfg) {
   IW_ASSERT(cfg.num_threads >= 1);
+  IW_ASSERT_MSG(cfg.iter_chunk >= 1,
+                "OmpConfig::iter_chunk must be at least 1");
+  IW_ASSERT_MSG(cfg.linux_park_fraction >= 0.0 &&
+                    cfg.linux_park_fraction <= 1.0,
+                "OmpConfig::linux_park_fraction must lie in [0, 1]");
+  IW_ASSERT_MSG(!(cfg.noise_gap_us > 0.0) || cfg.noise_burst_us > 0.0,
+                "OmpConfig::noise_burst_us must be positive while "
+                "noise_gap_us is");
   if (cfg.mode == OmpMode::kCCK) return run_cck(app, cfg);
   return run_threaded(app, cfg);
 }

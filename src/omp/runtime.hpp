@@ -45,7 +45,8 @@ enum class OmpMode { kLinux, kRTK, kPIK, kCCK };
 struct OmpConfig {
   OmpMode mode{OmpMode::kRTK};
   unsigned num_threads{16};
-  /// Iterations executed between scheduler-visible step boundaries.
+  /// Iterations executed between scheduler-visible step boundaries
+  /// (at least 1).
   std::uint64_t iter_chunk{64};
   /// schedule(dynamic, N): workers pull N-iteration chunks from a shared
   /// counter behind a lock (0 = schedule(static), the NAS default).
@@ -63,15 +64,16 @@ struct OmpConfig {
   /// infinite silent spin.
   Cycles barrier_timeout{0};
   /// Fraction of workers found parked at a region start (they exceeded
-  /// the active-spin window) and the serial per-wake cost the master
-  /// pays to bring each back — the fork-join cost kernel-level
-  /// runtimes do not have.
+  /// the active-spin window; in [0, 1]) and the serial per-wake cost
+  /// the master pays to bring each back — the fork-join cost
+  /// kernel-level runtimes do not have.
   double linux_park_fraction{0.5};
   Cycles linux_region_wake_cost{1'600};
   /// Linux OS-noise model: unsteerable kworker/softirq/IRQ activity
   /// periodically steals a core (mean gap / median burst, in µs).
   /// Barriers amplify one core's delay to all — the classic OS-noise
-  /// mechanism behind the growing-with-scale gap of Fig. 6.
+  /// mechanism behind the growing-with-scale gap of Fig. 6. A gap of 0
+  /// turns the noise off; while it is on, the burst must be positive.
   double noise_gap_us{2'500.0};
   double noise_burst_us{5.0};
   hwsim::CostModel costs{hwsim::CostModel::knl()};
@@ -129,9 +131,13 @@ struct OmpResult {
   std::uint64_t tasks_executed{0};
   std::uint64_t syscalls{0};
   double tlb_miss_rate{0.0};
+  /// DES advances the run's machine took (Machine::total_advances): the
+  /// simulator's cost, not a modelled result.
+  std::uint64_t advances{0};
 };
 
-/// Run one mini-app under one mode on a fresh machine.
+/// Run one mini-app under one mode on a fresh machine. Aborts with a
+/// named diagnostic on an OmpConfig value outside its documented range.
 OmpResult run_miniapp(const workloads::MiniApp& app, const OmpConfig& cfg);
 
 /// Fig. 6 helper: relative performance of `mode` vs the Linux baseline

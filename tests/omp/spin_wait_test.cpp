@@ -1,0 +1,295 @@
+// Spin-barrier waits in one step (DESIGN.md, "OpenMP spin waits").
+//
+// A spinner whose poll reads "not passed" performs, in the same step,
+// every later poll that provably reads "not passed" too. That changes
+// how many DES advances a run takes and nothing else: the results
+// below were taken from the runtime that stepped every 40-cycle poll,
+// and must hold bit for bit on every sequential scheduler. Only the
+// advance counts are the batched runtime's own; the per-poll runtime's
+// counts are given beside them.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <sstream>
+#include <string>
+
+#include "hwsim/machine.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "omp/runtime.hpp"
+#include "workloads/miniapp.hpp"
+
+namespace iw::omp {
+namespace {
+
+/// FNV-1a over the recorder's text dump (as in determinism_test.cpp).
+std::uint64_t trace_hash(const obs::TraceRecorder& tr) {
+  std::ostringstream os;
+  tr.write_text(os);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : os.str()) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+enum class App { kBt, kSp, kEpcc, kBt48 };
+
+workloads::MiniApp make_app(App a) {
+  switch (a) {
+    case App::kBt: return workloads::bt_mini(16, 2);
+    case App::kSp: return workloads::sp_mini(16, 2);
+    case App::kEpcc: return workloads::epcc_syncbench(64, 4);
+    case App::kBt48: return workloads::bt_mini(48, 3);
+  }
+  return {};
+}
+
+struct Leg {
+  App app;
+  OmpMode mode;
+  unsigned threads;
+  std::uint64_t dynamic_chunk;
+  std::uint64_t iter_chunk;
+  // Results of the per-poll runtime.
+  Cycles makespan;
+  std::uint64_t barriers;
+  double tlb_miss_rate;
+  std::uint64_t trace;
+  std::uint64_t wait_count;
+  std::uint64_t wait_sum;
+  std::uint64_t wait_max;
+  // DES advances of the batched runtime.
+  std::uint64_t advances;
+};
+
+constexpr OmpMode kLinux = OmpMode::kLinux;
+constexpr OmpMode kRTK = OmpMode::kRTK;
+constexpr OmpMode kPIK = OmpMode::kPIK;
+
+// Noise is off on every leg (noise_gap_us = 0), so no value depends on
+// libm; these runs end before the first 2500 µs noise gap anyway. The
+// Linux legs still spin on the master's region-start wake chain.
+const Leg kLegs[] = {
+    // app, mode, threads, dynamic_chunk, iter_chunk, makespan, barriers,
+    // tlb miss rate, trace hash, omp.barrier.wait count/sum/max, advances
+    {App::kBt, kLinux, 8, 0, 64, 872570, 10, 0x1.17e655f9957e6p-1,
+     0x24094e660a039d5fULL, 80, 282640, 23580, 572},  // per-poll: 7353
+    {App::kBt, kLinux, 64, 0, 64, 555960, 10, 0x1.aa22cbce4a902p-1,
+     0xd12a9fd8ce051ff6ULL, 640, 27997760, 59940, 2749},  // 700343
+    {App::kBt, kRTK, 8, 0, 64, 780990, 10, 0x1.488052201488p-10,
+     0x811dced952fd58b1ULL, 80, 7000, 100, 462},  // 462
+    {App::kBt, kRTK, 64, 0, 64, 100070, 10, 0x1.3e22cbce4a902p-8,
+     0x032e9db8eb9d669dULL, 640, 63000, 100, 1974},  // 1974
+    {App::kBt, kPIK, 8, 0, 64, 789630, 10, 0x1.488052201488p-10,
+     0x868d4a4241e879faULL, 80, 49280, 4420, 483},  // 1519
+    {App::kBt, kPIK, 64, 0, 64, 108670, 10, 0x1.3e22cbce4a902p-8,
+     0x918234dcac3d593dULL, 640, 443520, 4420, 2226},  // 11487
+    {App::kSp, kLinux, 8, 0, 64, 563560, 14, 0x1.7ada67d508f37p-2,
+     0x03df72695443890eULL, 112, 426680, 20380, 972},  // 11200
+    {App::kSp, kLinux, 64, 0, 64, 711470, 14, 0x1.50c9ea5dbf194p-1,
+     0x2d9160d2152970b1ULL, 896, 40532600, 59580, 3746},  // 1013848
+    {App::kSp, kRTK, 8, 0, 64, 479790, 14, 0x1.ca4b3055ee191p-10,
+     0x387f5fff31c00079ULL, 112, 9800, 100, 778},  // 778
+    {App::kSp, kRTK, 64, 0, 64, 63190, 14, 0x1.cd85689039b0bp-8,
+     0xc9442b63d76c1121ULL, 896, 88200, 100, 2738},  // 2738
+    {App::kSp, kPIK, 8, 0, 64, 491870, 14, 0x1.ca4b3055ee191p-10,
+     0x1294e1dedf1e73b9ULL, 112, 78400, 3860, 827},  // 2493
+    {App::kSp, kPIK, 64, 0, 64, 75230, 14, 0x1.cd85689039b0bp-8,
+     0xa7363c9d06ebf773ULL, 896, 705600, 3060, 3431},  // 18173
+    {App::kEpcc, kLinux, 8, 0, 64, 19870, 4, 0x1.9e79e79e79e7ap-1,
+     0x4e7284f99961edcfULL, 32, 99440, 4860, 121},  // 2516
+    {App::kEpcc, kLinux, 64, 0, 64, 152590, 4, 0x1.9e79e79e79e7ap-1,
+     0x0ed040558a17946aULL, 256, 9387040, 49660, 1017},  // 234874
+    {App::kEpcc, kRTK, 8, 0, 64, 3390, 4, 0x1.8618618618618p-5,
+     0xa336a508b33131dbULL, 32, 2800, 100, 100},  // 100
+    {App::kEpcc, kRTK, 64, 0, 64, 1710, 4, 0x1.8618618618618p-5,
+     0x345b12c7d9d1e981ULL, 256, 25200, 100, 828},  // 828
+    {App::kEpcc, kPIK, 8, 0, 64, 6830, 4, 0x1.8618618618618p-5,
+     0xe4346562bdfafdd8ULL, 32, 23520, 980, 128},  // 618
+    {App::kEpcc, kPIK, 64, 0, 64, 5150, 4, 0x1.8618618618618p-5,
+     0x47f5548a30d32edaULL, 256, 236880, 980, 1080},  // 6120
+    // schedule(dynamic, 8).
+    {App::kBt, kLinux, 64, 8, 64, 486010, 10, 0x1.76059f94786c1p-1,
+     0xe27798ebdbde3b38ULL, 640, 16812920, 47780, 13450},  // 422962
+    // Small iter_chunk: many work steps per phase.
+    {App::kSp, kLinux, 64, 0, 8, 711470, 14, 0x1.e31219dbcc486p-2,
+     0xebfc45fec86a4210ULL, 896, 40656080, 53580, 10354},  // 1020519
+    // Fig. 6's size, long enough to cross the Linux tick: a spinner
+    // takes each tick at the step boundary it falls before.
+    {App::kBt48, kLinux, 64, 0, 64, 3123780, 15, 0x1.ecbd323989ffp-1,
+     0x34407a63b42254d5ULL, 960, 44647340, 168900, 18961},  // 1100652
+};
+
+std::string leg_name(const Leg& l, hwsim::SchedulerKind sched) {
+  static const char* const kApps[] = {"bt", "sp", "epcc", "bt48"};
+  static const char* const kScheds[] = {"frontier", "linear", "epoch"};
+  return std::string(kApps[static_cast<int>(l.app)]) + "/" +
+         mode_name(l.mode) + "/p" + std::to_string(l.threads) + "/dyn" +
+         std::to_string(l.dynamic_chunk) + "/chunk" +
+         std::to_string(l.iter_chunk) + "/" +
+         kScheds[static_cast<int>(sched)];
+}
+
+TEST(SpinWait, PerPollResultsHoldOnEverySequentialScheduler) {
+  for (const Leg& leg : kLegs) {
+    for (const hwsim::SchedulerKind sched :
+         {hwsim::SchedulerKind::kFrontier, hwsim::SchedulerKind::kLinearScan,
+          hwsim::SchedulerKind::kParallelEpoch}) {
+      SCOPED_TRACE(leg_name(leg, sched));
+      OmpConfig cfg;
+      cfg.mode = leg.mode;
+      cfg.num_threads = leg.threads;
+      cfg.dynamic_chunk = leg.dynamic_chunk;
+      cfg.iter_chunk = leg.iter_chunk;
+      cfg.noise_gap_us = 0.0;
+      cfg.scheduler = sched;
+      obs::TraceRecorder tr;
+      obs::MetricsRegistry mx;
+      cfg.tracer = &tr;
+      cfg.metrics = &mx;
+      const OmpResult r = run_miniapp(make_app(leg.app), cfg);
+      EXPECT_EQ(r.makespan, leg.makespan);
+      EXPECT_EQ(r.barriers_passed, leg.barriers);
+      EXPECT_EQ(r.tlb_miss_rate, leg.tlb_miss_rate);
+      EXPECT_EQ(trace_hash(tr), leg.trace);
+      const auto wait = mx.histogram(obs::names::kOmpBarrierWait).state();
+      EXPECT_EQ(wait.total_count, leg.wait_count);
+      EXPECT_EQ(wait.sum, static_cast<double>(leg.wait_sum));
+      EXPECT_EQ(wait.max, leg.wait_max);
+      EXPECT_EQ(r.advances, leg.advances);
+    }
+  }
+}
+
+// Noise on: Fig. 6's Linux p64 point (BT-/SP-mini n = 48, default
+// noise), and a small run under a burst every ~20 µs, where a worker
+// often still spins on a flipped generation while others spin on the
+// next one. The blind polls stay exact under bursts and ticks (the
+// exactness guard, or blind_polls' check that some worker has not
+// arrived, would abort otherwise), both sequential schedulers agree,
+// and the advances fall at least 20-fold.
+TEST(SpinWait, NoisyLinuxRunsBatchTheirPolls) {
+  struct Case {
+    workloads::MiniApp app;
+    unsigned threads;
+    double gap_us;
+    double burst_us;
+    std::uint64_t per_poll_advances;  // the per-poll runtime's count
+  };
+  const Case cases[] = {
+      {workloads::bt_mini(48, 3), 64, 2'500.0, 5.0, 1'094'342},
+      {workloads::sp_mini(48, 3), 64, 2'500.0, 5.0, 1'574'171},
+      {workloads::bt_mini(16, 2), 8, 20.0, 10.0, 109'209},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.app.name + " p" + std::to_string(c.threads));
+    OmpConfig cfg;
+    cfg.mode = kLinux;
+    cfg.num_threads = c.threads;
+    cfg.noise_gap_us = c.gap_us;
+    cfg.noise_burst_us = c.burst_us;
+    cfg.seed = 1;
+    const OmpResult frontier = run_miniapp(c.app, cfg);
+    cfg.scheduler = hwsim::SchedulerKind::kLinearScan;
+    const OmpResult linear = run_miniapp(c.app, cfg);
+    EXPECT_EQ(frontier.makespan, linear.makespan);
+    EXPECT_EQ(frontier.barriers_passed, c.app.barriers());
+    EXPECT_EQ(linear.barriers_passed, c.app.barriers());
+    EXPECT_EQ(frontier.tlb_miss_rate, linear.tlb_miss_rate);
+    EXPECT_EQ(frontier.advances, linear.advances);
+    EXPECT_LT(frontier.advances * 20, c.per_poll_advances);
+  }
+}
+
+TEST(SpinWait, GuardAcceptsBlindPollsBeforeTheFlip) {
+  hwsim::MachineConfig mc;
+  mc.num_cores = 2;
+  hwsim::Machine m(mc);
+  SpinBarrier b(2);
+  const auto gen = b.arrive(m.core(0));
+  m.core(1).consume(1'000);
+  b.arrive(m.core(1));  // core 1 flips at cycle 1000
+  ASSERT_TRUE(b.passed(gen));
+  b.check_poll_order(m.core(0), 960);
+  b.check_poll_order(m.core(0), 1'000);  // same cycle, lower core
+  b.check_poll_order(m.core(0), kNever);  // no blind poll
+}
+
+TEST(SpinWaitDeathTest, GuardNamesABlindPollPastTheFlip) {
+  hwsim::MachineConfig mc;
+  mc.num_cores = 2;
+  hwsim::Machine m(mc);
+  SpinBarrier b(2);
+  b.arrive(m.core(0));
+  m.core(1).consume(1'000);
+  b.arrive(m.core(1));
+  EXPECT_DEATH(b.check_poll_order(m.core(0), 1'040),
+               "worker 0 polled at cycle 1040, but core 1 flipped "
+               "generation 0 at cycle 1000");
+
+  // The same cycle on a higher core also comes after the flip.
+  hwsim::Machine m2(mc);
+  SpinBarrier late(2);
+  late.arrive(m2.core(1));
+  m2.core(0).consume(2'000);
+  late.arrive(m2.core(0));  // core 0 flips at cycle 2000
+  late.check_poll_order(m2.core(1), 1'960);
+  EXPECT_DEATH(late.check_poll_order(m2.core(1), 2'000),
+               "worker 1 polled at cycle 2000, but core 0 flipped "
+               "generation 0 at cycle 2000");
+}
+
+// Linux at 16 threads, noise off: the master's region-start wake chain
+// (7 x 1600 cycles) outlasts the timeout, and the panic line is the one
+// the per-poll runtime printed.
+TEST(SpinWaitDeathTest, TimeoutFiresAtTheSamePoll) {
+  OmpConfig cfg;
+  cfg.mode = kLinux;
+  cfg.num_threads = 16;
+  cfg.noise_gap_us = 0.0;
+  cfg.barrier_timeout = 5'000;
+  EXPECT_DEATH(run_miniapp(workloads::bt_mini(16, 2), cfg),
+               "PANIC: omp barrier timeout on core 15: waited 5020 cycles "
+               "\\(limit 5000\\), 15/16 arrived");
+}
+
+TEST(OmpConfigDeathTest, ZeroIterChunkFailsByName) {
+  OmpConfig cfg;
+  cfg.mode = kRTK;
+  cfg.num_threads = 2;
+  cfg.iter_chunk = 0;
+  EXPECT_DEATH(run_miniapp(workloads::bt_mini(8, 1), cfg),
+               "iter_chunk must be at least 1");
+}
+
+TEST(OmpConfigDeathTest, ParkFractionOutsideTheUnitIntervalFailsByName) {
+  OmpConfig cfg;
+  cfg.mode = kLinux;
+  cfg.num_threads = 4;
+  cfg.linux_park_fraction = -0.5;
+  EXPECT_DEATH(run_miniapp(workloads::bt_mini(8, 1), cfg),
+               "linux_park_fraction must lie in \\[0, 1\\]");
+  cfg.linux_park_fraction = 1.5;
+  EXPECT_DEATH(run_miniapp(workloads::bt_mini(8, 1), cfg),
+               "linux_park_fraction must lie in \\[0, 1\\]");
+}
+
+TEST(OmpConfigDeathTest, NonPositiveNoiseBurstFailsByName) {
+  OmpConfig cfg;
+  cfg.mode = kLinux;
+  cfg.num_threads = 4;
+  cfg.noise_burst_us = 0.0;
+  EXPECT_DEATH(run_miniapp(workloads::bt_mini(8, 1), cfg),
+               "noise_burst_us must be positive");
+  cfg.noise_burst_us = -5.0;
+  EXPECT_DEATH(run_miniapp(workloads::bt_mini(8, 1), cfg),
+               "noise_burst_us must be positive");
+  // With the noise off the burst length is never read.
+  cfg.noise_gap_us = 0.0;
+  EXPECT_GT(run_miniapp(workloads::bt_mini(8, 1), cfg).makespan, 0u);
+}
+
+}  // namespace
+}  // namespace iw::omp
