@@ -11,8 +11,10 @@
 #include "hwsim/event_queue.hpp"
 #include "hwsim/machine.hpp"
 #include "mem/buddy_allocator.hpp"
+#include "mem/paging.hpp"
 #include "mem/tlb.hpp"
 #include "pipeline/branch_predictor.hpp"
+#include "workloads/miniapp.hpp"
 
 using namespace iw;
 
@@ -282,6 +284,21 @@ void BM_TlbAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TlbAccess);
+
+// One OpenMP worker's pre-fault at Fig. 6's size, as run_miniapp does it
+// before a Linux run: a fresh 64-entry DemandPaging swept once over
+// BT-mini n = 48's footprint plus one page, 4 KiB apart.
+void BM_PagingTouchSweep(benchmark::State& state) {
+  const std::uint64_t pages =
+      (workloads::bt_mini(48, 3).footprint_bytes + 4096 + 4095) / 4096;
+  for (auto _ : state) {
+    mem::DemandPaging paging(mem::DemandPaging::Config{});
+    benchmark::DoNotOptimize(paging.touch_sweep(7 * 64, pages, 4096));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    pages));
+}
+BENCHMARK(BM_PagingTouchSweep);
 
 // One composed-run step without the machine around it: 64 cores, each
 // with a deactivated 512-line private region, plus one 128-line shared

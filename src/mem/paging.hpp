@@ -7,8 +7,9 @@
 //  * DemandPaging (Linux baseline): 4 KiB pages, lazily populated; first
 //    touch pays a minor-fault cost, every access goes through a small TLB.
 //
-// Both expose the same `touch()` interface so workloads charge
-// translation costs identically against either stack.
+// Both expose the same `touch()` and `touch_sweep()` interface and own
+// one Tlb, so workloads charge translation costs identically against
+// either stack.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +37,18 @@ class PagingPolicy {
   /// Charge the translation (and fault, if any) cost of touching `addr`.
   /// Returns the cycles charged.
   virtual Cycles touch(Addr addr) = 0;
+  /// The same as `count` touch() calls at first + k * stride, k = 0 ..
+  /// count - 1, in one Tlb::sweep and one pass over the pages.
+  virtual Cycles touch_sweep(Addr first, std::uint64_t count,
+                             std::uint64_t stride) = 0;
   [[nodiscard]] const PagingStats& stats() const { return stats_; }
+  [[nodiscard]] const Tlb& tlb() const { return tlb_; }
 
  protected:
+  explicit PagingPolicy(TlbConfig tlb) : tlb_(tlb) {}
+
   PagingStats stats_;
+  Tlb tlb_;
 };
 
 /// Nautilus: identity map, huge pages, pre-populated at boot.
@@ -51,10 +60,8 @@ class IdentityPaging final : public PagingPolicy {
   IdentityPaging(unsigned covering_entries, std::uint64_t page_size,
                  Cycles walk_cost);
   Cycles touch(Addr addr) override;
-  [[nodiscard]] const Tlb& tlb() const { return tlb_; }
-
- private:
-  Tlb tlb_;
+  Cycles touch_sweep(Addr first, std::uint64_t count,
+                     std::uint64_t stride) override;
 };
 
 /// Linux baseline: 4 KiB demand paging + small TLB.
@@ -68,12 +75,18 @@ class DemandPaging final : public PagingPolicy {
   };
   explicit DemandPaging(Config cfg);
   Cycles touch(Addr addr) override;
-  [[nodiscard]] const Tlb& tlb() const { return tlb_; }
+  Cycles touch_sweep(Addr first, std::uint64_t count,
+                     std::uint64_t stride) override;
 
  private:
+  /// Count a fault on each of `faults` newly populated pages; their
+  /// cycles.
+  Cycles fault(std::uint64_t faults);
+
   Config cfg_;
-  Tlb tlb_;
-  FlatTable<> populated_;  // pages touched at least once
+  /// Pages touched at least once, 64 to a word: bit p % 64 of the word
+  /// keyed p / 64 is page p (a page table's last level as a bitmap).
+  FlatTable<std::uint64_t> populated_;
 };
 
 }  // namespace iw::mem

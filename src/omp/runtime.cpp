@@ -175,6 +175,37 @@ Cycles translation_cost(ThreadedRun& run, unsigned wid,
   return c;
 }
 
+/// Run the next `iters` iterations of the worker's phase: their compute
+/// and translation cycles.
+Cycles run_iters(ThreadedRun& run, unsigned wid, std::uint64_t iters) {
+  WorkerState& ws = run.workers[wid];
+  const auto& phase = *run.phases[ws.phase];
+  ws.next_iter += iters;
+  return iters * phase.cycles_per_iter +
+         translation_cost(run, wid, phase, iters);
+}
+
+/// schedule(static) worksharing in one step, for a worker on `core`
+/// whose next chunk does not finish its range: that chunk, and each
+/// later chunk that does not finish the range either and starts before
+/// the core's next deliverable event (a noise burst or a tick, read
+/// once), which a step boundary would take first. Each chunk is charged
+/// max(c, 1), as its own step would be. The chunk that finishes the
+/// range runs in its own step with the barrier arrival. The chunks touch
+/// only the worker's state, its paging policy and its core's clock
+/// (DESIGN.md, "Worksharing chunks").
+Cycles static_chunks(ThreadedRun& run, unsigned wid, hwsim::Core& core) {
+  const WorkerState& ws = run.workers[wid];
+  const std::uint64_t chunk = run.cfg.iter_chunk;
+  const Cycles due = core.earliest_deliverable();
+  const Cycles s = core.clock();
+  Cycles charge = 0;
+  do {
+    charge += std::max<Cycles>(run_iters(run, wid, chunk), 1);
+  } while (ws.end_iter - ws.next_iter > chunk && s + charge < due);
+  return charge;
+}
+
 /// Polls the spinner `ws` on `core` performs in one step once the poll
 /// at its clock s read "not passed": s and every later s + 40 i that
 /// starts before
@@ -258,9 +289,15 @@ nautilus::StepResult worker_step(ThreadedRun& run, unsigned wid,
       return nautilus::StepResult::cont(charge);
     }
     case S::kWork: {
-      const auto& phase = *run.phases[ws.phase];
       bool phase_exhausted = false;
-      if (run.cfg.dynamic_chunk != 0 && ws.next_iter >= ws.end_iter) {
+      if (run.cfg.dynamic_chunk == 0) {
+        if (ws.end_iter - ws.next_iter > run.cfg.iter_chunk) {
+          return nautilus::StepResult::cont(
+              static_chunks(run, wid, ctx.core));
+        }
+      } else if (ws.next_iter >= ws.end_iter) {
+        // schedule(dynamic): one grab per step, since the dispenser is
+        // shared and the grab order is the pick order.
         const auto [first, count, spent] = run.dispenser.grab(
             ctx.core.clock() + charge, run.cfg.dynamic_chunk);
         charge += spent;
@@ -273,17 +310,12 @@ nautilus::StepResult worker_step(ThreadedRun& run, unsigned wid,
       }
       const std::uint64_t todo = std::min<std::uint64_t>(
           run.cfg.iter_chunk, ws.end_iter - ws.next_iter);
-      if (todo > 0) {
-        charge += todo * phase.cycles_per_iter;
-        charge += translation_cost(run, wid, phase, todo);
-        ws.next_iter += todo;
-      }
-      if (ws.next_iter < ws.end_iter ||
-          (run.cfg.dynamic_chunk != 0 && !phase_exhausted)) {
-        // Static: chunk remains. Dynamic: grab again next step.
+      if (todo > 0) charge += run_iters(run, wid, todo);
+      if (run.cfg.dynamic_chunk != 0 && !phase_exhausted) {
+        // Dynamic: the chunk goes on, or the next grab comes, next step.
         return nautilus::StepResult::cont(std::max<Cycles>(charge, 1));
       }
-      // Chunk complete: barrier. Wait times (arrival -> release) feed
+      // Range complete: barrier. Wait times (arrival -> release) feed
       // the omp.barrier.wait histogram when metrics are attached.
       if (run.cfg.mode == OmpMode::kLinux && run.cfg.linux_passive_wait) {
         const Cycles before = ctx.core.clock();
@@ -408,10 +440,11 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
     }
     // Pre-fault the working set: NAS-style measurements report steady
     // state after warm-up timesteps, so one-time minor faults must not
-    // ride the measured region (the TLB pressure itself persists).
-    for (Addr a = 0; a < app.footprint_bytes + 4096; a += 4096) {
-      run.paging.back()->touch(static_cast<Addr>(c) * 64 + a);
-    }
+    // ride the measured region (the TLB pressure itself persists). One
+    // touch per 4 KiB below footprint + 4 KiB, as one sweep.
+    run.paging.back()->touch_sweep(static_cast<Addr>(c) * 64,
+                                   (app.footprint_bytes + 4096 + 4095) / 4096,
+                                   4096);
   }
   if (cfg.mode == OmpMode::kLinux && cfg.linux_passive_wait) {
     run.futex_barrier =
@@ -452,14 +485,9 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
   res.advances = m.total_advances();
   res.syscalls = lx ? lx->syscall_count() : 0;
   std::uint64_t hits = 0, misses = 0;
-  for (auto& p : run.paging) {
-    if (auto* dp = dynamic_cast<mem::DemandPaging*>(p.get())) {
-      hits += dp->tlb().hits();
-      misses += dp->tlb().misses();
-    } else if (auto* ip = dynamic_cast<mem::IdentityPaging*>(p.get())) {
-      hits += ip->tlb().hits();
-      misses += ip->tlb().misses();
-    }
+  for (const auto& p : run.paging) {
+    hits += p->tlb().hits();
+    misses += p->tlb().misses();
   }
   res.tlb_miss_rate = (hits + misses) ? static_cast<double>(misses) /
                                             static_cast<double>(hits + misses)

@@ -45,8 +45,10 @@ enum class OmpMode { kLinux, kRTK, kPIK, kCCK };
 struct OmpConfig {
   OmpMode mode{OmpMode::kRTK};
   unsigned num_threads{16};
-  /// Iterations executed between scheduler-visible step boundaries
-  /// (at least 1).
+  /// Iterations per worksharing chunk (at least 1). A chunk boundary is
+  /// where a worker takes a due event (a noise burst, a tick) and, under
+  /// schedule(dynamic), grabs again; static chunks that reach no due
+  /// event share one DES step.
   std::uint64_t iter_chunk{64};
   /// schedule(dynamic, N): workers pull N-iteration chunks from a shared
   /// counter behind a lock (0 = schedule(static), the NAS default).

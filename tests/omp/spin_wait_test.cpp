@@ -1,12 +1,16 @@
-// Spin-barrier waits in one step (DESIGN.md, "OpenMP spin waits").
+// Spin-barrier waits and worksharing chunks in one step (DESIGN.md,
+// "OpenMP spin waits").
 //
 // A spinner whose poll reads "not passed" performs, in the same step,
-// every later poll that provably reads "not passed" too. That changes
-// how many DES advances a run takes and nothing else: the results
-// below were taken from the runtime that stepped every 40-cycle poll,
-// and must hold bit for bit on every sequential scheduler. Only the
-// advance counts are the batched runtime's own; the per-poll runtime's
-// counts are given beside them.
+// every later poll that provably reads "not passed" too, and a
+// schedule(static) worker runs, in one step, every chunk up to its
+// core's next due event, short of the one that finishes its range. That
+// changes how many DES advances a run takes and nothing else: the
+// results below were taken from the runtime that stepped every 40-cycle
+// poll (noise off) or every chunk (noise on), and must hold bit for bit
+// on every sequential scheduler. Only the advance counts are the
+// batched runtime's own; the counts of the runtime that stepped every
+// chunk, and of the one that stepped every poll, are given beside them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,7 +38,7 @@ std::uint64_t trace_hash(const obs::TraceRecorder& tr) {
   return h;
 }
 
-enum class App { kBt, kSp, kEpcc, kBt48 };
+enum class App { kBt, kSp, kEpcc, kBt48, kSp48 };
 
 workloads::MiniApp make_app(App a) {
   switch (a) {
@@ -42,6 +46,7 @@ workloads::MiniApp make_app(App a) {
     case App::kSp: return workloads::sp_mini(16, 2);
     case App::kEpcc: return workloads::epcc_syncbench(64, 4);
     case App::kBt48: return workloads::bt_mini(48, 3);
+    case App::kSp48: return workloads::sp_mini(48, 3);
   }
   return {};
 }
@@ -62,6 +67,8 @@ struct Leg {
   std::uint64_t wait_max;
   // DES advances of the batched runtime.
   std::uint64_t advances;
+  // Linux OS noise: mean gap in µs, 0 = off (burst: the default 5 µs).
+  double noise_gap_us{0.0};
 };
 
 constexpr OmpMode kLinux = OmpMode::kLinux;
@@ -74,93 +81,143 @@ constexpr OmpMode kPIK = OmpMode::kPIK;
 const Leg kLegs[] = {
     // app, mode, threads, dynamic_chunk, iter_chunk, makespan, barriers,
     // tlb miss rate, trace hash, omp.barrier.wait count/sum/max, advances
+    // (comment: per-chunk, per-poll advances)
     {App::kBt, kLinux, 8, 0, 64, 872570, 10, 0x1.17e655f9957e6p-1,
-     0x24094e660a039d5fULL, 80, 282640, 23580, 572},  // per-poll: 7353
+     0x24094e660a039d5fULL, 80, 282640, 23580, 296},  // 572, 7353
     {App::kBt, kLinux, 64, 0, 64, 555960, 10, 0x1.aa22cbce4a902p-1,
-     0xd12a9fd8ce051ff6ULL, 640, 27997760, 59940, 2749},  // 700343
+     0xd12a9fd8ce051ff6ULL, 640, 27997760, 59940, 2749},  // 2749, 700343
     {App::kBt, kRTK, 8, 0, 64, 780990, 10, 0x1.488052201488p-10,
-     0x811dced952fd58b1ULL, 80, 7000, 100, 462},  // 462
+     0x811dced952fd58b1ULL, 80, 7000, 100, 270},  // 462, 462
     {App::kBt, kRTK, 64, 0, 64, 100070, 10, 0x1.3e22cbce4a902p-8,
-     0x032e9db8eb9d669dULL, 640, 63000, 100, 1974},  // 1974
+     0x032e9db8eb9d669dULL, 640, 63000, 100, 1974},  // 1974, 1974
     {App::kBt, kPIK, 8, 0, 64, 789630, 10, 0x1.488052201488p-10,
-     0x868d4a4241e879faULL, 80, 49280, 4420, 483},  // 1519
+     0x868d4a4241e879faULL, 80, 49280, 4420, 284},  // 483, 1519
     {App::kBt, kPIK, 64, 0, 64, 108670, 10, 0x1.3e22cbce4a902p-8,
-     0x918234dcac3d593dULL, 640, 443520, 4420, 2226},  // 11487
+     0x918234dcac3d593dULL, 640, 443520, 4420, 2226},  // 2226, 11487
     {App::kSp, kLinux, 8, 0, 64, 563560, 14, 0x1.7ada67d508f37p-2,
-     0x03df72695443890eULL, 112, 426680, 20380, 972},  // 11200
+     0x03df72695443890eULL, 112, 426680, 20380, 464},  // 972, 11200
     {App::kSp, kLinux, 64, 0, 64, 711470, 14, 0x1.50c9ea5dbf194p-1,
-     0x2d9160d2152970b1ULL, 896, 40532600, 59580, 3746},  // 1013848
+     0x2d9160d2152970b1ULL, 896, 40532600, 59580, 3746},  // 3746, 1013848
     {App::kSp, kRTK, 8, 0, 64, 479790, 14, 0x1.ca4b3055ee191p-10,
-     0x387f5fff31c00079ULL, 112, 9800, 100, 778},  // 778
+     0x387f5fff31c00079ULL, 112, 9800, 100, 394},  // 778, 778
     {App::kSp, kRTK, 64, 0, 64, 63190, 14, 0x1.cd85689039b0bp-8,
-     0xc9442b63d76c1121ULL, 896, 88200, 100, 2738},  // 2738
+     0xc9442b63d76c1121ULL, 896, 88200, 100, 2738},  // 2738, 2738
     {App::kSp, kPIK, 8, 0, 64, 491870, 14, 0x1.ca4b3055ee191p-10,
-     0x1294e1dedf1e73b9ULL, 112, 78400, 3860, 827},  // 2493
+     0x1294e1dedf1e73b9ULL, 112, 78400, 3860, 429},  // 827, 2493
     {App::kSp, kPIK, 64, 0, 64, 75230, 14, 0x1.cd85689039b0bp-8,
-     0xa7363c9d06ebf773ULL, 896, 705600, 3060, 3431},  // 18173
+     0xa7363c9d06ebf773ULL, 896, 705600, 3060, 3431},  // 3431, 18173
     {App::kEpcc, kLinux, 8, 0, 64, 19870, 4, 0x1.9e79e79e79e7ap-1,
-     0x4e7284f99961edcfULL, 32, 99440, 4860, 121},  // 2516
+     0x4e7284f99961edcfULL, 32, 99440, 4860, 121},  // 121, 2516
     {App::kEpcc, kLinux, 64, 0, 64, 152590, 4, 0x1.9e79e79e79e7ap-1,
-     0x0ed040558a17946aULL, 256, 9387040, 49660, 1017},  // 234874
+     0x0ed040558a17946aULL, 256, 9387040, 49660, 1017},  // 1017, 234874
     {App::kEpcc, kRTK, 8, 0, 64, 3390, 4, 0x1.8618618618618p-5,
-     0xa336a508b33131dbULL, 32, 2800, 100, 100},  // 100
+     0xa336a508b33131dbULL, 32, 2800, 100, 100},  // 100, 100
     {App::kEpcc, kRTK, 64, 0, 64, 1710, 4, 0x1.8618618618618p-5,
-     0x345b12c7d9d1e981ULL, 256, 25200, 100, 828},  // 828
+     0x345b12c7d9d1e981ULL, 256, 25200, 100, 828},  // 828, 828
     {App::kEpcc, kPIK, 8, 0, 64, 6830, 4, 0x1.8618618618618p-5,
-     0xe4346562bdfafdd8ULL, 32, 23520, 980, 128},  // 618
+     0xe4346562bdfafdd8ULL, 32, 23520, 980, 128},  // 128, 618
     {App::kEpcc, kPIK, 64, 0, 64, 5150, 4, 0x1.8618618618618p-5,
-     0x47f5548a30d32edaULL, 256, 236880, 980, 1080},  // 6120
+     0x47f5548a30d32edaULL, 256, 236880, 980, 1080},  // 1080, 6120
     // schedule(dynamic, 8).
     {App::kBt, kLinux, 64, 8, 64, 486010, 10, 0x1.76059f94786c1p-1,
-     0xe27798ebdbde3b38ULL, 640, 16812920, 47780, 13450},  // 422962
+     0xe27798ebdbde3b38ULL, 640, 16812920, 47780, 13450},  // 13450, 422962
     // Small iter_chunk: many work steps per phase.
     {App::kSp, kLinux, 64, 0, 8, 711470, 14, 0x1.e31219dbcc486p-2,
-     0xebfc45fec86a4210ULL, 896, 40656080, 53580, 10354},  // 1020519
+     0xebfc45fec86a4210ULL, 896, 40656080, 53580, 4636},  // 10354, 1020519
     // Fig. 6's size, long enough to cross the Linux tick: a spinner
     // takes each tick at the step boundary it falls before.
     {App::kBt48, kLinux, 64, 0, 64, 3123780, 15, 0x1.ecbd323989ffp-1,
-     0x34407a63b42254d5ULL, 960, 44647340, 168900, 18961},  // 1100652
+     0x34407a63b42254d5ULL, 960, 44647340, 168900, 4448},  // 18961, 1100652
+};
+
+// Noise on at the default seed: Fig. 6's BT-/SP-mini n = 48 on Linux,
+// at the default gap and under a burst every ~20 µs, where the bursts
+// split the batched chunks. The results are the per-chunk runtime's.
+const Leg kNoisyLegs[] = {
+    {App::kBt48, kLinux, 8, 0, 64, 19512872, 15, 0x1.d01e115ecaa74p-1,
+     0x5cb51c8484106604ULL, 120, 655970, 37060, 679, 2'500.0},  // 11318
+    {App::kBt48, kLinux, 8, 0, 64, 29173708, 15, 0x1.d01e115ecaa74p-1,
+     0xd225d07020095d0aULL, 120, 13253384, 413728, 4902, 20.0},  // 14038
+    {App::kBt48, kLinux, 64, 0, 64, 3125682, 15, 0x1.ecbd323989ffp-1,
+     0x609eefbdf18ab046ULL, 960, 44716102, 170689, 4526, 2'500.0},  // 19014
+    {App::kBt48, kLinux, 64, 0, 64, 4731765, 15, 0x1.ecbd323989ffp-1,
+     0x96a8ed5676475ed1ULL, 960, 107675539, 370040, 26135, 20.0},  // 67831
+    {App::kSp48, kLinux, 8, 0, 64, 16012053, 21, 0x1.9b46b99e1bae5p-1,
+     0x4417924a26e2a471ULL, 168, 992340, 37340, 928, 2'500.0},  // 21995
+    {App::kSp48, kLinux, 8, 0, 64, 24950973, 21, 0x1.9b46b99e1bae5p-1,
+     0xbfef4007711e52e0ULL, 168, 19028809, 519718, 6263, 20.0},  // 26687
+    {App::kSp48, kLinux, 64, 0, 64, 2984082, 21, 0x1.cf906a6f27b2cp-1,
+     0x109007a402f5e0bdULL, 1344, 63447246, 102390, 6686, 2'500.0},  // 39248
+    {App::kSp48, kLinux, 64, 0, 64, 4807084, 21, 0x1.cf906a6f27b2cp-1,
+     0x3d91d24fcf8ec499ULL, 1344, 134982068, 318424, 41392, 20.0},  // 122502
 };
 
 std::string leg_name(const Leg& l, hwsim::SchedulerKind sched) {
-  static const char* const kApps[] = {"bt", "sp", "epcc", "bt48"};
+  static const char* const kApps[] = {"bt", "sp", "epcc", "bt48", "sp48"};
   static const char* const kScheds[] = {"frontier", "linear", "epoch"};
   return std::string(kApps[static_cast<int>(l.app)]) + "/" +
          mode_name(l.mode) + "/p" + std::to_string(l.threads) + "/dyn" +
          std::to_string(l.dynamic_chunk) + "/chunk" +
-         std::to_string(l.iter_chunk) + "/" +
+         std::to_string(l.iter_chunk) + "/gap" +
+         std::to_string(static_cast<int>(l.noise_gap_us)) + "/" +
          kScheds[static_cast<int>(sched)];
 }
 
-TEST(SpinWait, PerPollResultsHoldOnEverySequentialScheduler) {
-  for (const Leg& leg : kLegs) {
-    for (const hwsim::SchedulerKind sched :
-         {hwsim::SchedulerKind::kFrontier, hwsim::SchedulerKind::kLinearScan,
-          hwsim::SchedulerKind::kParallelEpoch}) {
-      SCOPED_TRACE(leg_name(leg, sched));
-      OmpConfig cfg;
-      cfg.mode = leg.mode;
-      cfg.num_threads = leg.threads;
-      cfg.dynamic_chunk = leg.dynamic_chunk;
-      cfg.iter_chunk = leg.iter_chunk;
-      cfg.noise_gap_us = 0.0;
-      cfg.scheduler = sched;
-      obs::TraceRecorder tr;
-      obs::MetricsRegistry mx;
-      cfg.tracer = &tr;
-      cfg.metrics = &mx;
-      const OmpResult r = run_miniapp(make_app(leg.app), cfg);
-      EXPECT_EQ(r.makespan, leg.makespan);
-      EXPECT_EQ(r.barriers_passed, leg.barriers);
-      EXPECT_EQ(r.tlb_miss_rate, leg.tlb_miss_rate);
-      EXPECT_EQ(trace_hash(tr), leg.trace);
-      const auto wait = mx.histogram(obs::names::kOmpBarrierWait).state();
-      EXPECT_EQ(wait.total_count, leg.wait_count);
-      EXPECT_EQ(wait.sum, static_cast<double>(leg.wait_sum));
-      EXPECT_EQ(wait.max, leg.wait_max);
-      EXPECT_EQ(r.advances, leg.advances);
-    }
+/// Run `leg` on each sequential scheduler and check every pinned value.
+void check_on_every_sequential_scheduler(const Leg& leg) {
+  for (const hwsim::SchedulerKind sched :
+       {hwsim::SchedulerKind::kFrontier, hwsim::SchedulerKind::kLinearScan,
+        hwsim::SchedulerKind::kParallelEpoch}) {
+    SCOPED_TRACE(leg_name(leg, sched));
+    OmpConfig cfg;
+    cfg.mode = leg.mode;
+    cfg.num_threads = leg.threads;
+    cfg.dynamic_chunk = leg.dynamic_chunk;
+    cfg.iter_chunk = leg.iter_chunk;
+    cfg.noise_gap_us = leg.noise_gap_us;
+    cfg.scheduler = sched;
+    obs::TraceRecorder tr;
+    obs::MetricsRegistry mx;
+    cfg.tracer = &tr;
+    cfg.metrics = &mx;
+    const OmpResult r = run_miniapp(make_app(leg.app), cfg);
+    EXPECT_EQ(r.makespan, leg.makespan);
+    EXPECT_EQ(r.barriers_passed, leg.barriers);
+    EXPECT_EQ(r.tlb_miss_rate, leg.tlb_miss_rate);
+    EXPECT_EQ(trace_hash(tr), leg.trace);
+    const auto wait = mx.histogram(obs::names::kOmpBarrierWait).state();
+    EXPECT_EQ(wait.total_count, leg.wait_count);
+    EXPECT_EQ(wait.sum, static_cast<double>(leg.wait_sum));
+    EXPECT_EQ(wait.max, leg.wait_max);
+    EXPECT_EQ(r.advances, leg.advances);
   }
+}
+
+TEST(SpinWait, PerPollResultsHoldOnEverySequentialScheduler) {
+  for (const Leg& leg : kLegs) check_on_every_sequential_scheduler(leg);
+}
+
+TEST(SpinWait, NoisyFig6ResultsHoldOnEverySequentialScheduler) {
+  for (const Leg& leg : kNoisyLegs) check_on_every_sequential_scheduler(leg);
+}
+
+// Static chunks fold; dynamic grabs do not. BT-mini n = 48 Linux p64
+// took 18 961 advances (noise off) and 19 014 (default noise) with one
+// step per chunk; schedule(dynamic, 8) keeps one grab per step and so
+// the per-chunk runtime's 13 450.
+TEST(SpinWait, StaticChunksShareAStepAndDynamicGrabsDoNot) {
+  OmpConfig cfg;
+  cfg.mode = kLinux;
+  cfg.num_threads = 64;
+  cfg.noise_gap_us = 0.0;
+  EXPECT_LE(run_miniapp(workloads::bt_mini(48, 3), cfg).advances * 4,
+            18'961u);
+  cfg.noise_gap_us = 2'500.0;
+  EXPECT_LE(run_miniapp(workloads::bt_mini(48, 3), cfg).advances * 4,
+            19'014u);
+  cfg.noise_gap_us = 0.0;
+  cfg.dynamic_chunk = 8;
+  EXPECT_EQ(run_miniapp(workloads::bt_mini(16, 2), cfg).advances, 13'450u);
 }
 
 // Noise on: Fig. 6's Linux p64 point (BT-/SP-mini n = 48, default
