@@ -13,12 +13,13 @@
 //   --metrics-json=FILE  every layer's counters in one registry dump
 //   --faults=SPEC  deterministic fault plan on the same fabric
 //
-// The bench always runs the same seed on every SchedulerKind (frontier,
-// linear, and the epoch-parallel scheduler) and compares a digest of the
-// full observable state (core clocks, beat ledgers, coherence stats);
-// exit status 1 on divergence. Same-seed reruns are bit-identical — the
-// determinism contract the golden-trace tests (tests/substrate/) pin
-// down byte-for-byte.
+// The bench always runs the same seed on the frontier and the linear
+// scan and compares a digest of the full observable state (core clocks,
+// beat ledgers, coherence stats); exit status 1 on divergence. The
+// coherence directory is shared across cores outside the IPI fabric, so
+// the per-core epoch engine refuses this workload. Same-seed reruns are
+// bit-identical — the determinism contract the golden-trace tests
+// (tests/substrate/) pin down byte-for-byte.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -218,14 +219,11 @@ int main(int argc, char** argv) {
     hwsim::SchedulerKind kind;
     const char* name;
   };
-  // The heartbeat mutates worker state across cores, so the parallel
-  // scheduler runs its (default) single-group shard policy here.
-  constexpr int kScheds = 3;
+  constexpr int kScheds = 2;
   RunResult res[kScheds];
   const Sched scheds[kScheds] = {
       {hwsim::SchedulerKind::kFrontier, "frontier"},
-      {hwsim::SchedulerKind::kLinearScan, "linear"},
-      {hwsim::SchedulerKind::kParallelEpoch, "parallel"}};
+      {hwsim::SchedulerKind::kLinearScan, "linear"}};
   for (int s = 0; s < kScheds; ++s) {
     const std::string label = std::string("composed/") + scheds[s].name;
     res[s] = run_one(p, scheds[s].kind, label.c_str());
@@ -240,8 +238,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(res[s].digest));
   }
 
-  const bool identical = res[0].digest == res[1].digest &&
-                         res[0].digest == res[2].digest;
+  const bool identical = res[0].digest == res[1].digest;
   std::printf("\nscheduler determinism: %s\n",
               identical ? "bit-identical state digests"
                         : "DIGESTS DIVERGE (DES ordering bug)");

@@ -4,10 +4,7 @@
 //   frontier — the O(log N) incremental frontier index (default),
 //   linear   — the seed O(N)-scan reference,
 //   parallel — the epoch-synchronized conservative parallel DES
-//              (ShardPolicy::kPerCore; host threads via --threads), and
-//   auto     — the construction-time linear/frontier pick (its 2-core
-//              row is the small-machine regression guard: it must not
-//              lose to the linear baseline).
+//              (one shard per core; host threads via --threads).
 // All schedulers must execute bit-identical schedules (asserted here via
 // the virtual end state, and bit-for-bit in tests/hwsim); only the wall
 // clock may differ. The parallel speedup has two sources: lookahead
@@ -15,9 +12,9 @@
 // holds even at --threads=1) and host parallelism on multi-core hosts.
 //
 // A second section measures the host-thread axis: a `host_threads ×
-// cores` matrix over 1k–8k simulated cores, parallel scheduler with
-// work stealing, at 1/2/4/8 host threads — with a frontier run per core
-// count as the equivalence reference. The JSON records the matrix, the
+// cores` matrix over 1k–8k simulated cores, parallel scheduler at
+// 1/2/4/8 host threads — with a frontier run per core count as the
+// equivalence reference. The JSON records the matrix, the
 // per-core-count thread-scaling ratios (speedup_threads_vs_1), and the
 // measuring host's CPU count, so tools/check_des_regression.py can
 // guard the ratios host-awarely (a 1-CPU box cannot express 4-way
@@ -35,8 +32,6 @@
 //   --threads=N  host worker threads for the parallel series (default 1,
 //                the reproducible baseline; the des and hotpath guards
 //                require a fresh run at the baseline's count)
-//   --steal=on|off  work-stealing shard scheduling in the parallel
-//                engine (default on; off pins the static blocks)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -68,32 +63,21 @@ struct Row {
   std::uint64_t dirty_pushes{0};
 };
 
-const char* sched_label(hwsim::SchedulerKind sched) {
-  switch (sched) {
-    case hwsim::SchedulerKind::kFrontier: return "frontier";
-    case hwsim::SchedulerKind::kLinearScan: return "linear";
-    case hwsim::SchedulerKind::kParallelEpoch: return "parallel";
-    case hwsim::SchedulerKind::kAuto: return "auto";
-  }
-  return "?";
-}
-
 /// Best-of-`repeats` measurement (fresh workload each repeat; minimum
 /// wall time wins). Short smoke rows are scheduler-noise-dominated on a
 /// loaded host, and the max-throughput repeat is the stable statistic
 /// the CI ratio guard needs. The simulated results must be identical
 /// across repeats (determinism), which is asserted here for free.
 Row run_one(unsigned cores, hwsim::SchedulerKind sched, Cycles sim_cycles,
-            unsigned threads, bool steal, int repeats) {
+            unsigned threads, int repeats) {
   Row r;
   r.cores = cores;
-  r.scheduler = sched_label(sched);
+  r.scheduler = bench::Harness::scheduler_name(sched);
   r.threads = threads;
   r.frontier = sched == hwsim::SchedulerKind::kFrontier;
   for (int rep = 0; rep < repeats; ++rep) {
     bench::DesWorkload w =
         bench::make_des_workload(cores, sched, 200, 20'000, threads);
-    w.machine->set_work_stealing(steal);
     const auto t0 = std::chrono::steady_clock::now();
     const bool ok = w.machine->run_until(sim_cycles);
     const auto t1 = std::chrono::steady_clock::now();
@@ -134,11 +118,9 @@ Row run_one(unsigned cores, hwsim::SchedulerKind sched, Cycles sim_cycles,
 /// state should add ~nothing).
 double measure_allocs_per_million(unsigned cores,
                                   hwsim::SchedulerKind sched,
-                                  Cycles sim_cycles, unsigned threads,
-                                  bool steal) {
+                                  Cycles sim_cycles, unsigned threads) {
   bench::DesWorkload w =
       bench::make_des_workload(cores, sched, 200, 20'000, threads);
-  w.machine->set_work_stealing(steal);
   if (!w.machine->run_until(sim_cycles / 5)) std::exit(1);
   const std::uint64_t a0 = w.machine->hot_path_allocs();
   const std::uint64_t adv0 = w.machine->total_advances();
@@ -156,7 +138,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string out = "BENCH_des_throughput.json";
   unsigned threads = 1;
-  bool steal = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -173,14 +154,8 @@ int main(int argc, char** argv) {
         return 2;
       }
       threads = static_cast<unsigned>(v);
-    } else if (std::strcmp(argv[i], "--steal=on") == 0) {
-      steal = true;
-    } else if (std::strcmp(argv[i], "--steal=off") == 0) {
-      steal = false;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--out=FILE] [--threads=N] "
-                   "[--steal=on|off]\n",
+      std::fprintf(stderr, "usage: %s [--smoke] [--out=FILE] [--threads=N]\n",
                    argv[0]);
       return 2;
     }
@@ -193,12 +168,10 @@ int main(int argc, char** argv) {
       hwsim::SchedulerKind::kFrontier,
       hwsim::SchedulerKind::kLinearScan,
       hwsim::SchedulerKind::kParallelEpoch,
-      hwsim::SchedulerKind::kAuto,
   };
   std::vector<Row> rows;
   std::vector<double> speedup_frontier;  // frontier/linear per core count
   std::vector<double> speedup_parallel;  // parallel/frontier per core count
-  std::vector<double> speedup_auto;      // auto/linear per core count
   std::vector<double> hot_eps_frontier;  // hotpath series, per core count
   std::vector<double> hot_eps_parallel;
   std::vector<double> hot_allocs;        // allocs per million events
@@ -213,7 +186,7 @@ int main(int argc, char** argv) {
                        (smoke ? 10 : 1);
     std::vector<Row> group;
     for (const hwsim::SchedulerKind sched : scheds) {
-      group.push_back(run_one(cores, sched, sim, threads, steal, repeats));
+      group.push_back(run_one(cores, sched, sim, threads, repeats));
     }
     // Equivalence guard: every scheduler must have executed the same
     // virtual-time schedule.
@@ -240,29 +213,25 @@ int main(int argc, char** argv) {
     }
     const Row& l = group[1];
     const Row& p = group[2];
-    const Row& a = group[3];
     const double sf =
         l.events_per_sec > 0.0 ? f.events_per_sec / l.events_per_sec : 0.0;
     const double sp =
         f.events_per_sec > 0.0 ? p.events_per_sec / f.events_per_sec : 0.0;
-    const double sa =
-        l.events_per_sec > 0.0 ? a.events_per_sec / l.events_per_sec : 0.0;
     speedup_frontier.push_back(sf);
     speedup_parallel.push_back(sp);
-    speedup_auto.push_back(sa);
     hot_eps_frontier.push_back(f.events_per_sec);
     hot_eps_parallel.push_back(p.events_per_sec);
     const double apm = measure_allocs_per_million(
-        cores, hwsim::SchedulerKind::kFrontier, sim, threads, steal);
+        cores, hwsim::SchedulerKind::kFrontier, sim, threads);
     hot_allocs.push_back(apm);
     std::printf("%-6u speedup   frontier/linear %.2fx  parallel/frontier "
-                "%.2fx  auto/linear %.2fx  allocs/Mevent %.1f\n",
-                cores, sf, sp, sa, apm);
+                "%.2fx  allocs/Mevent %.1f\n",
+                cores, sf, sp, apm);
   }
 
   // --- host_threads × cores matrix: 1k–8k simulated cores, parallel
-  // engine (work stealing on) at 1/2/4/8 host threads, frontier as the
-  // per-core-count equivalence reference. Real host parallelism needs
+  // engine at 1/2/4/8 host threads, frontier as the per-core-count
+  // equivalence reference. Real host parallelism needs
   // real host CPUs; host_cpus is recorded so the regression guard can
   // judge the thread-scaling ratios against what the box can express.
   const std::vector<unsigned> matrix_cores{1024, 4096, 8192};
@@ -280,8 +249,8 @@ int main(int argc, char** argv) {
   for (const unsigned cores : matrix_cores) {
     const Cycles sim = std::max<Cycles>(400'000'000 / cores, 500'000) /
                        (smoke ? 10 : 1);
-    const Row ref = run_one(cores, hwsim::SchedulerKind::kFrontier, sim, 1,
-                            steal, repeats);
+    const Row ref =
+        run_one(cores, hwsim::SchedulerKind::kFrontier, sim, 1, repeats);
     std::printf("%-6u %-9s %-7u %12llu %10llu %10.1f %12.0f\n", ref.cores,
                 ref.scheduler, ref.threads,
                 static_cast<unsigned long long>(ref.advances),
@@ -292,7 +261,7 @@ int main(int argc, char** argv) {
     std::vector<double> ratios;
     for (const unsigned t : matrix_threads) {
       const Row r = run_one(cores, hwsim::SchedulerKind::kParallelEpoch, sim,
-                            t, steal, repeats);
+                            t, repeats);
       if (t == 1) one_thread_totals = r.totals;
       if (r.advances != ref.advances || r.irqs != ref.irqs ||
           r.sim_time != ref.sim_time ||
@@ -395,8 +364,6 @@ int main(int argc, char** argv) {
   write_map("speedup_frontier_vs_linear", speedup_frontier);
   std::fprintf(fp, ",\n");
   write_map("speedup_parallel_vs_frontier", speedup_parallel);
-  std::fprintf(fp, ",\n");
-  write_map("speedup_auto_vs_linear", speedup_auto);
   // Hot-path memory-discipline series: per-core-count frontier/parallel
   // events_per_sec at this run's host_threads, the packed heap record
   // size every sift moves, and steady-state growth reallocations per

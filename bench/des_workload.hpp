@@ -8,7 +8,7 @@
 // The workload is shard-safe: all cross-core traffic is the broadcast
 // through the IPI fabric, and the IRQ accounting is per-core (padded
 // cells, each written only by its own core's handler), so it runs under
-// every scheduler including kParallelEpoch with ShardPolicy::kPerCore.
+// every scheduler including kParallelEpoch's per-core shards.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +45,7 @@ struct DesWorkload {
 /// Build the workload: `period`-cycle heartbeat broadcast + `step`-cycle
 /// spin steps on every core. The machine never quiesces; drive it with
 /// run_until or advance_n. `threads` is the host worker pool for
-/// kParallelEpoch (ignored by the sequential schedulers), which runs
-/// this workload with ShardPolicy::kPerCore.
+/// kParallelEpoch (ignored by the sequential schedulers).
 inline DesWorkload make_des_workload(unsigned cores,
                                      hwsim::SchedulerKind sched,
                                      Cycles step = 200,
@@ -56,7 +55,6 @@ inline DesWorkload make_des_workload(unsigned cores,
   hwsim::MachineConfig mc;
   mc.num_cores = cores;
   mc.scheduler = sched;
-  mc.shard_policy = hwsim::ShardPolicy::kPerCore;
   mc.threads = threads;
   w.machine = std::make_unique<hwsim::Machine>(mc);
   w.driver = std::make_unique<workloads::SpinDriver>(step);

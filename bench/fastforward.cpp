@@ -53,23 +53,13 @@ struct Row {
   double events_per_sec{0.0};
 };
 
-const char* sched_label(hwsim::SchedulerKind sched) {
-  switch (sched) {
-    case hwsim::SchedulerKind::kFrontier: return "frontier";
-    case hwsim::SchedulerKind::kLinearScan: return "linear";
-    case hwsim::SchedulerKind::kParallelEpoch: return "parallel";
-    case hwsim::SchedulerKind::kAuto: return "auto";
-  }
-  return "?";
-}
-
 /// Best-of-`repeats` (fresh workload each repeat, minimum wall time
 /// wins; the simulated results must be identical across repeats).
 Row run_one(unsigned cores, hwsim::SchedulerKind sched, bool ff,
             Cycles sim_cycles, unsigned threads, int repeats) {
   Row r;
   r.cores = cores;
-  r.scheduler = sched_label(sched);
+  r.scheduler = bench::Harness::scheduler_name(sched);
   r.ff = ff;
   for (int rep = 0; rep < repeats; ++rep) {
     bench::DesWorkload w =
@@ -281,7 +271,7 @@ int main(int argc, char** argv) {
   std::fprintf(fp, "  ],\n  \"speedup_ff_vs_full\": {");
   for (std::size_t s = 0; s < scheds.size(); ++s) {
     std::fprintf(fp, "%s\"%s\": {", s ? ", " : "",
-                 sched_label(scheds[s]));
+                 bench::Harness::scheduler_name(scheds[s]));
     for (std::size_t c = 0; c < core_counts.size(); ++c) {
       std::fprintf(fp, "%s\"%u\": %.2f", c ? ", " : "", core_counts[c],
                    speedup[s][c]);

@@ -161,7 +161,6 @@ void BM_ParallelEpochClaims(benchmark::State& state) {
   hwsim::MachineConfig mc;
   mc.num_cores = kCores;
   mc.scheduler = hwsim::SchedulerKind::kParallelEpoch;
-  mc.shard_policy = hwsim::ShardPolicy::kPerCore;
   mc.threads = static_cast<unsigned>(state.range(0));
   hwsim::Machine m(mc);
   const Cycles la = mc.costs.ipi_latency;

@@ -13,8 +13,6 @@ bool Harness::parse_scheduler(const char* name, hwsim::SchedulerKind* out) {
     *out = hwsim::SchedulerKind::kLinearScan;
   } else if (std::strcmp(name, "parallel") == 0) {
     *out = hwsim::SchedulerKind::kParallelEpoch;
-  } else if (std::strcmp(name, "auto") == 0) {
-    *out = hwsim::SchedulerKind::kAuto;
   } else {
     return false;
   }
@@ -35,7 +33,6 @@ const char* Harness::scheduler_name(hwsim::SchedulerKind k) {
     case hwsim::SchedulerKind::kFrontier: return "frontier";
     case hwsim::SchedulerKind::kLinearScan: return "linear";
     case hwsim::SchedulerKind::kParallelEpoch: return "parallel";
-    case hwsim::SchedulerKind::kAuto: return "auto";
   }
   return "?";
 }
@@ -72,7 +69,7 @@ bool Harness::parse(int argc, char** argv) {
       if (!parse_scheduler(a + 12, &scheduler_)) {
         std::fprintf(stderr,
                      "--scheduler: unknown value '%s' (expected frontier, "
-                     "linear, parallel, or auto)\n",
+                     "linear or parallel)\n",
                      a + 12);
         return false;
       }
@@ -87,15 +84,6 @@ bool Harness::parse(int argc, char** argv) {
         return false;
       }
       threads_ = static_cast<unsigned>(v);
-    } else if (std::strncmp(a, "--steal=", 8) == 0) {
-      if (std::strcmp(a + 8, "on") == 0) {
-        steal_ = true;
-      } else if (std::strcmp(a + 8, "off") == 0) {
-        steal_ = false;
-      } else {
-        std::fprintf(stderr, "--steal: expected on or off\n");
-        return false;
-      }
     } else if (std::strncmp(a, "--ff=", 5) == 0) {
       if (std::strcmp(a + 5, "on") == 0) {
         ff_ = true;
@@ -133,7 +121,6 @@ bool Harness::parse(int argc, char** argv) {
                std::strcmp(a, "--seed") == 0 ||
                std::strcmp(a, "--scheduler") == 0 ||
                std::strcmp(a, "--threads") == 0 ||
-               std::strcmp(a, "--steal") == 0 ||
                std::strcmp(a, "--ff") == 0 ||
                std::strcmp(a, "--checkpoint-every") == 0 ||
                std::strcmp(a, "--jobs") == 0) {
@@ -173,7 +160,6 @@ void Harness::apply(hwsim::MachineConfig& mc) const {
   // schedulers themselves assign mc.scheduler before/after apply().
   if (scheduler_set_) mc.scheduler = scheduler_;
   mc.threads = threads_;
-  mc.work_stealing = steal_;
   mc.fast_forward.enabled = ff_;
 }
 

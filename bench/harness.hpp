@@ -6,11 +6,12 @@
 //   --faults=SPEC        deterministic fault plan (fault_plan.hpp grammar)
 //   --fault-seed=N       explicit fault-stream seed (0 = derive)
 //   --seed=N             experiment seed (machines + analytic substrates)
-//   --scheduler=NAME     DES scheduler: frontier | linear | parallel | auto
-//                        (unknown names are a usage error)
+//   --scheduler=NAME     DES scheduler: frontier | linear | parallel
+//                        (unknown names are a usage error); parallel
+//                        is the per-core epoch engine, which the
+//                        Nautilus, Linux, OpenMP and coherence layers
+//                        refuse by name
 //   --threads=N          host worker threads for --scheduler=parallel
-//   --steal=on|off       work-stealing shard scheduling for the parallel
-//                        engine (default on; off pins static blocks)
 //   --ff=on|off          selectable-fidelity fast-forward: analytic
 //                        skip-ahead over proven-quiet windows (default
 //                        off; results are bit-identical either way —
@@ -91,7 +92,6 @@ class Harness {
   }
   [[nodiscard]] bool scheduler_overridden() const { return scheduler_set_; }
   [[nodiscard]] unsigned threads() const { return threads_; }
-  [[nodiscard]] bool work_stealing() const { return steal_; }
   [[nodiscard]] bool fast_forward() const { return ff_; }
   /// --checkpoint-every=N snapshot cadence in cycles (0 = disabled).
   [[nodiscard]] std::uint64_t checkpoint_every() const {
@@ -108,8 +108,8 @@ class Harness {
   /// numeric flags should use this instead of raw strtoul.
   static bool parse_count(const char* s, std::uint64_t* out);
 
-  /// Parse a scheduler name ("frontier" | "linear" | "parallel" |
-  /// "auto"); returns false on anything else. Shared by every bench
+  /// Parse a scheduler name ("frontier" | "linear" | "parallel");
+  /// returns false on anything else. Shared by every bench
   /// that takes scheduler names positionally.
   static bool parse_scheduler(const char* name, hwsim::SchedulerKind* out);
   [[nodiscard]] static const char* scheduler_name(hwsim::SchedulerKind k);
@@ -135,7 +135,6 @@ class Harness {
   hwsim::SchedulerKind scheduler_{hwsim::SchedulerKind::kFrontier};
   bool scheduler_set_{false};
   unsigned threads_{1};
-  bool steal_{true};
   bool ff_{false};
   std::uint64_t checkpoint_every_{0};
   unsigned jobs_{0};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -12,10 +13,6 @@
 namespace iw::hwsim {
 
 namespace {
-/// kAuto resolves to the linear scan up to this core count and to the
-/// frontier above it.
-constexpr unsigned kAutoLinearScanMax = 4;
-
 /// Fast-forward trigger backoff, in advances between attempts: a failed
 /// quiet proof costs an O(cores) scan, so a busy region must not pay it
 /// every iteration. Doubles from kFfMinBackoff to kFfMaxBackoff on
@@ -42,12 +39,6 @@ Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   IW_ASSERT(cfg.num_cores >= 1);
   // Source ids pack into the low 16 bits of event sequence numbers.
   IW_ASSERT_MSG(cfg.num_cores < 0xFFFF, "too many cores for source ids");
-  sched_ = cfg.scheduler;
-  if (sched_ == SchedulerKind::kAuto) {
-    sched_ = cfg.num_cores <= kAutoLinearScanMax
-                 ? SchedulerKind::kLinearScan
-                 : SchedulerKind::kFrontier;
-  }
   faults_.configure(cfg.faults, cfg.seed, cfg.fault_seed,
                     /*num_streams=*/cfg.num_cores + 1);
   seq_by_source_.resize(cfg.num_cores + 1);
@@ -75,7 +66,7 @@ Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
       cores_[i]->sched_dirty_ = &sched_dirty_[i];
     }
   }
-  if (sched_ == SchedulerKind::kFrontier) {
+  if (cfg_.scheduler == SchedulerKind::kFrontier) {
     // All-ones everywhere is a consistent tree (every match of two
     // kNoEntry words is kNoEntry); padding leaves keep it forever.
     frontier_tree_.assign(2 * std::bit_ceil(std::size_t{cfg.num_cores}),
@@ -89,6 +80,16 @@ Machine::Machine(MachineConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
 }
 
 Machine::~Machine() = default;
+
+void Machine::refuse_parallel_epoch(const char* layer) {
+  char msg[320];
+  std::snprintf(msg, sizeof msg,
+                "%s shares state across cores outside the IPI fabric and "
+                "cannot run on kParallelEpoch's per-core shards; use "
+                "kFrontier or kLinearScan",
+                layer);
+  detail::assert_fail("scheduler != kParallelEpoch", __FILE__, __LINE__, msg);
+}
 
 unsigned Machine::parallel_pool_threads() const {
   return parallel_ == nullptr ? 0 : parallel_->threads();
@@ -300,7 +301,7 @@ void Machine::install_fault_plan(const FaultPlan& plan,
 void Machine::frontier_enqueue_dirty(CoreId id) {
   // In linear/parallel modes nothing drains the list; the dirty flag
   // alone keeps the per-core cache coherent for anyone who reads it.
-  if (sched_ != SchedulerKind::kFrontier) return;
+  if (cfg_.scheduler != SchedulerKind::kFrontier) return;
   dirty_cores_.push_back(id);
   ++frontier_dirty_pushes_;
 }
@@ -347,8 +348,8 @@ Machine::Pick Machine::linear_peek() {
 }
 
 Cycles Machine::next_event_time() {
-  return sched_ == SchedulerKind::kFrontier ? frontier_peek().time
-                                            : linear_peek().time;
+  return cfg_.scheduler == SchedulerKind::kFrontier ? frontier_peek().time
+                                                    : linear_peek().time;
 }
 
 void Machine::run_machine_event() {
@@ -366,7 +367,7 @@ void Machine::execute(const Pick& pick) {
   ++advances_;
   const CoreId id = pick.core->id();
   ExecScope scope(*this, id + 1);
-  if (sched_ != SchedulerKind::kFrontier) {
+  if (cfg_.scheduler != SchedulerKind::kFrontier) {
     pick.core->advance();
     return;
   }
@@ -384,7 +385,7 @@ void Machine::execute(const Pick& pick) {
 
 bool Machine::advance_once() {
   Pick pick;
-  if (sched_ == SchedulerKind::kFrontier) {
+  if (cfg_.scheduler == SchedulerKind::kFrontier) {
     pick = frontier_peek();
     if (cfg_.paranoid_frontier) {
       const Pick ref = linear_peek();
@@ -404,7 +405,7 @@ bool Machine::run_loop(const std::function<bool()>& stop, Cycles until) {
   const bool time_watchdog = cfg_.max_time != 0;
   const bool advance_watchdog = cfg_.max_advances != 0;
   const bool ff = cfg_.fast_forward.enabled;
-  const bool frontier = sched_ == SchedulerKind::kFrontier;
+  const bool frontier = cfg_.scheduler == SchedulerKind::kFrontier;
   const bool paranoid = frontier && cfg_.paranoid_frontier;
   // Skip horizons may not sail past the virtual-time budget: clamp to
   // max_time + 1 so the watchdog still observes now() crossing the
@@ -468,10 +469,10 @@ bool Machine::run_loop(const std::function<bool()>& stop, Cycles until) {
 }
 
 bool Machine::run(const std::function<bool()>& stop) {
-  if (sched_ == SchedulerKind::kParallelEpoch) {
+  if (cfg_.scheduler == SchedulerKind::kParallelEpoch) {
     return parallel_run(stop, kNever);
   }
-  if (sched_ == SchedulerKind::kFrontier) {
+  if (cfg_.scheduler == SchedulerKind::kFrontier) {
     // Driver/workload state may have been mutated between runs without
     // invalidation; rebuilding once per run (not per iteration) keeps
     // external setup code oblivious to the frontier index.
@@ -481,10 +482,10 @@ bool Machine::run(const std::function<bool()>& stop) {
 }
 
 bool Machine::run_until(Cycles t) {
-  if (sched_ == SchedulerKind::kParallelEpoch) {
+  if (cfg_.scheduler == SchedulerKind::kParallelEpoch) {
     return parallel_run(nullptr, t);
   }
-  if (sched_ == SchedulerKind::kFrontier) refresh_frontier();
+  if (cfg_.scheduler == SchedulerKind::kFrontier) refresh_frontier();
   // Stop once every actionable entity is at/after t: run_loop's `until`
   // bound checks the per-iteration scheduler peek directly (no separate
   // stop predicate, no second peek). Passing t as `until` also lets
@@ -621,7 +622,7 @@ void Machine::paranoid_replay(Cycles horizon) {
   // Step the window in full fidelity. The frontier index keeps itself
   // coherent through the normal dirty-marking; the other schedulers
   // audit through the reference linear scan.
-  const bool frontier = sched_ == SchedulerKind::kFrontier;
+  const bool frontier = cfg_.scheduler == SchedulerKind::kFrontier;
   for (;;) {
     const Pick pick = frontier ? frontier_peek() : linear_peek();
     if (pick.time >= horizon) break;

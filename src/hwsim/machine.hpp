@@ -28,9 +28,9 @@
 //    deterministically at the epoch barrier. Traces, metrics counters,
 //    fault schedules and final machine state are bit-identical to the
 //    sequential schedulers (see src/hwsim/parallel.cpp for the
-//    argument).
-//  * kAuto — resolves at construction to kLinearScan (up to 4 cores)
-//    or kFrontier by core count.
+//    argument). Every core is its own shard, so the workload must be
+//    shard-safe; layers that share state across cores outside the
+//    fabric refuse this scheduler by name (require_sequential).
 //
 // Determinism across schedulers rests on two provenance rules:
 //  1. Event sequence numbers encode (per-source counter, source id)
@@ -70,32 +70,25 @@ class ParallelEngine;
 class Snapshot;
 class SnapshotParticipant;
 
+/// kParallelEpoch runs one shard per core and requires shard-safe
+/// workloads: during a parallel epoch a core context may post events
+/// only to itself; cross-core traffic must go through the IPI fabric
+/// (send_ipi/broadcast_ipi/post_ipi), which is buffered and merged at
+/// the barrier. Violations are caught by IW_ASSERT. The one exception
+/// is a declared serial core (declare_serial_core): its events run only
+/// in serial deliveries, so its handlers may touch every core — the
+/// heartbeat supervisor on CPU 0 does.
 enum class SchedulerKind : std::uint8_t {
   kFrontier,       // O(log N) incremental frontier index (default)
   kLinearScan,     // O(N) per-advance scan (seed reference semantics)
   kParallelEpoch,  // epoch-synchronized conservative parallel DES
-  kAuto,           // pick kLinearScan/kFrontier by core count
 };
 
-/// How kParallelEpoch partitions cores into independently-drained
-/// shards. Orthogonal to the host thread count: the determinism
-/// guarantee holds for every (policy, threads) combination.
+/// A vestige: kParallelEpoch always runs one shard per core. The enum
+/// and MachineConfig::shard_policy remain only because
+/// perfbench/parallel_4k.cpp assigns kPerCore, and only a benchmark
+/// change may edit perfbench/; nothing reads the field.
 enum class ShardPolicy : std::uint8_t {
-  /// All cores in one shard (default): the epoch loop degenerates to
-  /// the sequential pick order, chunked by the lookahead horizon. Safe
-  /// for every workload — including drivers and handlers that post into
-  /// other cores' inboxes or mutate their state directly (nautilus
-  /// remote spawn/wake, SignalPath delivery) — and bit-identical to
-  /// kFrontier/kLinearScan by construction.
-  kSingleGroup,
-  /// One shard per core: the true parallel engine. Requires shard-safe
-  /// workloads: during a parallel epoch a core context may post events
-  /// only to itself; cross-core traffic must go through the IPI fabric
-  /// (send_ipi/broadcast_ipi/post_ipi), which is buffered and merged
-  /// at the barrier. Violations are caught by IW_ASSERT. The one
-  /// exception is a declared serial core (declare_serial_core): its
-  /// events run only in serial deliveries, so its handlers may touch
-  /// every core — the heartbeat supervisor on CPU 0 does.
   kPerCore,
 };
 
@@ -166,19 +159,12 @@ struct MachineConfig {
   /// Hard stop: abort after this many core advances (0 = unlimited).
   std::uint64_t max_advances{0};
   SchedulerKind scheduler{SchedulerKind::kFrontier};
-  /// Core partitioning for kParallelEpoch (ignored otherwise).
-  ShardPolicy shard_policy{ShardPolicy::kSingleGroup};
-  /// Host worker threads for kParallelEpoch with ShardPolicy::kPerCore
-  /// (clamped to [1, num_cores]; 1 = drain all shards on the calling
-  /// thread, spawning nothing). Thread count never affects results.
+  /// Read by nothing (see ShardPolicy): kept for perfbench's assignment.
+  ShardPolicy shard_policy{ShardPolicy::kPerCore};
+  /// Host worker threads for kParallelEpoch (clamped to [1, num_cores];
+  /// 1 = drain all shards on the calling thread, spawning nothing).
+  /// Thread count never affects results.
   unsigned threads{1};
-  /// Work-stealing shard scheduling for kParallelEpoch/kPerCore: a host
-  /// thread that has drained its own shard block claims chunks of the
-  /// others' within an epoch instead of idling behind a static block
-  /// partition. Stealing changes only which host thread drains a shard,
-  /// never the results (see parallel.cpp); false pins the static blocks
-  /// for A/B comparison.
-  bool work_stealing{true};
   /// Cross-check every frontier decision against a full linear scan and
   /// abort on divergence. O(N) per advance — a debugging aid for driver
   /// invalidation bugs, not for production runs.
@@ -213,10 +199,19 @@ class Machine final : public substrate::StackSubstrate {
   [[nodiscard]] Core& core(CoreId id) { return *cores_[id]; }
   [[nodiscard]] const CostModel& costs() const { return cfg_.costs; }
   [[nodiscard]] const MachineConfig& config() const { return cfg_; }
-  /// The scheduler actually in effect (kAuto is resolved at
-  /// construction; config().scheduler keeps what the caller asked for).
-  [[nodiscard]] SchedulerKind scheduler() const { return sched_; }
   [[nodiscard]] Rng& rng() { return rng_; }
+
+  /// Abort, naming `layer`, when `sched` is kParallelEpoch. A layer that
+  /// shares state across cores outside the IPI fabric calls this when it
+  /// binds to a machine: per-core shards would race on that state and
+  /// give wrong results without any assertion firing. The message says
+  /// to use kFrontier or kLinearScan.
+  static void require_sequential(SchedulerKind sched, const char* layer) {
+    if (sched == SchedulerKind::kParallelEpoch) refuse_parallel_epoch(layer);
+  }
+  void require_sequential(const char* layer) const {
+    require_sequential(cfg_.scheduler, layer);
+  }
 
   // --- StackSubstrate: virtual time ---
   [[nodiscard]] Cycles core_now(CoreId core) const override {
@@ -363,12 +358,11 @@ class Machine final : public substrate::StackSubstrate {
   }
 
   /// Run until `stop()` returns true or no work remains.
-  /// Returns false if a hard-stop watchdog fired. Under kParallelEpoch
-  /// with ShardPolicy::kPerCore, `stop` and the watchdogs are evaluated
-  /// at epoch barriers and serial deliveries only (the sequential
-  /// schedulers and kSingleGroup check per advance). Without a target,
-  /// per-core epochs ask no send-horizon certificate, so they stay one
-  /// lookahead wide.
+  /// Returns false if a hard-stop watchdog fired. Under kParallelEpoch,
+  /// `stop` and the watchdogs are evaluated at epoch barriers and serial
+  /// deliveries only (the sequential schedulers check per advance).
+  /// Without a target, per-core epochs ask no send-horizon certificate,
+  /// so they stay one lookahead wide.
   bool run(const std::function<bool()>& stop = nullptr);
 
   /// Run until virtual time `t` has been reached on the frontier.
@@ -415,13 +409,10 @@ class Machine final : public substrate::StackSubstrate {
   }
 
   /// Reconfigure the host-thread count for subsequent kParallelEpoch
-  /// per-core runs. The worker pool is rebuilt at the next parallel run
-  /// if its shape no longer matches (results are thread-count-invariant
-  /// either way; this only changes host parallelism).
+  /// runs. The worker pool is rebuilt at the next parallel run if its
+  /// size no longer matches (results are thread-count-invariant either
+  /// way; this only changes host parallelism).
   void set_threads(unsigned threads) { cfg_.threads = threads; }
-  /// Reconfigure shard work-stealing for subsequent per-core runs (same
-  /// rebuild-on-next-run semantics as set_threads).
-  void set_work_stealing(bool on) { cfg_.work_stealing = on; }
   /// Host threads in the currently-built parallel worker pool (0 when
   /// no pool has been built). Observability/test hook.
   [[nodiscard]] unsigned parallel_pool_threads() const;
@@ -496,7 +487,7 @@ class Machine final : public substrate::StackSubstrate {
 
   /// Rewind to a previously captured state. `restore(s); run_until(T)`
   /// is bit-identical (traces, digests, fault schedules) to the
-  /// uninterrupted original run, under every scheduler × steal × ff
+  /// uninterrupted original run, under every scheduler × threads × ff
   /// mode. Asserts the snapshot came from this machine shape (version,
   /// fingerprint, core and participant counts) and that no run is in
   /// progress. Every queue is cleared and refilled from the image's
@@ -627,12 +618,12 @@ class Machine final : public substrate::StackSubstrate {
     std::uint64_t v{0};
   };
 
-  /// kParallelEpoch with one shard per core: cores drain concurrently,
-  /// so shared per-machine caches are off and now() folds core clocks.
+  /// kParallelEpoch: cores drain concurrently, so shared per-machine
+  /// caches are off and now() folds core clocks.
   [[nodiscard]] bool per_core_shards() const {
-    return sched_ == SchedulerKind::kParallelEpoch &&
-           cfg_.shard_policy == ShardPolicy::kPerCore;
+    return cfg_.scheduler == SchedulerKind::kParallelEpoch;
   }
+  [[noreturn]] static void refuse_parallel_epoch(const char* layer);
 
   /// One iteration of the DES loop. Returns false when no work remains.
   bool advance_once();
@@ -672,19 +663,8 @@ class Machine final : public substrate::StackSubstrate {
   /// the loop safe even if the owner forgot to mark the core dirty.
   void refresh_frontier();
 
-  // kParallelEpoch entry points (src/hwsim/parallel.cpp).
+  // kParallelEpoch (src/hwsim/parallel.cpp).
   bool parallel_run(const std::function<bool()>& stop, Cycles until);
-  bool parallel_run_single_group(const std::function<bool()>& stop,
-                                 Cycles until);
-  bool parallel_run_per_core(const std::function<bool()>& stop,
-                             Cycles until);
-  /// Why run_picks returned.
-  enum class PickExit : std::uint8_t { kHorizon, kStopped, kWatchdog };
-  /// The sequential pick order, one epoch of it: execute the earliest
-  /// entity (the machine queue winning time ties) until every one is at
-  /// or past `horizon`, checking `stop` (may be null) and the watchdogs
-  /// before each advance. kSingleGroup epochs run through it.
-  PickExit run_picks(Cycles horizon, const std::function<bool()>& stop);
   /// Lower `horizon` so that no serial core delivers inside the next
   /// parallel epoch: to a serial core's inbox head while it steps
   /// toward it, else to its next action. `*due` becomes the serial core
@@ -742,7 +722,6 @@ class Machine final : public substrate::StackSubstrate {
   void frontier_enqueue_dirty(CoreId id);
 
   MachineConfig cfg_;
-  SchedulerKind sched_{SchedulerKind::kFrontier};  // kAuto resolved away
   /// Running max of the core clocks (sequential schedulers only; see
   /// now()).
   Cycles now_cache_{0};

@@ -80,11 +80,6 @@
 //    the horizon after every advance of a serial core), so outside
 //    serial deliveries only a core's owner reads or writes the state
 //    those handlers touch.
-//
-// ShardPolicy::kSingleGroup keeps the same epoch structure but drains
-// the one shard with the sequential pick loop itself — safe for
-// workloads that mutate other cores' state directly, and trivially
-// bit-identical.
 #include "hwsim/parallel.hpp"
 
 #include <algorithm>
@@ -139,9 +134,8 @@ void IpiOutbox::staged_before_horizon(unsigned sender, Cycles arrival,
                       __LINE__, msg);
 }
 
-ParallelEngine::ParallelEngine(Machine& machine, unsigned threads,
-                               bool steal)
-    : machine_(machine), steal_enabled_(steal) {
+ParallelEngine::ParallelEngine(Machine& machine, unsigned threads)
+    : machine_(machine) {
   const unsigned cores = machine.num_cores();
   threads_ = std::max(1u, std::min(threads, cores));
   lanes_.resize(cores);
@@ -224,14 +218,13 @@ EpochTally ParallelEngine::drain_pool(unsigned self, Cycles horizon) {
   // The tally accumulates thread-locally and publishes once per epoch:
   // sums and extrema over cores, so it is independent of which thread
   // drained which shard. Own block first (locality: a thread re-touches
-  // the same cores every epoch while the load is balanced), then, with
-  // stealing on, whatever the other blocks still hold. A block is done
-  // for every thread at its first empty claim: a cursor only grows, so
-  // an exhausted block never has work again this epoch.
+  // the same cores every epoch while the load is balanced), then
+  // whatever the other blocks still hold. A block is done for every
+  // thread at its first empty claim: a cursor only grows, so an
+  // exhausted block never has work again this epoch.
   EpochTally tally;
   BudgetSlots slots;
-  const unsigned blocks = steal_enabled_ ? threads_ : 1;
-  for (unsigned k = 0; k < blocks; ++k) {
+  for (unsigned k = 0; k < threads_; ++k) {
     ShardBlock& block = blocks_[(self + k) % threads_];
     for (ShardBlock::Claim c = block.claim(); c.lo != c.hi;
          c = block.claim()) {
@@ -347,73 +340,6 @@ void ParallelEngine::merge_scratch_metrics(obs::MetricsRegistry* into) {
   }
 }
 
-bool Machine::parallel_run(const std::function<bool()>& stop, Cycles until) {
-  return cfg_.shard_policy == ShardPolicy::kPerCore
-             ? parallel_run_per_core(stop, until)
-             : parallel_run_single_group(stop, until);
-}
-
-bool Machine::parallel_run_single_group(const std::function<bool()>& stop,
-                                        Cycles until) {
-  const Cycles la = std::max<Cycles>(1, lookahead());
-  // Fast-forward target: between epochs the coordinator may take an
-  // analytic stride over a proven-quiet span. Unlike an epoch, the
-  // stride is NOT bounded by the lookahead — inert steps post nothing,
-  // so no cross-core effect exists for the lookahead to order.
-  Cycles ff_want = until;
-  if (cfg_.max_time != 0) {
-    ff_want = std::min(ff_want, saturating_add(cfg_.max_time, 1));
-  }
-  for (;;) {
-    if (stop && stop()) return true;
-    if (cfg_.fast_forward.enabled && try_fast_forward(ff_want)) continue;
-    const Pick first = linear_peek();
-    if (first.time == kNever || first.time >= until) return true;
-    // One shard: the sequential pick loop, chunked by the horizon. The
-    // machine queue participates directly (linear_peek gives it time
-    // ties), so this is the sequential schedule verbatim.
-    const PickExit exit =
-        run_picks(std::min(until, saturating_add(first.time, la)), stop);
-    if (exit != PickExit::kHorizon) return exit == PickExit::kStopped;
-  }
-}
-
-Machine::PickExit Machine::run_picks(Cycles horizon,
-                                     const std::function<bool()>& stop) {
-  const bool time_watchdog = cfg_.max_time != 0;
-  const bool advance_watchdog = cfg_.max_advances != 0;
-  for (;;) {
-    if (stop && stop()) return PickExit::kStopped;
-    if (time_watchdog && now() > cfg_.max_time) {
-      IW_LOG_WARN("machine watchdog: virtual time limit %llu exceeded",
-                  static_cast<unsigned long long>(cfg_.max_time));
-      return PickExit::kWatchdog;
-    }
-    if (advance_watchdog && advances_ > cfg_.max_advances) {
-      IW_LOG_WARN("machine watchdog: advance limit exceeded");
-      return PickExit::kWatchdog;
-    }
-    // Cached next-action times, recomputed only where an invalidation
-    // marked a core dirty: the contract that keeps the frontier's leaves
-    // exact keeps them exact here, and paranoid_frontier checks every
-    // pick against the uncached scan.
-    Pick p{machine_queue_.peek_time(), nullptr};
-    for (auto& c : cores_) {
-      const Cycles t = c->next_action_time();
-      if (t < p.time) p = {t, c.get()};
-    }
-    if (cfg_.paranoid_frontier) {
-      const Pick ref = linear_peek();
-      IW_ASSERT_MSG(ref.time == p.time && ref.core == p.core,
-                    "sequential pick diverged from the linear scan — a "
-                    "driver mutated runnable state without "
-                    "mark_schedule_dirty()");
-    }
-    if (p.time >= horizon) return PickExit::kHorizon;  // epoch exhausted
-    execute(p);
-  }
-}
-
 Cycles Machine::send_horizon(Core& c, Cycles next, Cycles until,
                              bool* certified) {
   // Only a runnable core (its next action is its clock) below the run
@@ -482,22 +408,19 @@ void Machine::run_serial_delivery(Core& serial, Cycles d) {
   ++serial_epochs_;
 }
 
-bool Machine::parallel_run_per_core(const std::function<bool()>& stop,
-                                    Cycles until) {
+bool Machine::parallel_run(const std::function<bool()>& stop, Cycles until) {
   IW_ASSERT_MSG(cfg_.costs.ipi_latency >= 1,
                 "per-core parallel mode needs a nonzero IPI latency for "
                 "its lookahead bound");
-  // (Re)build the worker pool when the requested shape changed: the
-  // thread count and steal mode may be reconfigured between runs
-  // (set_threads / set_work_stealing), and silently reusing the old
-  // pool would pin the machine to a stale configuration.
+  // (Re)build the worker pool when the requested size changed: the
+  // thread count may be reconfigured between runs (set_threads), and
+  // silently reusing the old pool would pin the machine to a stale
+  // configuration.
   const unsigned want_threads =
       std::max(1u, std::min(cfg_.threads, num_cores()));
-  if (parallel_ == nullptr || parallel_->threads() != want_threads ||
-      parallel_->steal_enabled() != cfg_.work_stealing) {
+  if (parallel_ == nullptr || parallel_->threads() != want_threads) {
     parallel_.reset();  // join the old pool before spawning the new one
-    parallel_ = std::make_unique<ParallelEngine>(*this, cfg_.threads,
-                                                 cfg_.work_stealing);
+    parallel_ = std::make_unique<ParallelEngine>(*this, cfg_.threads);
   }
   parallel_->set_scratch_enabled(metrics_ != nullptr);
   const Cycles la = lookahead();

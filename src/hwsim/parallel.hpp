@@ -1,10 +1,9 @@
 // Epoch-synchronized conservative-parallel execution engine for
-// hwsim::Machine (SchedulerKind::kParallelEpoch with
-// ShardPolicy::kPerCore).
+// hwsim::Machine (SchedulerKind::kParallelEpoch).
 //
 // The engine owns a persistent host worker pool, the fabric outbox, and
 // the per-core scratch lanes that make an epoch drain shard-local. Machine::
-// parallel_run_per_core drives it: compute the epoch horizon from the
+// parallel_run drives it: compute the epoch horizon from the
 // cores' send horizons, fan the drain out across the pool, then merge
 // the staged outbox deliveries deterministically at the barrier. The
 // drain and the merge also report the earliest next-action time and
@@ -17,14 +16,12 @@
 // block of shard ids, re-seeded at epoch start, with one claim cursor
 // that hands the block out in chunks (one relaxed fetch_add per chunk
 // of shards, nothing per shard; see ShardBlock). A thread drains its own
-// block first; with stealing on it then claims leftover chunks from the
-// other blocks' cursors, so one hot shard no longer serializes the
-// epoch. Stealing moves only *which host thread* drains a shard — every
-// shard-side effect is keyed by core id (lane outbox, scratch registry,
-// per-core trace buffer, per-source sequence/RNG streams) and merged in
-// core-id order at the barrier, so results are independent of the
-// claim interleaving. MachineConfig::work_stealing=false keeps every
-// thread on its own block for A/B comparison.
+// block first, then claims leftover chunks from the other blocks'
+// cursors, so one hot shard does not serialize the epoch. Stealing moves
+// only *which host thread* drains a shard — every shard-side effect is
+// keyed by core id (lane outbox, scratch registry, per-core trace
+// buffer, per-source sequence/RNG streams) and merged in core-id order
+// at the barrier, so results are independent of the claim interleaving.
 //
 // Host-thread handshake: a monotone epoch counter published with
 // release semantics, acknowledged through a cumulative done counter.
@@ -272,17 +269,14 @@ class ParallelEngine {
  public:
   /// `threads` is the total host threads used per epoch, including the
   /// coordinator (clamped to [1, num_cores]); `threads - 1` workers are
-  /// spawned and parked until the first epoch. `steal` lets a thread
-  /// claim from other threads' blocks once its own is drained (off =
-  /// static blocks).
-  ParallelEngine(Machine& machine, unsigned threads, bool steal);
+  /// spawned and parked until the first epoch.
+  ParallelEngine(Machine& machine, unsigned threads);
   ~ParallelEngine();
 
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
   [[nodiscard]] unsigned threads() const { return threads_; }
-  [[nodiscard]] bool steal_enabled() const { return steal_enabled_; }
   /// Shards drained by a thread other than their block's owner since
   /// construction (observability only; the count is
   /// host-schedule-dependent, results never are).
@@ -378,14 +372,13 @@ class ParallelEngine {
   /// Refill `slots` with the next batch and claim its first slot;
   /// false once the budget is spent.
   bool claim_batch(BudgetSlots* slots);
-  /// One thread's share of an epoch: drain the own block, then (with
-  /// stealing on) what the other blocks still hold.
+  /// One thread's share of an epoch: drain the own block, then what
+  /// the other blocks still hold.
   EpochTally drain_pool(unsigned self, Cycles horizon);
   void worker_main(unsigned self);
 
   Machine& machine_;
   unsigned threads_{1};
-  bool steal_enabled_{true};
   IpiOutbox outbox_;
   std::vector<Lane> lanes_;  // one per core
   /// One block per host thread (array: ShardBlock holds an atomic and

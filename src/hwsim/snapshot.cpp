@@ -8,7 +8,7 @@
 //    machine Rng, fault stream RNG states + counters, and every
 //    participant blob (length-prefixed). Everything here is
 //    semantically observable and therefore identical across
-//    scheduler × steal × ff configurations of the same scenario;
+//    scheduler × threads × ff configurations of the same scenario;
 //  * ephemeral words, length-prefixed — fast-forward accounting and
 //    backoff, fault opportunity counters and script cursors. Needed for
 //    an exact same-mode restore, but legitimately different across ff
@@ -85,8 +85,8 @@ std::uint64_t read_count(SnapshotReader& r, std::size_t words_each,
   return n;
 }
 
-/// Immutable-shape hash: core count and seeds. Scheduler, threads,
-/// steal, and ff mode are execution strategies and excluded on purpose
+/// Immutable-shape hash: core count and seeds. Scheduler, threads and
+/// ff mode are execution strategies and excluded on purpose
 /// (they may change between snapshot and restore).
 std::uint64_t config_fingerprint(const MachineConfig& cfg) {
   std::uint64_t h = kFnvOffset;

@@ -9,8 +9,8 @@
 // per registered SnapshotParticipant (timer devices, watchdogs,
 // recovery layers, workload drivers). `Machine::restore(snap)` followed
 // by `run_until(T)` is bit-identical — same traces, digests, and fault
-// schedules — to the uninterrupted run, under every scheduler, steal
-// mode, and fast-forward mode.
+// schedules — to the uninterrupted run, under every scheduler, host
+// thread count, and fast-forward mode.
 //
 // A snapshot IS its format-v2 word image: Machine::snapshot() writes
 // it once and holds nothing else. Pending work is plain data — a timer
@@ -22,7 +22,7 @@
 // state snapshot() cannot encode is a pending fire of a TimerSink that
 // never registered; it aborts with a diagnostic.
 //
-// What IS comparable across machines (and across scheduler/steal/ff
+// What IS comparable across machines (and across scheduler/threads/ff
 // configurations of the same scenario) is digest(): an FNV-1a hash
 // over the digested state words plus the (time, seq)-ordered queue
 // records (sink ids and payload words, never pointers).
@@ -192,7 +192,7 @@ class Snapshot {
   /// FNV-1a over the pointer-free state: version, at, the digested
   /// words, and every queue record with the same constant words the
   /// digest has always mixed. Comparable across machines and across
-  /// scheduler × steal × ff configurations of the same scenario; also
+  /// scheduler × threads × ff configurations of the same scenario; also
   /// doubles as a final-state digest.
   [[nodiscard]] std::uint64_t digest() const;
 

@@ -21,6 +21,9 @@ struct DeadlineLater {
 
 Kernel::Kernel(hwsim::Machine& machine, KernelConfig cfg)
     : machine_(machine), cfg_(cfg), cpus_(machine.num_cores()) {
+  // Remote spawns, wakes and submit_task write other cores' run and task
+  // queues directly.
+  machine_.require_sequential("nautilus::Kernel");
   sink_id_ = machine_.register_event_sink(this);
 }
 

@@ -78,6 +78,7 @@ struct KernelStats {
 
 class Kernel final : public hwsim::CoreDriver, public hwsim::EventSink {
  public:
+  /// Aborts on a kParallelEpoch machine (Machine::require_sequential).
   Kernel(hwsim::Machine& machine, KernelConfig cfg = {});
   ~Kernel() override;
 

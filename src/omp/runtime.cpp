@@ -1,6 +1,7 @@
 #include "omp/runtime.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <tuple>
 
@@ -29,14 +30,14 @@ LinuxNoise::~LinuxNoise() {
 
 void LinuxNoise::post_next(hwsim::Core& core, Cycles from) {
   const Cycles gap = machine_.costs().freq.us_to_cycles(
-      rngs_[core.id()].lognormal_median(gap_us_, 0.5));
+      rngs_[core.id()].lognormal_median(gap_us_, kGapSigma));
   core.post_event(from + gap, sink_id_);
 }
 
 void LinuxNoise::on_core_event(hwsim::Core& core, Cycles at,
                                const hwsim::EventPayload&) {
   core.consume(machine_.costs().freq.us_to_cycles(
-      rngs_[core.id()].lognormal_median(burst_us_, 0.8)));
+      rngs_[core.id()].lognormal_median(burst_us_, kBurstSigma)));
   post_next(core, at);
 }
 
@@ -570,6 +571,19 @@ OmpResult run_miniapp(const workloads::MiniApp& app, const OmpConfig& cfg) {
   IW_ASSERT_MSG(!(cfg.noise_gap_us > 0.0) || cfg.noise_burst_us > 0.0,
                 "OmpConfig::noise_burst_us must be positive while "
                 "noise_gap_us is");
+  // Each burst is posted one gap after the last one's due time while it
+  // moves the clock on, so bursts longer than gaps on average keep an
+  // event due forever.
+  const auto lognormal_mean = [](double median, double sigma) {
+    return median * std::exp(sigma * sigma / 2);
+  };
+  IW_ASSERT_MSG(
+      !(cfg.noise_gap_us > 0.0) ||
+          lognormal_mean(cfg.noise_burst_us, LinuxNoise::kBurstSigma) <
+              lognormal_mean(cfg.noise_gap_us, LinuxNoise::kGapSigma),
+      "OmpConfig::noise_burst_us's lognormal mean must stay below "
+      "noise_gap_us's: the noise bursts would outrun the clock");
+  hwsim::Machine::require_sequential(cfg.scheduler, "omp::run_miniapp");
   if (cfg.mode == OmpMode::kCCK) return run_cck(app, cfg);
   return run_threaded(app, cfg);
 }

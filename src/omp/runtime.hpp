@@ -72,16 +72,22 @@ struct OmpConfig {
   double linux_park_fraction{0.5};
   Cycles linux_region_wake_cost{1'600};
   /// Linux OS-noise model: unsteerable kworker/softirq/IRQ activity
-  /// periodically steals a core (mean gap / median burst, in µs).
+  /// periodically steals a core (median gap / median burst, in µs).
   /// Barriers amplify one core's delay to all — the classic OS-noise
   /// mechanism behind the growing-with-scale gap of Fig. 6. A gap of 0
-  /// turns the noise off; while it is on, the burst must be positive.
+  /// turns the noise off; while it is on, the burst must be positive
+  /// and its lognormal mean below the gap's (LinuxNoise::kBurstSigma,
+  /// kGapSigma): otherwise the bursts outrun the clock and the run
+  /// never ends.
   double noise_gap_us{2'500.0};
   double noise_burst_us{5.0};
   hwsim::CostModel costs{hwsim::CostModel::knl()};
   std::uint64_t seed{42};
   /// DES scheduler for the run's machine (frontier index by default;
   /// kLinearScan reproduces the seed reference scheduler bit-for-bit).
+  /// kParallelEpoch is refused by name: the runtime's barriers, work
+  /// counters and the kernel's queues are shared across cores outside
+  /// the IPI fabric.
   hwsim::SchedulerKind scheduler{hwsim::SchedulerKind::kFrontier};
   /// Observability sinks attached to the run's machine (null = off).
   /// Barrier wait times land in the omp.barrier.wait histogram.
@@ -98,6 +104,11 @@ struct OmpConfig {
 class LinuxNoise final : public hwsim::EventSink,
                          public hwsim::SnapshotParticipant {
  public:
+  /// Lognormal shapes of the gap and burst draws (their medians are the
+  /// configured µs values).
+  static constexpr double kGapSigma = 0.5;
+  static constexpr double kBurstSigma = 0.8;
+
   /// Splits one Rng per core from the machine's, in core order, and
   /// posts each core's first burst one gap after time 0.
   LinuxNoise(hwsim::Machine& m, double gap_us, double burst_us);

@@ -52,11 +52,10 @@ std::string_view format_record(const ScenarioSpec& spec,
       head, sizeof head,
       "{\"id\":%" PRIu64 ",\"group\":%" PRIu64
       ",\"label\":\"%s\",\"scheduler\":\"%s\",\"threads\":%u,"
-      "\"steal\":%s,\"ff\":%s,\"fault_seed\":%" PRIu64 ",\"at\":%" PRIu64
+      "\"ff\":%s,\"fault_seed\":%" PRIu64 ",\"at\":%" PRIu64
       ",\"digest\":\"%016" PRIx64 "\"",
       res.id, res.group, spec.label.c_str(), scheduler_name(spec.scheduler),
-      spec.threads, spec.work_stealing ? "true" : "false",
-      spec.fast_forward ? "true" : "false", spec.fault_seed,
+      spec.threads, spec.fast_forward ? "true" : "false", spec.fault_seed,
       static_cast<std::uint64_t>(res.at), res.digest);
   IW_ASSERT_MSG(n > 0 && static_cast<std::size_t>(n) < sizeof head,
                 "scenario record head overflow (label too long?)");

@@ -1,7 +1,7 @@
 // Scenario specs and per-run results for the scenario server.
 //
 // A scenario is one cell of an experiment matrix: an execution strategy
-// (scheduler × threads × steal × ff) crossed with a fault environment
+// (scheduler × threads × ff) crossed with a fault environment
 // (FaultPlan × fault_seed) over a fixed workload and machine shape. The
 // workload and shape are pinned by the batch's warmed snapshot (see
 // server.hpp): every run hydrates the same v2 image into a fresh
@@ -38,14 +38,13 @@ struct ScenarioSpec {
   /// Human-readable cell label carried into the JSONL record.
   std::string label;
 
-  /// kParallelEpoch always runs per-core shards (ShardPolicy::kPerCore):
-  /// at one host thread the fastest engine for the heartbeat workloads,
-  /// whose supervisor core is declared serial. A batch whose workload
-  /// posts across cores outside the IPI fabric from a core that is not
-  /// declared serial must ask for kFrontier.
+  /// kParallelEpoch runs one shard per core: at one host thread the
+  /// fastest engine for the heartbeat workloads, whose supervisor core
+  /// is declared serial. A batch whose workload posts across cores
+  /// outside the IPI fabric from a core that is not declared serial
+  /// must ask for kFrontier.
   hwsim::SchedulerKind scheduler{hwsim::SchedulerKind::kParallelEpoch};
   unsigned threads{1};
-  bool work_stealing{true};
   bool fast_forward{false};
 
   /// Installed AFTER hydration (Machine::install_fault_plan) — the
@@ -91,7 +90,6 @@ using HarnessFactory =
     case hwsim::SchedulerKind::kFrontier: return "frontier";
     case hwsim::SchedulerKind::kLinearScan: return "linear_scan";
     case hwsim::SchedulerKind::kParallelEpoch: return "parallel_epoch";
-    case hwsim::SchedulerKind::kAuto: return "auto";
   }
   return "unknown";
 }

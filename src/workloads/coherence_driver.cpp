@@ -1,6 +1,7 @@
 #include "workloads/coherence_driver.hpp"
 
 #include "common/assert.hpp"
+#include "hwsim/machine.hpp"
 
 namespace iw::workloads {
 
@@ -42,6 +43,8 @@ bool CoherenceDriver::runnable(hwsim::Core& core) {
 }
 
 void CoherenceDriver::step(hwsim::Core& core) {
+  // Every core's accesses go through one shared directory.
+  core.machine().require_sequential("workloads::CoherenceDriver");
   const CoreId id = core.id();
   Rng& rng = rngs_[id];
   core.consume(cfg_.compute_per_step);

@@ -5,9 +5,12 @@
 // so a directory stall delays the next poll and a dropped IPI shows up
 // next to the miss that preceded it, all on one cycle axis.
 //
-// Determinism: per-core RNG streams are fixed at construction; the DES
-// guarantees bit-identical step interleavings on both SchedulerKinds,
-// so same-seed runs produce bit-identical access sequences and traces.
+// Determinism: per-core RNG streams are fixed at construction; the
+// frontier and the linear scan guarantee bit-identical step
+// interleavings, so same-seed runs produce bit-identical access
+// sequences and traces. The directory is shared across cores outside
+// the IPI fabric, so the first step on a kParallelEpoch machine aborts
+// (Machine::require_sequential).
 #pragma once
 
 #include <cstdint>

@@ -70,15 +70,13 @@ constexpr std::uint64_t kBudgets[] = {kWatchdog, 0};
 
 /// Fig. 3-style workload: LAPIC-driven heartbeat on CPU 0 broadcasting
 /// IPIs to every worker, over cores that are busy with uneven spin work.
-HeartbeatRun run_heartbeat(
-    unsigned cores, hwsim::SchedulerKind sched, bool paranoid = false,
-    std::uint64_t max_advances = kWatchdog,
-    hwsim::ShardPolicy policy = hwsim::ShardPolicy::kSingleGroup,
-    unsigned threads = 1) {
+HeartbeatRun run_heartbeat(unsigned cores, hwsim::SchedulerKind sched,
+                           bool paranoid = false,
+                           std::uint64_t max_advances = kWatchdog,
+                           unsigned threads = 1) {
   hwsim::MachineConfig mc;
   mc.num_cores = cores;
   mc.scheduler = sched;
-  mc.shard_policy = policy;
   mc.threads = threads;
   mc.paranoid_frontier = paranoid;
   mc.max_advances = max_advances;
@@ -128,49 +126,25 @@ TEST(SchedulerEquivalence, HeartbeatFrontierMatchesLinearScan) {
 TEST(SchedulerEquivalence, HeartbeatParallelEpochMatchesFrontier) {
   // The CPU 0 handler reads every worker's beat state, so the heartbeat
   // declares core 0 serial: per-core shards run its deliveries in
-  // sequential epochs and everything else in parallel. Both shard
-  // policies, and per-core shards on 1 and 2 host threads, must be
-  // bit-identical to the frontier. (tests/hwsim/serial_epoch_test.cpp
+  // sequence and everything else in parallel, bit-identically to the
+  // frontier on 1 and 2 host threads. (tests/hwsim/serial_epoch_test.cpp
   // runs the fault-tolerant supervisor through degraded mode.)
-  struct Leg {
-    hwsim::ShardPolicy policy;
-    unsigned threads;
-  };
-  const Leg legs[] = {{hwsim::ShardPolicy::kSingleGroup, 1},
-                      {hwsim::ShardPolicy::kPerCore, 1},
-                      {hwsim::ShardPolicy::kPerCore, 2}};
   for (const unsigned cores : {2u, 4u, 16u}) {
     const HeartbeatRun frontier =
         run_heartbeat(cores, hwsim::SchedulerKind::kFrontier);
-    for (const Leg& leg : legs) {
+    for (const unsigned threads : {1u, 2u}) {
       for (const std::uint64_t budget : kBudgets) {
         const HeartbeatRun parallel = run_heartbeat(
             cores, hwsim::SchedulerKind::kParallelEpoch,
-            /*paranoid=*/budget == 0, budget, leg.policy, leg.threads);
-        const std::string what =
-            "cores=" + std::to_string(cores) + " threads=" +
-            std::to_string(leg.threads) +
-            (leg.policy == hwsim::ShardPolicy::kPerCore ? " per-core"
-                                                        : " single-group");
+            /*paranoid=*/budget == 0, budget, threads);
+        const std::string what = "cores=" + std::to_string(cores) +
+                                 " threads=" + std::to_string(threads);
         EXPECT_EQ(frontier.hash, parallel.hash) << what;
         EXPECT_EQ(frontier.advances, parallel.advances) << what;
         EXPECT_EQ(frontier.ipis, parallel.ipis) << what;
         EXPECT_EQ(frontier.end_time, parallel.end_time) << what;
       }
     }
-  }
-}
-
-TEST(SchedulerEquivalence, HeartbeatAutoMatchesFrontier) {
-  // kAuto resolves to linear up to its core-count threshold and to the
-  // frontier above it; either way the schedule must be unchanged.
-  for (const unsigned cores : {2u, 16u}) {
-    const HeartbeatRun frontier =
-        run_heartbeat(cores, hwsim::SchedulerKind::kFrontier);
-    const HeartbeatRun aut =
-        run_heartbeat(cores, hwsim::SchedulerKind::kAuto);
-    EXPECT_EQ(frontier.hash, aut.hash) << "cores=" << cores;
-    EXPECT_EQ(frontier.advances, aut.advances) << "cores=" << cores;
   }
 }
 
@@ -221,19 +195,19 @@ TEST(SchedulerEquivalence, OmpModesFrontierMatchesLinearScan) {
   }
 }
 
-TEST(SchedulerEquivalence, OmpModesParallelEpochMatchesFrontier) {
-  // Full kernel-stack workload (threads, barriers, futexes/timers)
-  // under the epoch scheduler's default single-group policy.
+TEST(SchedulerEquivalenceDeathTest, OmpModesRefuseParallelEpochByName) {
+  // The runtime's barriers and the kernel's run and task queues are
+  // shared across cores outside the IPI fabric: per-core shards would
+  // race on them, so every mode refuses the per-core engine up front.
   for (const omp::OmpMode mode :
        {omp::OmpMode::kRTK, omp::OmpMode::kCCK, omp::OmpMode::kLinux}) {
-    Cycles mk_frontier = 0;
-    Cycles mk_parallel = 0;
-    const std::uint64_t h_frontier =
-        run_omp(mode, hwsim::SchedulerKind::kFrontier, &mk_frontier);
-    const std::uint64_t h_parallel =
-        run_omp(mode, hwsim::SchedulerKind::kParallelEpoch, &mk_parallel);
-    EXPECT_EQ(h_frontier, h_parallel) << omp::mode_name(mode);
-    EXPECT_EQ(mk_frontier, mk_parallel) << omp::mode_name(mode);
+    Cycles makespan = 0;
+    EXPECT_DEATH(run_omp(mode, hwsim::SchedulerKind::kParallelEpoch,
+                         &makespan),
+                 "omp::run_miniapp shares state across cores outside the "
+                 "IPI fabric and cannot run on kParallelEpoch's per-core "
+                 "shards; use kFrontier or kLinearScan")
+        << omp::mode_name(mode);
   }
 }
 

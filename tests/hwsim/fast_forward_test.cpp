@@ -3,7 +3,7 @@
 // Fast-forward (MachineConfig::fast_forward) may only change how much
 // wall clock the DES burns, never what it computes: these tests run a
 // fig3-style heartbeat workload with skip-ahead on and off — across all
-// four schedulers, work-stealing on and off, and fault plans including
+// three schedulers and fault plans including
 // a stall window armed *exactly* at the first proposed horizon (the
 // off-by-one that silently corrupts determinism if the proof treats the
 // horizon as inclusive) — and assert byte-identical traces plus equal
@@ -112,9 +112,7 @@ struct RunResult {
 struct RunOpts {
   unsigned cores{8};
   hwsim::SchedulerKind sched{hwsim::SchedulerKind::kFrontier};
-  hwsim::ShardPolicy shards{hwsim::ShardPolicy::kPerCore};
   unsigned threads{2};
-  bool steal{true};
   const char* faults{nullptr};
   hwsim::FastForwardPolicy ff;
   Cycles step{60};
@@ -128,14 +126,12 @@ struct RunOpts {
 /// broadcasts to every worker, a machine-queue device tick, and spin
 /// work on every core. Shard-safe (all cross-core traffic is the IPI
 /// fabric; tallies are per-core cells), so it runs under every
-/// scheduler including kParallelEpoch/kPerCore.
+/// scheduler including kParallelEpoch.
 RunResult run_heartbeat(const RunOpts& o) {
   hwsim::MachineConfig mc;
   mc.num_cores = o.cores;
   mc.scheduler = o.sched;
-  mc.shard_policy = o.shards;
   mc.threads = o.threads;
-  mc.work_stealing = o.steal;
   mc.fast_forward = o.ff;
   mc.max_advances = o.max_advances;
   if (o.faults != nullptr) {
@@ -203,15 +199,12 @@ void expect_equal(const RunResult& full, const RunResult& ff,
 struct SchedCell {
   const char* name;
   hwsim::SchedulerKind sched;
-  bool steal;
 };
 
 constexpr SchedCell kSchedMatrix[] = {
-    {"frontier", hwsim::SchedulerKind::kFrontier, true},
-    {"linear", hwsim::SchedulerKind::kLinearScan, true},
-    {"auto", hwsim::SchedulerKind::kAuto, true},
-    {"parallel+steal", hwsim::SchedulerKind::kParallelEpoch, true},
-    {"parallel-steal", hwsim::SchedulerKind::kParallelEpoch, false},
+    {"frontier", hwsim::SchedulerKind::kFrontier},
+    {"linear", hwsim::SchedulerKind::kLinearScan},
+    {"parallel", hwsim::SchedulerKind::kParallelEpoch},
 };
 
 TEST(FastForward, EquivalenceMatrixAcrossSchedulersAndFaultPlans) {
@@ -230,7 +223,6 @@ TEST(FastForward, EquivalenceMatrixAcrossSchedulersAndFaultPlans) {
     for (const SchedCell& cell : kSchedMatrix) {
       RunOpts o;
       o.sched = cell.sched;
-      o.steal = cell.steal;
       o.faults = plan;
       const RunResult full = run_heartbeat(o);
       o.ff.enabled = true;
@@ -282,7 +274,6 @@ TEST(FastForward, StallWindowArmedExactlyAtProposedHorizon) {
   for (const SchedCell& cell : kSchedMatrix) {
     RunOpts o;
     o.sched = cell.sched;
-    o.steal = cell.steal;
     o.faults = spec.c_str();
     const RunResult full = run_heartbeat(o);
     o.ff.enabled = true;
@@ -437,18 +428,6 @@ TEST(FastForward, DriverGoingIdleMidWindowIsExact) {
   o.ff.enabled = true;
   const RunResult ff = run_heartbeat(o);
   expect_equal(full, ff, "idle-mid-window");
-  EXPECT_GT(ff.ff_steps, 0u);
-}
-
-TEST(FastForward, SingleGroupParallelTakesAnalyticStride) {
-  RunOpts o;
-  o.sched = hwsim::SchedulerKind::kParallelEpoch;
-  o.shards = hwsim::ShardPolicy::kSingleGroup;
-  o.threads = 1;
-  const RunResult full = run_heartbeat(o);
-  o.ff.enabled = true;
-  const RunResult ff = run_heartbeat(o);
-  expect_equal(full, ff, "single-group");
   EXPECT_GT(ff.ff_steps, 0u);
 }
 

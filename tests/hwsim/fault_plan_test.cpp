@@ -449,10 +449,12 @@ class SpinDriver final : public CoreDriver {
 /// The determinism_test heartbeat workload, with a fault plan attached.
 std::uint64_t run_faulted_heartbeat(SchedulerKind sched, double drop,
                                     Cycles delay_max,
-                                    std::uint64_t fault_seed = 0) {
+                                    std::uint64_t fault_seed = 0,
+                                    unsigned threads = 1) {
   MachineConfig mc;
   mc.num_cores = 8;
   mc.scheduler = sched;
+  mc.threads = threads;
   mc.max_advances = 50'000'000;
   mc.fault_seed = fault_seed;
   if (drop > 0.0 || delay_max > 0) {
@@ -486,14 +488,18 @@ TEST(FaultDeterminism, MatrixSameSeedSameTraceAllSchedulers) {
           run_faulted_heartbeat(SchedulerKind::kFrontier, drop, delay);
       const std::uint64_t l =
           run_faulted_heartbeat(SchedulerKind::kLinearScan, drop, delay);
-      const std::uint64_t p =
-          run_faulted_heartbeat(SchedulerKind::kParallelEpoch, drop, delay);
       EXPECT_EQ(f1, f2) << "repeat run diverged: drop=" << drop
                         << " delay=" << delay;
       EXPECT_EQ(f1, l) << "schedulers diverged: drop=" << drop
                        << " delay=" << delay;
-      EXPECT_EQ(f1, p) << "parallel diverged: drop=" << drop
-                       << " delay=" << delay;
+      // Per-core shards, serial deliveries of the supervisor core, on one
+      // and two host threads (the TSan job runs this suite).
+      for (const unsigned threads : {1u, 2u}) {
+        const std::uint64_t p = run_faulted_heartbeat(
+            SchedulerKind::kParallelEpoch, drop, delay, 0, threads);
+        EXPECT_EQ(f1, p) << "parallel diverged: drop=" << drop
+                         << " delay=" << delay << " threads=" << threads;
+      }
     }
   }
 }

@@ -1,13 +1,13 @@
 // kParallelEpoch correctness: the epoch-synchronized parallel scheduler
-// must execute bit-identical schedules to the sequential schedulers for
-// every (ShardPolicy, threads) combination, and the epoch machinery's
-// edge cases — an IPI landing exactly on the lookahead horizon, a fault
-// delay pushing a delivery across an epoch, a broadcast fanning out over
-// every shard, a 1-thread run that spawns nothing — must all reduce to
-// the same schedule. Also covers kAuto's construction-time resolution,
-// the shard-safety guard for per-core drains, the epochs send horizons
-// allow (a declining driver keeps lookahead-wide ones), and the staging
-// check that catches a driver whose certificate lied.
+// must execute bit-identical schedules to the sequential schedulers at
+// every host thread count, and the epoch machinery's edge cases — an IPI
+// landing exactly on the lookahead horizon, a fault delay pushing a
+// delivery across an epoch, a broadcast fanning out over every shard, a
+// 1-thread run that spawns nothing — must all reduce to the same
+// schedule. Also covers the shard-safety guard for per-core drains, the
+// epochs send horizons allow (a declining driver keeps lookahead-wide
+// ones), and the staging check that catches a driver whose certificate
+// lied.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -85,16 +85,14 @@ std::string budget_label(std::uint64_t max_advances) {
 /// Shard-safe heartbeat-broadcast workload (the des_throughput pattern):
 /// a LAPIC timer on core 0 whose handler broadcasts to every other core,
 /// over uneven finite spin work. All cross-core traffic goes through the
-/// IPI fabric, so it is legal under ShardPolicy::kPerCore.
-BcastRun run_broadcast(unsigned cores, SchedulerKind sched,
-                       ShardPolicy policy, unsigned threads,
+/// IPI fabric, so it is legal on per-core shards.
+BcastRun run_broadcast(unsigned cores, SchedulerKind sched, unsigned threads,
                        std::uint64_t max_advances = kWatchdog,
                        const FaultPlan& plan = FaultPlan{},
                        std::uint64_t fault_seed = 0) {
   MachineConfig mc;
   mc.num_cores = cores;
   mc.scheduler = sched;
-  mc.shard_policy = policy;
   mc.threads = threads;
   mc.max_advances = max_advances;
   mc.paranoid_frontier = max_advances == 0;
@@ -148,11 +146,10 @@ TEST(ParallelEpoch, OneThreadPerCoreReducesToSequential) {
   // threads=1 drains every shard on the calling thread (no worker pool
   // is spawned) but still runs the epoch/outbox machinery — the pure
   // test of the lookahead algebra with no concurrency in play.
-  const BcastRun seq =
-      run_broadcast(4, SchedulerKind::kFrontier, ShardPolicy::kSingleGroup, 1);
+  const BcastRun seq = run_broadcast(4, SchedulerKind::kFrontier, 1);
   for (const std::uint64_t budget : kDrainBudgets) {
-    const BcastRun par = run_broadcast(4, SchedulerKind::kParallelEpoch,
-                                       ShardPolicy::kPerCore, 1, budget);
+    const BcastRun par =
+        run_broadcast(4, SchedulerKind::kParallelEpoch, 1, budget);
     expect_same(seq, par,
                 ("per-core/1-thread vs frontier" + budget_label(budget))
                     .c_str());
@@ -161,27 +158,15 @@ TEST(ParallelEpoch, OneThreadPerCoreReducesToSequential) {
 }
 
 TEST(ParallelEpoch, PerCoreMatchesSequentialAcrossThreadCounts) {
-  const BcastRun seq =
-      run_broadcast(8, SchedulerKind::kFrontier, ShardPolicy::kSingleGroup, 1);
+  const BcastRun seq = run_broadcast(8, SchedulerKind::kFrontier, 1);
   for (const unsigned threads : {1u, 2u, 8u}) {
     for (const std::uint64_t budget : kDrainBudgets) {
-      const BcastRun par = run_broadcast(8, SchedulerKind::kParallelEpoch,
-                                         ShardPolicy::kPerCore, threads,
-                                         budget);
+      const BcastRun par =
+          run_broadcast(8, SchedulerKind::kParallelEpoch, threads, budget);
       expect_same(seq, par,
                   ("threads=" + std::to_string(threads) + budget_label(budget))
                       .c_str());
     }
-  }
-}
-
-TEST(ParallelEpoch, SingleGroupMatchesSequential) {
-  for (const unsigned cores : {2u, 8u}) {
-    const BcastRun seq = run_broadcast(cores, SchedulerKind::kFrontier,
-                                       ShardPolicy::kSingleGroup, 1);
-    const BcastRun par = run_broadcast(cores, SchedulerKind::kParallelEpoch,
-                                       ShardPolicy::kSingleGroup, 1);
-    expect_same(seq, par, "single-group vs frontier");
   }
 }
 
@@ -193,7 +178,6 @@ TEST(ParallelEpoch, BroadcastFanOutSpansAllShards) {
   MachineConfig mc;
   mc.num_cores = 8;
   mc.scheduler = SchedulerKind::kParallelEpoch;
-  mc.shard_policy = ShardPolicy::kPerCore;
   mc.threads = 8;
   mc.max_advances = 50'000'000;
   Machine m(mc);
@@ -215,8 +199,7 @@ TEST(ParallelEpoch, BroadcastFanOutSpansAllShards) {
   for (unsigned i = 0; i < 8; ++i) {
     EXPECT_NE(irqs[i].v, 0u) << "core " << i << " never saw the broadcast";
   }
-  const BcastRun seq =
-      run_broadcast(8, SchedulerKind::kFrontier, ShardPolicy::kSingleGroup, 1);
+  const BcastRun seq = run_broadcast(8, SchedulerKind::kFrontier, 1);
   std::uint64_t total = 0;
   for (const auto& c : irqs) total += c.v;
   EXPECT_EQ(total, seq.irqs);
@@ -227,11 +210,10 @@ TEST(ParallelEpoch, UnreachedAdvanceBudgetFoldsLikeNoBudget) {
   // epoch that ran out of budget leaves next actions unreported. Two run
   // entries scan; every other epoch start is folded, budget or not.
   for (const unsigned threads : {1u, 2u}) {
-    const BcastRun budgeted = run_broadcast(
-        8, SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore, threads,
-        kWatchdog);
-    const BcastRun free = run_broadcast(8, SchedulerKind::kParallelEpoch,
-                                        ShardPolicy::kPerCore, threads, 0);
+    const BcastRun budgeted =
+        run_broadcast(8, SchedulerKind::kParallelEpoch, threads, kWatchdog);
+    const BcastRun free =
+        run_broadcast(8, SchedulerKind::kParallelEpoch, threads, 0);
     EXPECT_EQ(budgeted.scans, free.scans) << "threads=" << threads;
     EXPECT_EQ(free.scans, 2u) << "threads=" << threads;
   }
@@ -241,8 +223,8 @@ TEST(ParallelEpoch, NoSerialCoreRunsNoSequentialEpoch) {
   // The broadcast workload declares no serial core: every epoch drains
   // its shards in parallel, at every thread count.
   for (const unsigned threads : {1u, 2u, 4u}) {
-    const BcastRun r = run_broadcast(8, SchedulerKind::kParallelEpoch,
-                                     ShardPolicy::kPerCore, threads, 0);
+    const BcastRun r =
+        run_broadcast(8, SchedulerKind::kParallelEpoch, threads, 0);
     EXPECT_EQ(r.serial_epochs, 0u) << "threads=" << threads;
   }
 }
@@ -255,8 +237,8 @@ TEST(ParallelEpoch, DecliningDriverKeepsLookaheadWideEpochs) {
   // lookahead wide: exactly the epochs the lookahead-bounded engine ran
   // before send horizons (882, measured on it), at every thread count.
   for (const unsigned threads : {1u, 2u, 4u}) {
-    const BcastRun r = run_broadcast(8, SchedulerKind::kParallelEpoch,
-                                     ShardPolicy::kPerCore, threads, 0);
+    const BcastRun r =
+        run_broadcast(8, SchedulerKind::kParallelEpoch, threads, 0);
     EXPECT_EQ(r.parallel_epochs, 882u) << "threads=" << threads;
   }
 }
@@ -306,7 +288,6 @@ TEST(ParallelEpoch, CertifiedDriverSendingInsideItsWindowIsNamed) {
     MachineConfig mc;
     mc.num_cores = 2;
     mc.scheduler = SchedulerKind::kParallelEpoch;
-    mc.shard_policy = ShardPolicy::kPerCore;
     mc.threads = 1;  // single host thread: the death is deterministic
     Machine m(mc);
     LyingSpin d;
@@ -325,11 +306,10 @@ TEST(ParallelEpoch, IpiLandingExactlyOnLookaheadHorizonIsNextEpoch) {
   // delivery lands at exactly E + lookahead — the first cycle the
   // current epoch may NOT process. The parallel run must defer it to
   // the next epoch and deliver at the same cycle as the sequential run.
-  auto run = [](SchedulerKind sched, ShardPolicy policy) {
+  auto run = [](SchedulerKind sched) {
     MachineConfig mc;
     mc.num_cores = 2;
     mc.scheduler = sched;
-    mc.shard_policy = policy;
     mc.threads = 1;
     mc.max_advances = 1'000'000;
     Machine m(mc);
@@ -357,11 +337,7 @@ TEST(ParallelEpoch, IpiLandingExactlyOnLookaheadHorizonIsNextEpoch) {
     EXPECT_NE(recv, kNever);
     return recv;
   };
-  const Cycles seq =
-      run(SchedulerKind::kFrontier, ShardPolicy::kSingleGroup);
-  EXPECT_EQ(run(SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore), seq);
-  EXPECT_EQ(run(SchedulerKind::kParallelEpoch, ShardPolicy::kSingleGroup),
-            seq);
+  EXPECT_EQ(run(SchedulerKind::kParallelEpoch), run(SchedulerKind::kFrontier));
 }
 
 TEST(ParallelEpoch, FaultDelayPushesDeliveryAcrossEpochs) {
@@ -373,14 +349,12 @@ TEST(ParallelEpoch, FaultDelayPushesDeliveryAcrossEpochs) {
   p.enabled = true;
   p.ipi_delay_rate = 1.0;
   p.ipi_delay_max = 3 * CostModel::knl().ipi_latency;
-  const BcastRun seq = run_broadcast(8, SchedulerKind::kFrontier,
-                                     ShardPolicy::kSingleGroup, 1, kWatchdog,
-                                     p);
+  const BcastRun seq =
+      run_broadcast(8, SchedulerKind::kFrontier, 1, kWatchdog, p);
   for (const unsigned threads : {1u, 2u, 8u}) {
     for (const std::uint64_t budget : kDrainBudgets) {
       const BcastRun par = run_broadcast(8, SchedulerKind::kParallelEpoch,
-                                         ShardPolicy::kPerCore, threads,
-                                         budget, p);
+                                         threads, budget, p);
       expect_same(seq, par,
                   ("delay plan, per-core" + budget_label(budget)).c_str());
     }
@@ -398,13 +372,11 @@ TEST(ParallelEpoch, MixedFaultPlanStaysBitIdentical) {
   p.ipi_dup_rate = 0.10;
   p.ipi_dup_lag_max = 300;
   for (const std::uint64_t fault_seed : {0ULL, 7ULL}) {
-    const BcastRun seq =
-        run_broadcast(8, SchedulerKind::kFrontier, ShardPolicy::kSingleGroup,
-                      1, kWatchdog, p, fault_seed);
+    const BcastRun seq = run_broadcast(8, SchedulerKind::kFrontier, 1,
+                                       kWatchdog, p, fault_seed);
     for (const std::uint64_t budget : kDrainBudgets) {
-      const BcastRun par = run_broadcast(8, SchedulerKind::kParallelEpoch,
-                                         ShardPolicy::kPerCore, 2, budget, p,
-                                         fault_seed);
+      const BcastRun par = run_broadcast(8, SchedulerKind::kParallelEpoch, 2,
+                                         budget, p, fault_seed);
       expect_same(seq, par,
                   ("mixed fault plan" + budget_label(budget)).c_str());
     }
@@ -415,11 +387,10 @@ TEST(ParallelEpoch, RunUntilIsExactAndResumable) {
   // run_until(t) must stop at exactly the same schedule point as the
   // sequential scheduler, and a split run (run_until(a); run_until(b))
   // must equal one run_until(b).
-  auto run_split = [](SchedulerKind sched, ShardPolicy policy, bool split) {
+  auto run_split = [](SchedulerKind sched, bool split) {
     MachineConfig mc;
     mc.num_cores = 4;
     mc.scheduler = sched;
-    mc.shard_policy = policy;
     mc.threads = 2;
     mc.max_advances = 50'000'000;
     Machine m(mc);
@@ -445,14 +416,9 @@ TEST(ParallelEpoch, RunUntilIsExactAndResumable) {
     EXPECT_TRUE(m.run());
     return trace_hash(tr);
   };
-  const std::uint64_t seq =
-      run_split(SchedulerKind::kFrontier, ShardPolicy::kSingleGroup, false);
-  EXPECT_EQ(
-      run_split(SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore, false),
-      seq);
-  EXPECT_EQ(
-      run_split(SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore, true),
-      seq);
+  const std::uint64_t seq = run_split(SchedulerKind::kFrontier, false);
+  EXPECT_EQ(run_split(SchedulerKind::kParallelEpoch, false), seq);
+  EXPECT_EQ(run_split(SchedulerKind::kParallelEpoch, true), seq);
 }
 
 // --------------------------------- folded epoch start (unbudgeted drain)
@@ -527,7 +493,6 @@ WakeRun run_wakeups(Waker waker, SchedulerKind sched, unsigned threads) {
   MachineConfig mc;
   mc.num_cores = kCores;
   mc.scheduler = sched;
-  mc.shard_policy = ShardPolicy::kPerCore;
   mc.threads = threads;
   mc.paranoid_frontier = true;
   Machine m(mc);
@@ -613,7 +578,6 @@ TEST(ParallelEpoch, ParanoidCatchesScheduleChangedOutsideItsDrain) {
     MachineConfig mc;
     mc.num_cores = 2;
     mc.scheduler = SchedulerKind::kParallelEpoch;
-    mc.shard_policy = ShardPolicy::kPerCore;
     mc.threads = 1;  // single host thread: the death is deterministic
     mc.paranoid_frontier = true;
     Machine m(mc);
@@ -637,35 +601,7 @@ TEST(ParallelEpoch, ParanoidCatchesScheduleChangedOutsideItsDrain) {
   EXPECT_DEATH(run(), "folded epoch start diverged");
 }
 
-// ------------------------------------------------------- kAuto + guards
-
-TEST(ParallelEpoch, AutoResolvesByCoreCount) {
-  for (const unsigned cores : {1u, 2u, 4u}) {
-    MachineConfig mc;
-    mc.num_cores = cores;
-    mc.scheduler = SchedulerKind::kAuto;
-    Machine m(mc);
-    EXPECT_EQ(m.scheduler(), SchedulerKind::kLinearScan) << cores;
-    EXPECT_EQ(m.config().scheduler, SchedulerKind::kAuto) << cores;
-  }
-  for (const unsigned cores : {5u, 16u}) {
-    MachineConfig mc;
-    mc.num_cores = cores;
-    mc.scheduler = SchedulerKind::kAuto;
-    Machine m(mc);
-    EXPECT_EQ(m.scheduler(), SchedulerKind::kFrontier) << cores;
-  }
-}
-
-TEST(ParallelEpoch, AutoMatchesExplicitSchedulers) {
-  for (const unsigned cores : {2u, 8u}) {
-    const BcastRun seq = run_broadcast(cores, SchedulerKind::kFrontier,
-                                       ShardPolicy::kSingleGroup, 1);
-    const BcastRun aut = run_broadcast(cores, SchedulerKind::kAuto,
-                                       ShardPolicy::kSingleGroup, 1);
-    expect_same(seq, aut, "kAuto vs frontier");
-  }
-}
+// -------------------------------------------------------------- guards
 
 TEST(ParallelEpoch, ShardGuardCatchesCrossCorePosts) {
   // During a per-core drain a core context may only touch its own
@@ -675,7 +611,6 @@ TEST(ParallelEpoch, ShardGuardCatchesCrossCorePosts) {
     MachineConfig mc;
     mc.num_cores = 2;
     mc.scheduler = SchedulerKind::kParallelEpoch;
-    mc.shard_policy = ShardPolicy::kPerCore;
     mc.threads = 1;  // single host thread: the death is deterministic
     Machine m(mc);
     class CrossPoster final : public CoreDriver {

@@ -1,8 +1,8 @@
 // Serial cores on the per-core epoch engine: the fault-tolerant
 // heartbeat of tools/replay_workload.hpp, whose CPU 0 supervisor reads
 // and writes every worker's beat state, must run on per-core shards
-// bit-identically to the frontier scheduler — at every host-thread count
-// and steal mode, at 1024 cores, under fault plans that drive the
+// bit-identically to the frontier scheduler — at every host-thread count,
+// at 1024 cores, under fault plans that drive the
 // supervisor into degraded polling and back out, and across a capture
 // taken mid-degraded and hydrated into a fresh machine. Also covers the
 // serial-delivery counters, the epochs the spin driver's send horizons
@@ -77,13 +77,12 @@ std::vector<Plan> plans() {
 struct Leg {
   SchedulerKind sched{SchedulerKind::kFrontier};
   unsigned threads{1};
-  bool steal{true};
   std::uint64_t max_advances{0};
 };
 
 std::string label(unsigned cores, const Plan& p, const Leg& l) {
-  return std::to_string(cores) + " cores, " + p.name + ", threads=" +
-         std::to_string(l.threads) + (l.steal ? " steal" : " no-steal") +
+  return std::to_string(cores) + " cores, " + p.name +
+         ", threads=" + std::to_string(l.threads) +
          (l.max_advances != 0 ? " budgeted" : "");
 }
 
@@ -103,9 +102,7 @@ MachineConfig config(unsigned cores, const Plan& p, const Leg& l) {
   mc.num_cores = cores;
   mc.seed = 42;
   mc.scheduler = l.sched;
-  mc.shard_policy = ShardPolicy::kPerCore;
   mc.threads = l.threads;
-  mc.work_stealing = l.steal;
   mc.max_advances = l.max_advances;
   mc.paranoid_frontier = true;
   mc.faults = p.faults;
@@ -147,17 +144,14 @@ void expect_same(const ReplayRun& ref, const ReplayRun& r,
 }
 
 /// Every per-core leg of one plan against the frontier: 1/2/4 host
-/// threads x steal on/off without a watchdog, plus two budgeted legs.
+/// threads without a watchdog, plus two budgeted legs.
 void check_plan(const Plan& p) {
   const Leg per_core_legs[] = {
-      {SchedulerKind::kParallelEpoch, 1, true, 0},
-      {SchedulerKind::kParallelEpoch, 1, false, 0},
-      {SchedulerKind::kParallelEpoch, 2, true, 0},
-      {SchedulerKind::kParallelEpoch, 2, false, 0},
-      {SchedulerKind::kParallelEpoch, 4, true, 0},
-      {SchedulerKind::kParallelEpoch, 4, false, 0},
-      {SchedulerKind::kParallelEpoch, 1, true, kWatchdog},
-      {SchedulerKind::kParallelEpoch, 2, true, kWatchdog},
+      {SchedulerKind::kParallelEpoch, 1, 0},
+      {SchedulerKind::kParallelEpoch, 2, 0},
+      {SchedulerKind::kParallelEpoch, 4, 0},
+      {SchedulerKind::kParallelEpoch, 1, kWatchdog},
+      {SchedulerKind::kParallelEpoch, 2, kWatchdog},
   };
   for (const unsigned cores : {4u, 8u, 16u}) {
     const ReplayRun ref = run_replay(cores, p, Leg{});
@@ -226,7 +220,7 @@ TEST(SerialEpoch, ReplayMatchesFrontierAt1024Cores) {
     ASSERT_TRUE(ref_m.run_until(20 * kPeriod));
     const ReplayRun ref = collect(ref_m, ref_w, ref_tr);
     for (const unsigned threads : {1u, 4u}) {
-      const Leg l{SchedulerKind::kParallelEpoch, threads, true, 0};
+      const Leg l{SchedulerKind::kParallelEpoch, threads, 0};
       Machine m(scaled(p, l));
       obs::TraceRecorder tr;
       m.set_tracer(&tr);
@@ -289,7 +283,7 @@ TEST(SerialEpoch, SerialCoresAboveCoreZeroRunAfterLowerIdsAtTheirCycle) {
   for (const Plan& p : {plans()[0], plans()[2]}) {
     const ReplayRun ref = run_replay(8, p, Leg{});
     for (const unsigned threads : {1u, 2u, 4u}) {
-      const Leg l{SchedulerKind::kParallelEpoch, threads, true, 0};
+      const Leg l{SchedulerKind::kParallelEpoch, threads, 0};
       Machine m(config(8, p, l));
       obs::TraceRecorder tr;
       m.set_tracer(&tr);
@@ -327,7 +321,6 @@ EpochCounts count_epochs(unsigned cores, const FaultPlan& faults,
   MachineConfig mc;
   mc.num_cores = cores;
   mc.scheduler = SchedulerKind::kParallelEpoch;
-  mc.shard_policy = ShardPolicy::kPerCore;
   mc.threads = threads;
   mc.faults = faults;
   mc.fault_seed = 7;
@@ -400,9 +393,8 @@ TEST(SerialEpoch, UnreachedBudgetInBatchesMatchesUnbudgeted) {
   // no scan beyond the unbudgeted run's.
   for (const unsigned threads : {2u, 4u}) {
     for (const Plan& p : {plans()[0], plans()[2]}) {
-      const Leg free{SchedulerKind::kParallelEpoch, threads, true, 0};
-      const Leg budgeted{SchedulerKind::kParallelEpoch, threads, true,
-                         kWatchdog};
+      const Leg free{SchedulerKind::kParallelEpoch, threads, 0};
+      const Leg budgeted{SchedulerKind::kParallelEpoch, threads, kWatchdog};
       const ReplayRun a = run_replay(64, p, free);
       const ReplayRun b = run_replay(64, p, budgeted);
       const std::string what = label(64, p, budgeted);
@@ -446,7 +438,6 @@ MaskedRun run_masked(SchedulerKind sched, unsigned threads) {
   MachineConfig mc;
   mc.num_cores = kCores;
   mc.scheduler = sched;
-  mc.shard_policy = ShardPolicy::kPerCore;
   mc.threads = threads;
   mc.paranoid_frontier = true;
   Machine m(mc);
@@ -517,7 +508,6 @@ std::uint64_t run_self_poster(Cycles lead) {
   MachineConfig mc;
   mc.num_cores = 2;
   mc.scheduler = SchedulerKind::kParallelEpoch;
-  mc.shard_policy = ShardPolicy::kPerCore;
   mc.threads = 1;  // single host thread: the outcome is deterministic
   Machine m(mc);
   SelfPoster d(m, lead);

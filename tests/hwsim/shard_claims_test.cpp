@@ -1,9 +1,9 @@
 // Work-stealing epoch engine: the shard blocks' claim cursors may move
 // shards between host threads freely, but traces, metrics, fault
 // schedules, and final machine state must stay bit-identical to the
-// sequential schedulers at every (threads, steal-mode, fault-plan)
-// point — including under starvation, where one shard holds ~90% of the
-// events and the static partition would serialize the epoch. The
+// sequential schedulers at every (threads, fault-plan) point — including
+// under starvation, where one shard holds ~90% of the events and a
+// static partition would serialize the epoch. The
 // engine's work/span/spill totals must be just as host-invariant. Also
 // pins the satellite fixes: the worker pool is rebuilt when the thread
 // count changes between runs on the same Machine, and the watchdogs
@@ -107,8 +107,7 @@ std::string budget_label(std::uint64_t max_advances) {
 /// digests. `steps`/`cost` shape the per-shard load. `fan_in` makes
 /// every other core answer each beat with an IPI back to core 0, so one
 /// target receives more deliveries per epoch than its outbox slots hold.
-Digest run_workload(unsigned cores, SchedulerKind sched, ShardPolicy policy,
-                    unsigned threads, bool steal,
+Digest run_workload(unsigned cores, SchedulerKind sched, unsigned threads,
                     const std::vector<std::uint64_t>& steps,
                     const std::vector<Cycles>& cost,
                     const FaultPlan& plan = FaultPlan{},
@@ -117,9 +116,7 @@ Digest run_workload(unsigned cores, SchedulerKind sched, ShardPolicy policy,
   MachineConfig mc;
   mc.num_cores = cores;
   mc.scheduler = sched;
-  mc.shard_policy = policy;
   mc.threads = threads;
-  mc.work_stealing = steal;
   mc.max_advances = max_advances;
   mc.paranoid_frontier = max_advances == 0;
   mc.faults = plan;
@@ -138,7 +135,7 @@ Digest run_workload(unsigned cores, SchedulerKind sched, ShardPolicy policy,
       c.consume(120);
       ++irqs[c.id()].v;
       // Per-core scratch registry path: merged in core order at run end,
-      // so the export must be thread-count- and steal-invariant.
+      // so the export must be thread-count- and claim-order-invariant.
       if (auto* reg = c.machine().metrics()) reg->add("bench.ws_irq");
       if (c.id() == 0) {
         c.machine().broadcast_ipi(c, 0x40);
@@ -196,22 +193,17 @@ TEST(WorkStealing, DigestMatrixThreadsStealFaults) {
 
   for (const bool faulted : {false, true}) {
     const FaultPlan& plan = faulted ? mixed : FaultPlan{};
-    const Digest seq =
-        run_workload(kCores, SchedulerKind::kFrontier,
-                     ShardPolicy::kSingleGroup, 1, true, steps, cost, plan);
+    const Digest seq = run_workload(kCores, SchedulerKind::kFrontier, 1,
+                                    steps, cost, plan);
     EXPECT_NE(seq.irqs, 0u);
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      for (const bool steal : {false, true}) {
-        for (const std::uint64_t budget : kDrainBudgets) {
-          const Digest par = run_workload(
-              kCores, SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore,
-              threads, steal, steps, cost, plan, budget);
-          expect_same(seq, par,
-                      "threads=" + std::to_string(threads) +
-                          " steal=" + std::to_string(steal) +
-                          " faulted=" + std::to_string(faulted) +
-                          budget_label(budget));
-        }
+      for (const std::uint64_t budget : kDrainBudgets) {
+        const Digest par = run_workload(kCores, SchedulerKind::kParallelEpoch,
+                                        threads, steps, cost, plan, budget);
+        expect_same(seq, par,
+                    "threads=" + std::to_string(threads) +
+                        " faulted=" + std::to_string(faulted) +
+                        budget_label(budget));
       }
     }
   }
@@ -224,13 +216,10 @@ TEST(WorkStealing, KiloCoreDigestMatchesSequential) {
   const auto steps = even_steps(kCores, 120);
   const auto cost = even_cost(kCores, 200);
   const Digest seq =
-      run_workload(kCores, SchedulerKind::kFrontier,
-                   ShardPolicy::kSingleGroup, 1, true, steps, cost);
+      run_workload(kCores, SchedulerKind::kFrontier, 1, steps, cost);
   for (const std::uint64_t budget : kDrainBudgets) {
-    const Digest par =
-        run_workload(kCores, SchedulerKind::kParallelEpoch,
-                     ShardPolicy::kPerCore, 4, true, steps, cost,
-                     FaultPlan{}, budget);
+    const Digest par = run_workload(kCores, SchedulerKind::kParallelEpoch, 4,
+                                    steps, cost, FaultPlan{}, budget);
     expect_same(seq, par, "1k cores, threads=4" + budget_label(budget));
   }
 }
@@ -238,8 +227,8 @@ TEST(WorkStealing, KiloCoreDigestMatchesSequential) {
 // ------------------------------------------------------- starvation
 
 TEST(WorkStealing, StarvationOneHotShardStaysBitIdentical) {
-  // Core 7 holds ~90% of the events (the hot shard). Under the old
-  // static partition the epoch serializes behind it; under stealing the
+  // Core 7 holds ~90% of the events (the hot shard). Under a static
+  // partition the epoch would serialize behind it; under stealing the
   // other threads drain the rest of the machine meanwhile — with, by
   // construction, exactly the same observable results.
   constexpr unsigned kCores = 8;
@@ -248,27 +237,22 @@ TEST(WorkStealing, StarvationOneHotShardStaysBitIdentical) {
   steps[7] = 30'000;  // hot shard: last core, so its owner claims it
   cost[7] = 60;       // first and the rest of its block is stealable
   const Digest seq =
-      run_workload(kCores, SchedulerKind::kFrontier,
-                   ShardPolicy::kSingleGroup, 1, true, steps, cost);
+      run_workload(kCores, SchedulerKind::kFrontier, 1, steps, cost);
   for (const unsigned threads : {2u, 4u}) {
-    for (const bool steal : {false, true}) {
-      for (const std::uint64_t budget : kDrainBudgets) {
-        const Digest par = run_workload(
-            kCores, SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore,
-            threads, steal, steps, cost, FaultPlan{}, budget);
-        expect_same(seq, par,
-                    "starved, threads=" + std::to_string(threads) +
-                        " steal=" + std::to_string(steal) +
-                        budget_label(budget));
-        if (steal && threads == 2 &&
-            std::thread::hardware_concurrency() > 1) {
-          // With >= 2 real CPUs the non-hot thread finishes its block
-          // while the owner is pinned on core 7, so at least one steal
-          // must have happened. (On a 1-CPU host the workers time-slice
-          // and the claim pattern is not guaranteed, so only the digest
-          // assertions above apply.)
-          EXPECT_GT(par.steals, 0u) << "no steals despite a 90% hot shard";
-        }
+    for (const std::uint64_t budget : kDrainBudgets) {
+      const Digest par = run_workload(kCores, SchedulerKind::kParallelEpoch,
+                                      threads, steps, cost, FaultPlan{},
+                                      budget);
+      expect_same(seq, par,
+                  "starved, threads=" + std::to_string(threads) +
+                      budget_label(budget));
+      if (threads == 2 && std::thread::hardware_concurrency() > 1) {
+        // With >= 2 real CPUs the non-hot thread finishes its block
+        // while the owner is pinned on core 7, so at least one steal
+        // must have happened. (On a 1-CPU host the workers time-slice
+        // and the claim pattern is not guaranteed, so only the digest
+        // assertions above apply.)
+        EXPECT_GT(par.steals, 0u) << "no steals despite a 90% hot shard";
       }
     }
   }
@@ -279,7 +263,7 @@ TEST(WorkStealing, StarvationOneHotShardStaysBitIdentical) {
 TEST(WorkStealing, WorkSpanAndSpillsAreHostInvariant) {
   // Work (shard advances), span (longest shard drain plus the serial
   // merge) and outbox spills describe the simulated schedule, so they
-  // must read the same at every host-thread count and steal mode. The
+  // must read the same at every host-thread count. The
   // fan-in sends 31 deliveries to core 0 per beat against 8 slots, and
   // the uneven step counts make the span a real maximum.
   constexpr unsigned kCores = 32;
@@ -289,31 +273,26 @@ TEST(WorkStealing, WorkSpanAndSpillsAreHostInvariant) {
     steps[i] = 400 + 97 * i;
     cost[i] = 150 + 11 * (i % 5);
   }
-  const Digest seq =
-      run_workload(kCores, SchedulerKind::kFrontier,
-                   ShardPolicy::kSingleGroup, 1, true, steps, cost,
-                   FaultPlan{}, kWatchdog, /*fan_in=*/true);
-  const Digest ref =
-      run_workload(kCores, SchedulerKind::kParallelEpoch,
-                   ShardPolicy::kPerCore, 1, true, steps, cost, FaultPlan{},
-                   0, /*fan_in=*/true);
+  const Digest seq = run_workload(kCores, SchedulerKind::kFrontier, 1, steps,
+                                  cost, FaultPlan{}, kWatchdog,
+                                  /*fan_in=*/true);
+  const Digest ref = run_workload(kCores, SchedulerKind::kParallelEpoch, 1,
+                                  steps, cost, FaultPlan{}, 0,
+                                  /*fan_in=*/true);
   expect_same(seq, ref, "fan-in, threads=1");
   EXPECT_GT(ref.totals.span, 0u);
   EXPECT_LT(ref.totals.span, ref.totals.work);
   EXPECT_LE(ref.totals.work, ref.advances);
   EXPECT_GT(ref.totals.spills, 0u);
   for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const bool steal : {false, true}) {
-      const Digest par = run_workload(
-          kCores, SchedulerKind::kParallelEpoch, ShardPolicy::kPerCore,
-          threads, steal, steps, cost, FaultPlan{}, 0, /*fan_in=*/true);
-      const std::string what = "threads=" + std::to_string(threads) +
-                               " steal=" + std::to_string(steal);
-      expect_same(seq, par, what);
-      EXPECT_EQ(par.totals.work, ref.totals.work) << what;
-      EXPECT_EQ(par.totals.span, ref.totals.span) << what;
-      EXPECT_EQ(par.totals.spills, ref.totals.spills) << what;
-    }
+    const Digest par = run_workload(kCores, SchedulerKind::kParallelEpoch,
+                                    threads, steps, cost, FaultPlan{}, 0,
+                                    /*fan_in=*/true);
+    const std::string what = "threads=" + std::to_string(threads);
+    expect_same(seq, par, what);
+    EXPECT_EQ(par.totals.work, ref.totals.work) << what;
+    EXPECT_EQ(par.totals.span, ref.totals.span) << what;
+    EXPECT_EQ(par.totals.spills, ref.totals.spills) << what;
   }
 }
 
@@ -485,7 +464,7 @@ TEST(WorkStealing, CursorStressEveryShardClaimedOncePerRound) {
 // ------------------------------------- pool rebuild on reconfiguration
 
 TEST(WorkStealing, PoolRebuiltWhenThreadCountChanges) {
-  // Regression: parallel_run_per_core used to build the engine once and
+  // Regression: the per-core run loop used to build the engine once and
   // never compare its shape against the config again, so set_threads
   // between runs silently kept the old pool.
   constexpr unsigned kCores = 8;
@@ -494,7 +473,6 @@ TEST(WorkStealing, PoolRebuiltWhenThreadCountChanges) {
     MachineConfig mc;
     mc.num_cores = kCores;
     mc.scheduler = SchedulerKind::kParallelEpoch;
-    mc.shard_policy = ShardPolicy::kPerCore;
     mc.threads = 2;
     mc.max_advances = budget;
     mc.paranoid_frontier = budget == 0;
@@ -516,13 +494,9 @@ TEST(WorkStealing, PoolRebuiltWhenThreadCountChanges) {
     EXPECT_TRUE(m.run_until(300'000));
     EXPECT_EQ(m.parallel_pool_threads(), 8u);
 
-    // Steal-mode changes rebuild too: the fresh pool starts with a zero
-    // steal counter and never steals.
-    m.set_work_stealing(false);
     m.set_threads(4);
     EXPECT_TRUE(m.run_until(400'000));
     EXPECT_EQ(m.parallel_pool_threads(), 4u);
-    EXPECT_EQ(m.parallel_steals(), 0u);
 
     // The reconfigured machine still completes the workload exactly.
     EXPECT_TRUE(m.run());
@@ -530,7 +504,6 @@ TEST(WorkStealing, PoolRebuiltWhenThreadCountChanges) {
 
     MachineConfig seq = mc;
     seq.scheduler = SchedulerKind::kFrontier;
-    seq.shard_policy = ShardPolicy::kSingleGroup;
     Machine m2(seq);
     UnevenSpinDriver driver2(even_steps(kCores, 4000),
                              even_cost(kCores, 200));
@@ -551,7 +524,6 @@ TEST(WorkStealing, AdvanceWatchdogBoundsOvershootInsideAnEpoch) {
     MachineConfig mc;
     mc.num_cores = 16;
     mc.scheduler = SchedulerKind::kParallelEpoch;
-    mc.shard_policy = ShardPolicy::kPerCore;
     mc.threads = threads;
     mc.costs.ipi_latency = 100'000'000;  // one epoch spans everything
     mc.max_advances = 2000;
@@ -575,7 +547,6 @@ TEST(WorkStealing, TimeWatchdogBoundsOvershootInsideAnEpoch) {
     MachineConfig mc;
     mc.num_cores = 8;
     mc.scheduler = SchedulerKind::kParallelEpoch;
-    mc.shard_policy = ShardPolicy::kPerCore;
     mc.threads = threads;
     mc.costs.ipi_latency = 100'000'000;
     mc.max_time = 50'000;

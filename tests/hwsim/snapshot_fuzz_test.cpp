@@ -145,7 +145,6 @@ TEST(SnapshotFuzz, RandomPlansRandomCyclesRestoreEquivalence) {
   constexpr hwsim::SchedulerKind kScheds[] = {
       hwsim::SchedulerKind::kFrontier,
       hwsim::SchedulerKind::kLinearScan,
-      hwsim::SchedulerKind::kAuto,
       hwsim::SchedulerKind::kParallelEpoch,
   };
   Rng rng(0x5eedf00dULL);
@@ -155,10 +154,8 @@ TEST(SnapshotFuzz, RandomPlansRandomCyclesRestoreEquivalence) {
     mc.num_cores = static_cast<unsigned>(rng.uniform(2, 8));
     mc.seed = rng.next_u64();
     mc.fault_seed = rng.next_u64();
-    mc.scheduler = kScheds[rng.uniform(0, 3)];
-    mc.shard_policy = hwsim::ShardPolicy::kPerCore;
+    mc.scheduler = kScheds[rng.uniform(0, 2)];
     mc.threads = static_cast<unsigned>(rng.uniform(1, 3));
-    mc.work_stealing = rng.chance(0.5);
     mc.fast_forward.enabled = rng.chance(0.5);
     const std::string plan = random_plan(rng);
     std::string err;

@@ -3,7 +3,7 @@
 // The contract under test: `snap = m.snapshot(); ... ; m.restore(snap);
 // m.run_until(T)` is bit-identical — same traces, same state digests,
 // same fault schedules and counters — to the uninterrupted run, across
-// all four schedulers, work-stealing on/off, and fast-forward on/off.
+// all three schedulers and fast-forward on/off.
 // The workload's own dynamic state (spin budgets, beat tallies, the
 // machine-queue tick count) rides along as a SnapshotParticipant, the
 // same way kernel/recovery layers do.
@@ -146,15 +146,12 @@ class SnapWorkload final : public hwsim::CoreDriver,
 struct SchedCell {
   const char* name;
   hwsim::SchedulerKind sched;
-  bool steal;
 };
 
 constexpr SchedCell kSchedMatrix[] = {
-    {"frontier", hwsim::SchedulerKind::kFrontier, true},
-    {"linear", hwsim::SchedulerKind::kLinearScan, true},
-    {"auto", hwsim::SchedulerKind::kAuto, true},
-    {"parallel+steal", hwsim::SchedulerKind::kParallelEpoch, true},
-    {"parallel-steal", hwsim::SchedulerKind::kParallelEpoch, false},
+    {"frontier", hwsim::SchedulerKind::kFrontier},
+    {"linear", hwsim::SchedulerKind::kLinearScan},
+    {"parallel", hwsim::SchedulerKind::kParallelEpoch},
 };
 
 hwsim::MachineConfig make_config(const SchedCell& cell, bool ff,
@@ -162,9 +159,7 @@ hwsim::MachineConfig make_config(const SchedCell& cell, bool ff,
   hwsim::MachineConfig mc;
   mc.num_cores = cores;
   mc.scheduler = cell.sched;
-  mc.shard_policy = hwsim::ShardPolicy::kPerCore;
   mc.threads = 2;
-  mc.work_stealing = cell.steal;
   mc.fast_forward.enabled = ff;
   if (faults != nullptr) {
     std::string err;
@@ -262,7 +257,7 @@ CellResult run_cell(const SchedCell& cell, bool ff, const char* faults,
 }
 
 TEST(Snapshot, RestoreEquivalenceMatrix) {
-  // The golden-digest matrix: scheduler × steal × ff × fault plan. The
+  // The golden-digest matrix: scheduler × ff × fault plan. The
   // per-cell restore-equivalence assertions live in run_cell; across
   // cells, the prologue/window traces and the mid/end digests must all
   // agree (one schedule per scenario, however it is executed).

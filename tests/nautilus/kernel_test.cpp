@@ -28,6 +28,19 @@ ThreadBody counting_body(std::uint64_t steps, Cycles step_cycles,
   };
 }
 
+TEST(KernelDeathTest, RefusesParallelEpochByName) {
+  // Remote spawns, wakes and task submissions write other cores' queues
+  // directly, so the kernel (and LinuxStack and TPAL over it) cannot
+  // bind to per-core shards.
+  hwsim::MachineConfig cfg = mcfg(2);
+  cfg.scheduler = hwsim::SchedulerKind::kParallelEpoch;
+  hwsim::Machine m(cfg);
+  EXPECT_DEATH({ Kernel k(m); },
+               "nautilus::Kernel shares state across cores outside the IPI "
+               "fabric and cannot run on kParallelEpoch's per-core shards; "
+               "use kFrontier or kLinearScan");
+}
+
 TEST(Kernel, SingleThreadRunsToCompletion) {
   hwsim::Machine m(mcfg(1));
   Kernel k(m);

@@ -8,7 +8,7 @@
 // changes how many DES advances a run takes and nothing else: the
 // results below were taken from the runtime that stepped every 40-cycle
 // poll (noise off) or every chunk (noise on), and must hold bit for bit
-// on every sequential scheduler. Only the advance counts are the
+// on the frontier and the linear scan. Only the advance counts are the
 // batched runtime's own; the counts of the runtime that stepped every
 // chunk, and of the one that stepped every poll, are given beside them.
 #include <gtest/gtest.h>
@@ -154,7 +154,7 @@ const Leg kNoisyLegs[] = {
 
 std::string leg_name(const Leg& l, hwsim::SchedulerKind sched) {
   static const char* const kApps[] = {"bt", "sp", "epcc", "bt48", "sp48"};
-  static const char* const kScheds[] = {"frontier", "linear", "epoch"};
+  static const char* const kScheds[] = {"frontier", "linear"};
   return std::string(kApps[static_cast<int>(l.app)]) + "/" +
          mode_name(l.mode) + "/p" + std::to_string(l.threads) + "/dyn" +
          std::to_string(l.dynamic_chunk) + "/chunk" +
@@ -166,8 +166,7 @@ std::string leg_name(const Leg& l, hwsim::SchedulerKind sched) {
 /// Run `leg` on each sequential scheduler and check every pinned value.
 void check_on_every_sequential_scheduler(const Leg& leg) {
   for (const hwsim::SchedulerKind sched :
-       {hwsim::SchedulerKind::kFrontier, hwsim::SchedulerKind::kLinearScan,
-        hwsim::SchedulerKind::kParallelEpoch}) {
+       {hwsim::SchedulerKind::kFrontier, hwsim::SchedulerKind::kLinearScan}) {
     SCOPED_TRACE(leg_name(leg, sched));
     OmpConfig cfg;
     cfg.mode = leg.mode;
@@ -345,6 +344,24 @@ TEST(OmpConfigDeathTest, NonPositiveNoiseBurstFailsByName) {
                "noise_burst_us must be positive");
   // With the noise off the burst length is never read.
   cfg.noise_gap_us = 0.0;
+  EXPECT_GT(run_miniapp(workloads::bt_mini(8, 1), cfg).makespan, 0u);
+}
+
+// Lognormal means: a 5 µs gap (sigma 0.5) averages 5.67 µs and a 5 µs
+// burst (sigma 0.8) 6.89 µs, so the bursts would outrun the clock and
+// the run would never return. The Fig. 6 default (2500/5) and the
+// 20/5 and 20/10 legs above stay accepted.
+TEST(OmpConfigDeathTest, NoiseOutrunningTheClockFailsByName) {
+  OmpConfig cfg;
+  cfg.mode = kLinux;
+  cfg.num_threads = 2;
+  cfg.iter_chunk = 1;
+  cfg.noise_gap_us = 5.0;
+  cfg.noise_burst_us = 5.0;
+  EXPECT_DEATH(run_miniapp(workloads::bt_mini(8, 1), cfg),
+               "noise_burst_us's lognormal mean must stay below "
+               "noise_gap_us's: the noise bursts would outrun the clock");
+  cfg.noise_gap_us = 20.0;
   EXPECT_GT(run_miniapp(workloads::bt_mini(8, 1), cfg).makespan, 0u);
 }
 

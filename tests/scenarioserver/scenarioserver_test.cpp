@@ -88,7 +88,6 @@ TEST(ScenarioResults, RecordIsPureFunctionOfSpecAndResult) {
   spec.label = "drop5";
   spec.scheduler = hwsim::SchedulerKind::kParallelEpoch;
   spec.threads = 2;
-  spec.work_stealing = false;
   spec.fast_forward = true;
   spec.fault_seed = 99;
   ScenarioResult res;
@@ -103,8 +102,7 @@ TEST(ScenarioResults, RecordIsPureFunctionOfSpecAndResult) {
   const std::string r2{format_record(spec, res, a2)};
   EXPECT_EQ(r1, r2);
   EXPECT_NE(r1.find("\"scheduler\":\"parallel_epoch\""), std::string::npos);
-  EXPECT_NE(r1.find("\"steal\":false"), std::string::npos);
-  EXPECT_NE(r1.find("\"ff\":true"), std::string::npos);
+  EXPECT_NE(r1.find("\"threads\":2,\"ff\":true"), std::string::npos);
   EXPECT_NE(r1.find("\"digest\":\"0000000000001234\""), std::string::npos);
   EXPECT_NE(r1.find("\"max_gap_periods\":1.5"), std::string::npos);
 }
@@ -176,14 +174,11 @@ std::vector<ScenarioSpec> strategy_group(std::uint64_t group, double drop,
   struct Strategy {
     hwsim::SchedulerKind sched;
     unsigned threads;
-    bool steal;
   };
   const Strategy strategies[] = {
-      {hwsim::SchedulerKind::kFrontier, 1, true},
-      {hwsim::SchedulerKind::kLinearScan, 1, true},
-      {hwsim::SchedulerKind::kParallelEpoch, 2, true},
-      {hwsim::SchedulerKind::kParallelEpoch, 2, false},
-      {hwsim::SchedulerKind::kAuto, 1, true},
+      {hwsim::SchedulerKind::kFrontier, 1},
+      {hwsim::SchedulerKind::kLinearScan, 1},
+      {hwsim::SchedulerKind::kParallelEpoch, 2},
   };
   std::vector<ScenarioSpec> specs;
   for (const Strategy& st : strategies) {
@@ -194,7 +189,6 @@ std::vector<ScenarioSpec> strategy_group(std::uint64_t group, double drop,
       s.label = "drop" + std::to_string(static_cast<int>(drop * 100));
       s.scheduler = st.sched;
       s.threads = st.threads;
-      s.work_stealing = st.steal;
       s.fast_forward = ff;
       s.plan = drop_plan(drop);
       s.fault_seed = fault_seed;

@@ -1,10 +1,12 @@
 // Golden-trace determinism for the ported models, mirroring the
 // fault-plan matrix: the same seed must produce bit-identical traces on
-// repeat runs and across every DES scheduler — with the coherence model
-// charging the machine's core clocks, with the pipeline replayed on an
-// analytic substrate, and for the fully composed stack (heartbeat +
-// coherence on one machine, faulted and fault-free). Also pins the
-// contract that binding a substrate with null sinks changes nothing.
+// repeat runs and on the frontier and the linear scan — with the
+// coherence model charging the machine's core clocks, with the pipeline
+// replayed on an analytic substrate, and for the fully composed stack
+// (heartbeat + coherence on one machine, faulted and fault-free). The
+// coherence directory is shared across cores outside the IPI fabric, so
+// the per-core epoch engine refuses it by name. Also pins the contract
+// that binding a substrate with null sinks changes nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -85,17 +87,25 @@ TEST(GoldenTrace, CoherenceMatrixSameSeedSameTraceAllSchedulers) {
           hwsim::SchedulerKind::kFrontier, seed, faulted);
       const auto linear = run_coherence_on_machine(
           hwsim::SchedulerKind::kLinearScan, seed, faulted);
-      const auto parallel = run_coherence_on_machine(
-          hwsim::SchedulerKind::kParallelEpoch, seed, faulted);
       EXPECT_EQ(frontier, again) << "seed=" << seed << " faulted=" << faulted;
       EXPECT_EQ(frontier, linear) << "seed=" << seed << " faulted=" << faulted;
-      EXPECT_EQ(frontier, parallel)
-          << "seed=" << seed << " faulted=" << faulted;
       distinct.insert(frontier);
     }
   }
   // Different seeds (and the fault layer) genuinely change the trace.
   EXPECT_EQ(distinct.size(), 4u);
+}
+
+TEST(GoldenTraceDeathTest, CoherenceDriverRefusesParallelEpochByName) {
+  // Every core's accesses go through one shared directory, outside the
+  // IPI fabric: the first step on per-core shards aborts, naming the
+  // driver, instead of racing on the directory.
+  EXPECT_DEATH(
+      run_coherence_on_machine(hwsim::SchedulerKind::kParallelEpoch, 1,
+                               false),
+      "workloads::CoherenceDriver shares state across cores outside the "
+      "IPI fabric and cannot run on kParallelEpoch's per-core shards; use "
+      "kFrontier or kLinearScan");
 }
 
 // ------------------------------------- pipeline on an analytic substrate
@@ -201,15 +211,12 @@ std::uint64_t run_composed(hwsim::SchedulerKind sched, std::uint64_t seed,
 
 TEST(GoldenTrace, ComposedStackSameTraceAllSchedulers) {
   for (const bool faulted : {false, true}) {
-    obs::TraceRecorder tf, tl, tp;
+    obs::TraceRecorder tf, tl;
     const auto frontier =
         run_composed(hwsim::SchedulerKind::kFrontier, 11, faulted, tf);
     const auto linear =
         run_composed(hwsim::SchedulerKind::kLinearScan, 11, faulted, tl);
-    const auto parallel =
-        run_composed(hwsim::SchedulerKind::kParallelEpoch, 11, faulted, tp);
     EXPECT_EQ(frontier, linear) << "faulted=" << faulted;
-    EXPECT_EQ(frontier, parallel) << "faulted=" << faulted;
 
     // The acceptance shape: one trace, three layers, one cycle axis —
     // hwsim fabric events, heartbeat deliveries, and coherence misses.

@@ -40,7 +40,6 @@ def full_doc(host_cpus=8):
         "host_cpus": host_cpus,
         "speedup_frontier_vs_linear": {"64": 30.0, "256": 100.0},
         "speedup_parallel_vs_frontier": {"64": 4.0, "256": 5.0},
-        "speedup_auto_vs_linear": {"64": 120.0, "256": 500.0},
         "speedup_threads_vs_1": {
             "1024": {"2": 1.9, "4": 3.6, "8": 6.0},
             "4096": {"2": 1.8, "4": 3.4, "8": 5.5},
@@ -121,7 +120,7 @@ def main(argv):
     # 9. Tolerance flag is honored: 10% dip passes at default 25%, fails
     # at --tolerance=0.05.
     fresh = full_doc()
-    fresh["speedup_auto_vs_linear"]["64"] = 108.0
+    fresh["speedup_frontier_vs_linear"]["64"] = 27.0
     check("10% dip within default tolerance",
           run_guard(script, fresh, full_doc()), 0)
     check("10% dip outside tight tolerance",

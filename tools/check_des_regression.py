@@ -8,9 +8,9 @@ cancel host speed: a ratio collapsing means one mode regressed relative
 to the other in the same binary on the same box.
 
 Profiles select which ratio maps are guarded:
-  --profile=des (default) — des_throughput: frontier/linear,
-    parallel/frontier, auto/linear per core count, and the work-stealing
-    engine's thread-scaling matrix (parallel at T host threads vs 1);
+  --profile=des (default) — des_throughput: frontier/linear and
+    parallel/frontier per core count, and the work-stealing engine's
+    thread-scaling matrix (parallel at T host threads vs 1);
   --profile=fastforward — fastforward: wall-clock ratio of full-fidelity
     vs analytic skip-ahead per scheduler x core count
     (speedup_ff_vs_full), plus a hard requirement that the fresh run
@@ -64,7 +64,8 @@ Exit 0 if every ratio is within the tolerance of its committed value;
 exit 1 (listing the offenders) otherwise; exit 2 on usage/shape errors.
 
 Usage: check_des_regression.py FRESH.json BASELINE.json
-           [--tolerance=0.25] [--profile=des|fastforward|bisect]
+           [--tolerance=0.25]
+           [--profile=des|fastforward|bisect|scenarios|hotpath]
 """
 
 import json
@@ -74,7 +75,6 @@ PROFILES = {
     "des": (
         "speedup_frontier_vs_linear",
         "speedup_parallel_vs_frontier",
-        "speedup_auto_vs_linear",
         "speedup_threads_vs_1",
     ),
     "fastforward": ("speedup_ff_vs_full",),

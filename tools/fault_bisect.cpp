@@ -253,9 +253,7 @@ int run(const Options& opt, iw::bench::Harness& hx) {
   hwsim::MachineConfig mc;
   mc.num_cores = opt.cores;
   mc.scheduler = hx.scheduler(hwsim::SchedulerKind::kFrontier);
-  mc.shard_policy = hwsim::ShardPolicy::kPerCore;
   mc.threads = hx.threads();
-  mc.work_stealing = hx.work_stealing();
   mc.fast_forward.enabled = hx.fast_forward();
   mc.max_advances = ~std::uint64_t{0};
   mc.seed = hx.seed(42);

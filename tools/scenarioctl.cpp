@@ -133,19 +133,15 @@ Matrix build_matrix(const RunOptions& opt) {
   struct Strategy {
     hwsim::SchedulerKind sched;
     unsigned threads;
-    bool steal;
     bool ff;
   };
   std::vector<Strategy> strategies{
-      {hwsim::SchedulerKind::kFrontier, 1, true, false},
+      {hwsim::SchedulerKind::kFrontier, 1, false},
   };
   if (opt.all_strategies) {
-    strategies.push_back({hwsim::SchedulerKind::kLinearScan, 1, true, false});
-    strategies.push_back(
-        {hwsim::SchedulerKind::kParallelEpoch, 2, true, false});
-    strategies.push_back(
-        {hwsim::SchedulerKind::kParallelEpoch, 2, false, false});
-    strategies.push_back({hwsim::SchedulerKind::kFrontier, 1, true, true});
+    strategies.push_back({hwsim::SchedulerKind::kLinearScan, 1, false});
+    strategies.push_back({hwsim::SchedulerKind::kParallelEpoch, 2, false});
+    strategies.push_back({hwsim::SchedulerKind::kFrontier, 1, true});
   }
 
   std::uint64_t id = 0, group = 0;
@@ -161,7 +157,6 @@ Matrix build_matrix(const RunOptions& opt) {
         s.label = label;
         s.scheduler = st.sched;
         s.threads = st.threads;
-        s.work_stealing = st.steal;
         s.fast_forward = st.ff;
         s.plan.enabled = drop > 0.0;
         s.plan.ipi_drop_rate = drop;
@@ -290,8 +285,8 @@ int selftest() {
                  agree.groups, agree.disagreeing);
     return 1;
   }
-  if (a.size() != 20) {  // 2 drops x 2 seeds x 5 strategies
-    std::fprintf(stderr, "selftest: FAIL — %zu records, want 20\n", a.size());
+  if (a.size() != 16) {  // 2 drops x 2 seeds x 4 strategies
+    std::fprintf(stderr, "selftest: FAIL — %zu records, want 16\n", a.size());
     return 1;
   }
   // The faulted groups must diverge from the clean ones.
@@ -299,7 +294,7 @@ int selftest() {
     std::fprintf(stderr, "selftest: FAIL — faults did not diverge\n");
     return 1;
   }
-  std::printf("selftest: PASS (20 cells, %zu groups, worker-count "
+  std::printf("selftest: PASS (16 cells, %zu groups, worker-count "
               "invariant, %.1f scen/s)\n",
               agree.groups, four.scenarios_per_sec());
   return 0;

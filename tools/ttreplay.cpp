@@ -19,7 +19,7 @@
 //   --selftest          exercise all of the above on a small config.
 //
 // Shares the bench harness flag surface (--faults, --seed, --scheduler,
-// --threads, --steal, --ff, --checkpoint-every, ...).
+// --threads, --ff, --checkpoint-every, ...).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
@@ -141,9 +141,7 @@ hwsim::MachineConfig base_config(const Options& opt,
   hwsim::MachineConfig mc;
   mc.num_cores = opt.cores;
   mc.scheduler = hx.scheduler(hwsim::SchedulerKind::kFrontier);
-  mc.shard_policy = hwsim::ShardPolicy::kPerCore;
   mc.threads = hx.threads();
-  mc.work_stealing = hx.work_stealing();
   mc.fast_forward.enabled = hx.fast_forward();
   mc.max_advances = ~std::uint64_t{0};
   mc.seed = hx.seed(42);
