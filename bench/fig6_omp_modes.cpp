@@ -15,19 +15,27 @@ using namespace iw;
 namespace {
 bench::Harness harness;
 
-// run_miniapp creates its machine internally, so the sinks ride in on
-// the config rather than through Harness::attach.
+// run_miniapp creates its machine internally, so the sinks, the seed
+// and the scheduler ride in on the config rather than through
+// Harness::attach.
 omp::OmpResult run_app(const workloads::MiniApp& app, omp::OmpConfig cfg,
                        const std::string& label) {
   harness.begin_run(label);
   cfg.tracer = harness.tracer();
   cfg.metrics = harness.metrics();
+  cfg.seed = harness.seed(cfg.seed);
+  cfg.scheduler = harness.scheduler(cfg.scheduler);
   return omp::run_miniapp(app, cfg);
 }
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv)) return 2;
+  if (!harness.parse(argc, argv) ||
+      !harness.refuse({"--faults", "--fault-seed", "--threads", "--ff"},
+                      "run_miniapp's private machine takes no fault plan, "
+                      "host-thread count or fast-forward setting")) {
+    return 2;
+  }
   const std::vector<unsigned> cpu_counts{1, 2, 4, 8, 16, 32, 64};
   std::vector<double> rtk_gains;
 

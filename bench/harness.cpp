@@ -1,5 +1,6 @@
 #include "harness.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,6 +41,9 @@ const char* Harness::scheduler_name(hwsim::SchedulerKind k) {
 bool Harness::parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    if (const char* eq = std::strchr(a, '='); eq != nullptr) {
+      given_.emplace_back(a, eq);
+    }
     if (std::strncmp(a, "--trace=", 8) == 0) {
       trace_path_ = a + 8;
     } else if (std::strncmp(a, "--metrics-json=", 15) == 0) {
@@ -130,6 +134,17 @@ bool Harness::parse(int argc, char** argv) {
   }
   if (plan_.enabled) {
     analytic_faults_.configure(plan_, seed_, fault_seed_);
+  }
+  return true;
+}
+
+bool Harness::refuse(std::initializer_list<const char*> flags,
+                     const char* why) const {
+  for (const char* f : flags) {
+    if (std::find(given_.begin(), given_.end(), f) != given_.end()) {
+      std::fprintf(stderr, "%s: %s\n", f, why);
+      return false;
+    }
   }
   return true;
 }

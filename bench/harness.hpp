@@ -35,7 +35,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "hwsim/fault_plan.hpp"
 #include "hwsim/machine.hpp"
@@ -114,6 +116,13 @@ class Harness {
   static bool parse_scheduler(const char* name, hwsim::SchedulerKind* out);
   [[nodiscard]] static const char* scheduler_name(hwsim::SchedulerKind k);
 
+  /// For a bench whose machines cannot honour some harness flags: if
+  /// any of `flags` (names such as "--ff") was given, print
+  /// "<flag>: <why>" and return false, which the bench turns into exit
+  /// status 2, as for a malformed flag.
+  [[nodiscard]] bool refuse(std::initializer_list<const char*> flags,
+                            const char* why) const;
+
   /// Write any requested output files; call once before exit.
   /// Returns false if a write failed.
   bool finish();
@@ -139,6 +148,9 @@ class Harness {
   std::uint64_t checkpoint_every_{0};
   unsigned jobs_{0};
   bool jobs_set_{false};
+  /// The name part ("--faults", ...) of every NAME=VALUE argument
+  /// parse() saw.
+  std::vector<std::string> given_;
 };
 
 }  // namespace iw::bench

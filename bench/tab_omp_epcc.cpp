@@ -27,6 +27,8 @@ double per_barrier_cycles(omp::OmpMode mode, unsigned threads,
   harness.begin_run(std::string("epcc/") + omp::mode_name(mode));
   cfg.tracer = harness.tracer();
   cfg.metrics = harness.metrics();
+  cfg.seed = harness.seed(cfg.seed);
+  cfg.scheduler = harness.scheduler(cfg.scheduler);
   const auto res = omp::run_miniapp(app, cfg);
   // Subtract the pure work component.
   const Cycles work = app.serial_work() / threads;
@@ -38,7 +40,12 @@ double per_barrier_cycles(omp::OmpMode mode, unsigned threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv)) return 2;
+  if (!harness.parse(argc, argv) ||
+      !harness.refuse({"--faults", "--fault-seed", "--threads", "--ff"},
+                      "run_miniapp's private machine takes no fault plan, "
+                      "host-thread count or fast-forward setting")) {
+    return 2;
+  }
   std::printf("== EPCC-style sync overheads (cycles per construct) ==\n");
   std::printf("%-26s %8s %8s %8s %8s\n", "construct / mode", "P=2", "P=8",
               "P=16", "P=32");

@@ -1,5 +1,7 @@
 #include "heartbeat/delivery.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "hwsim/core.hpp"
 #include "obs/trace.hpp"
@@ -273,6 +275,20 @@ void NautilusHeartbeat::start(Cycles period, unsigned num_workers) {
   timer_->periodic(period);
 }
 
+Cycles NautilusHeartbeat::send_bound(CoreId core) const {
+  // CPU 0's own beats come from its own LAPIC timer. It sends the
+  // others' only from that timer's handler, which runs at one of its
+  // step boundaries, so at or after both its clock and its next event;
+  // each IPI then takes the fabric latency, and a degraded-mode poll
+  // poll_latency.
+  if (core == 0) return kNever;
+  const hwsim::Core& cpu0 = machine_->core(0);
+  Cycles floor = machine_->costs().ipi_latency;
+  if (ft_.enabled) floor = std::min(floor, ft_.poll_latency);
+  return saturating_add(std::max(cpu0.clock(), cpu0.earliest_event()),
+                        floor);
+}
+
 void NautilusHeartbeat::supervise(Cycles fire) {
   // Score the round that just ended. prev_fire_ == 0 means there is no
   // previous round yet (the first LAPIC fire is always at t > 0).
@@ -419,6 +435,17 @@ void LinuxHeartbeat::start(Cycles period, unsigned num_workers) {
     core.consume(stack_.costs().sigreturn);
   });
   timers_.push_back(std::move(t));
+}
+
+Cycles LinuxHeartbeat::send_bound(CoreId core) const {
+  // A per-thread timer posts only into its own core. In relay mode the
+  // master's timer on CPU 0 signals the others from its handler, at one
+  // of CPU 0's step boundaries; SignalPath latencies have no floor.
+  if (mode_ == LinuxHeartbeatMode::kPerThreadTimer || core == 0) {
+    return kNever;
+  }
+  const hwsim::Core& cpu0 = stack_.machine().core(0);
+  return std::max(cpu0.clock(), cpu0.earliest_event());
 }
 
 void LinuxHeartbeat::stop() {

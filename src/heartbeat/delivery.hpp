@@ -75,6 +75,15 @@ class HeartbeatBackend {
   /// metrics are attached; kNever skips the recording.
   bool poll(CoreId core, Cycles now = kNever);
 
+  /// Earliest cycle at which another core could post a beat into
+  /// `core`, read at the current point of the run: a TPAL worker folds
+  /// only chunks that start before it (DESIGN.md §12, "TPAL chunks").
+  /// kNever when only `core`'s own events carry beats to it, which
+  /// Core::fold_limit already bounds. The default, 0, promises nothing.
+  [[nodiscard]] virtual Cycles send_bound(CoreId /*core*/) const {
+    return 0;
+  }
+
   [[nodiscard]] const BeatState& state(CoreId core) const;
   [[nodiscard]] const std::vector<BeatState>& states() const {
     return states_;
@@ -149,6 +158,7 @@ class NautilusHeartbeat final : public HeartbeatBackend,
   ~NautilusHeartbeat() override;
   void start(Cycles period, unsigned num_workers) override;
   void stop() override;
+  [[nodiscard]] Cycles send_bound(CoreId core) const override;
 
   // EventSink: a degraded-mode software poll came due on a worker core
   // (payload = the fire window being polled for; the worker is the
@@ -230,6 +240,7 @@ class LinuxHeartbeat final : public HeartbeatBackend,
   ~LinuxHeartbeat() override;
   void start(Cycles period, unsigned num_workers) override;
   void stop() override;
+  [[nodiscard]] Cycles send_bound(CoreId core) const override;
 
   // EventSink: a queued per-thread signal delivery reached its target
   // (payload = the timer expiry time the signal carries).

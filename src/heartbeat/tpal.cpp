@@ -11,6 +11,7 @@ TpalRuntime::TpalRuntime(nautilus::Kernel& kernel, TpalConfig cfg,
     : kernel_(kernel), cfg_(cfg), backend_(backend) {
   IW_ASSERT(cfg.num_workers >= 1);
   IW_ASSERT(cfg.num_workers <= kernel.machine().num_cores());
+  IW_ASSERT_MSG(cfg.chunk >= 1, "TPAL chunk must be at least one iteration");
   workers_.resize(cfg.num_workers);
 }
 
@@ -72,7 +73,41 @@ nautilus::StepResult TpalRuntime::worker_step(
       ++w.promotions;
     }
   }
-  return nautilus::StepResult::cont(std::max<Cycles>(charge, 1));
+  charge = std::max<Cycles>(charge, 1);
+  return nautilus::StepResult::cont(
+      charge + fold_chunks(w, ctx.core, ctx.core.clock() + charge));
+}
+
+Cycles TpalRuntime::fold_chunks(Worker& w, hwsim::Core& core,
+                                Cycles start) {
+  // Every chunk folded here leaves the range non-empty, so it cannot end
+  // the run (only the chunk that empties a range can), and the next step
+  // neither pops nor steals. Each starts before anything can be
+  // delivered to this core, so its poll reads "no beat", as the poll
+  // just made left it. Thieves see only the deque, which changes at a
+  // promotion or a pop, never here.
+  if (w.current.size() <= cfg_.chunk) return 0;
+  const hwsim::Core::FoldLimit lim = core.fold_limit();
+  Cycles before = lim.before;
+  if (backend_ != nullptr) {
+    before = std::min(before, backend_->send_bound(core.id()));
+  }
+  if (start >= before) return 0;
+  // Each chunk's own step would charge its work and poll, at least 1.
+  const Cycles per =
+      std::max<Cycles>(cfg_.chunk * cfg_.cycles_per_iter + cfg_.poll_cost, 1);
+  const std::uint64_t n =
+      std::min({(w.current.size() - 1) / cfg_.chunk,
+                1 + (before - 1 - start) / per, lim.steps});
+  if (n == 0) return 0;
+  const std::uint64_t iters = n * cfg_.chunk;
+  w.current.lo += iters;
+  iters_done_ += iters;
+  w.work_cycles += iters * cfg_.cycles_per_iter;
+  w.overhead_cycles += n * cfg_.poll_cost;
+  w.polls += n;
+  core.record_fold(n, start + (n - 1) * per);
+  return n * per;
 }
 
 TpalResult TpalRuntime::run() {

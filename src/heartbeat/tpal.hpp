@@ -70,6 +70,10 @@ class TpalRuntime {
 
   nautilus::StepResult worker_step(unsigned wid,
                                    nautilus::ThreadContext& ctx);
+  /// The chunks after a step's own that the same step runs, the first
+  /// starting at `start` (DESIGN.md §12, "TPAL chunks"); returns their
+  /// charge.
+  Cycles fold_chunks(Worker& w, hwsim::Core& core, Cycles start);
 
   nautilus::Kernel& kernel_;
   TpalConfig cfg_;

@@ -1,6 +1,9 @@
 #include "hwsim/core.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "hwsim/machine.hpp"
@@ -8,6 +11,22 @@
 #include "obs/trace.hpp"
 
 namespace iw::hwsim {
+
+namespace {
+
+[[noreturn]] void fold_guard_failed(CoreId core, Cycles due,
+                                    Cycles last_start) {
+  std::fprintf(stderr,
+               "interweave: folded-step guard: core %u delivered an event "
+               "due at cycle %llu after a step folded the step starting at "
+               "cycle %llu; the fold's bound missed the event's sender\n",
+               static_cast<unsigned>(core),
+               static_cast<unsigned long long>(due),
+               static_cast<unsigned long long>(last_start));
+  std::abort();
+}
+
+}  // namespace
 
 Core::Core(Machine& machine, CoreId id)
     : machine_(machine), machine_now_(machine.now_cell()), id_(id) {}
@@ -133,6 +152,7 @@ unsigned Core::deliver_due_events() {
     const Cycles irq_t = irq_enabled_ ? irq_inbox_.peek_time() : kNever;
     const Cycles t = std::min(cb_t, irq_t);
     if (t > clock_) break;
+    if (t < fold_guard_) fold_guard_failed(id_, t, fold_guard_ - 1);
     if (cb_t <= irq_t) {
       CoreEvent ev = callback_inbox_.pop();
       if (ev.timer != nullptr) {
@@ -193,6 +213,33 @@ void Core::commit_fast_forward(const FastForwardPlan& plan) {
   // the committed state; consume() already invalidated, but be explicit
   // in case a zero-delta future variant skips it.
   mark_schedule_dirty();
+}
+
+Core::FoldLimit Core::fold_limit() const {
+  const Machine& m = machine_;
+  if (m.faults_.enabled() || m.per_core_shards()) return {};
+  // The sequential schedulers pick in nondecreasing time, so a step
+  // that starts before all of these runs before anything can reach this
+  // core. max_advances counts folded steps too; like a fast-forward
+  // window, a fold stops short of crossing it.
+  FoldLimit lim;
+  lim.before = std::min(
+      {earliest_event(), m.machine_queue_.peek_time(), m.fold_want_});
+  lim.steps = std::numeric_limits<std::uint64_t>::max();
+  if (m.cfg_.max_advances != 0) {
+    lim.steps = m.cfg_.max_advances > m.advances_
+                    ? m.cfg_.max_advances - m.advances_
+                    : 0;
+  }
+  return lim;
+}
+
+void Core::record_fold(std::uint64_t steps, Cycles last_start) {
+  IW_ASSERT_MSG(steps >= 1, "record_fold needs at least one folded step");
+  steps_ += steps;
+  folded_ += steps;
+  machine_.advances_ += steps;
+  fold_guard_ = last_start + 1;
 }
 
 Cycles Core::advance() {

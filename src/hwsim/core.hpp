@@ -266,6 +266,34 @@ class Core {
   /// lets the driver commit its internal state.
   void commit_fast_forward(const FastForwardPlan& plan);
 
+  // --- folded steps (DESIGN.md §12) ---
+
+  /// How far the driver step now running on this core may fold: run
+  /// later steps of the core in its own pick, because no other pick
+  /// could observe them. Each folded step must start before `before`,
+  /// and at most `steps` may fold.
+  struct FoldLimit {
+    Cycles before{0};
+    std::uint64_t steps{0};
+  };
+  /// `before` is the earliest event in either inbox, whatever the
+  /// interrupt mask (a step boundary at or after it would take it
+  /// first), the machine queue's head (a machine event may post here),
+  /// and the run's target and time watchdog, clamped the way
+  /// fast-forward windows are. `steps` is what the advance watchdog
+  /// leaves. The caller lowers `before` by what it knows of sends from
+  /// other cores. Nothing folds on a machine with a fault plan, which
+  /// draws a stall per step, nor under kParallelEpoch.
+  [[nodiscard]] FoldLimit fold_limit() const;
+
+  /// Account the running step as also the `steps` (>= 1) steps it
+  /// folded, the last of them starting at `last_start`. They count as
+  /// this core's steps and as machine advances, as a fast-forward
+  /// skip's do, and Machine::folded_steps() counts them apart. An event
+  /// due at or before `last_start` that this core delivers later aborts
+  /// by name: its sender was missing from the caller's bound.
+  void record_fold(std::uint64_t steps, Cycles last_start);
+
   /// Pre-size both inboxes (heap + slab + free list) for `n` concurrent
   /// events. Called by the Machine constructor with its fixed queue
   /// reserve so warm-up stops paying vector growth.
@@ -358,6 +386,12 @@ class Core {
   std::uint64_t irqs_delivered_{0};
   Cycles irq_overhead_{0};
   std::uint64_t steps_{0};
+  /// Folded-step guard: one past the start of the last step folded on
+  /// this core, so a delivery due before it aborts (0: none folded).
+  /// Neither it nor folded_ is in the snapshot image; restore clears
+  /// the guard. Both fit the tail padding sizeof(Core) already had.
+  Cycles fold_guard_{0};
+  std::uint64_t folded_{0};
 };
 
 }  // namespace iw::hwsim

@@ -103,6 +103,12 @@ ParallelTotals Machine::parallel_totals() const {
   return parallel_ == nullptr ? ParallelTotals{} : parallel_->totals();
 }
 
+std::uint64_t Machine::folded_steps() const {
+  std::uint64_t n = 0;
+  for (const auto& c : cores_) n += c->folded_;
+  return n;
+}
+
 std::uint64_t Machine::hot_path_allocs() const {
   std::uint64_t n = machine_queue_.grow_allocs();
   for (const auto& c : cores_) n += c->inbox_grow_allocs();
@@ -415,6 +421,8 @@ bool Machine::run_loop(const std::function<bool()>& stop, Cycles until) {
   if (time_watchdog) {
     ff_want = std::min(ff_want, saturating_add(cfg_.max_time, 1));
   }
+  // Folded steps obey the same cap (Core::fold_limit).
+  fold_want_ = ff_want;
   const auto peek = [&]() -> Pick {
     const Pick pick = frontier ? frontier_peek() : linear_peek();
     if (paranoid) {

@@ -460,6 +460,13 @@ class Machine final : public substrate::StackSubstrate {
   /// the delivery point). Deterministic and host-independent; kept out
   /// of snapshots. Observability/test hook.
   [[nodiscard]] std::uint64_t serial_picks() const { return serial_picks_; }
+  /// Steps that drivers folded into an earlier step of the same core
+  /// since construction (Core::record_fold, DESIGN.md §12).
+  /// total_advances() counts them, so the scheduler's own picks are
+  /// total_advances() - folded_steps() - fast_forwarded_steps().
+  /// Deterministic and host-independent; kept out of snapshots, like
+  /// serial_picks(). Cold: summed over the cores on read.
+  [[nodiscard]] std::uint64_t folded_steps() const;
   /// Cores an invalidation has pushed onto the kFrontier dirty list
   /// since construction (run-entry and restore refreshes not counted).
   /// The stepping core rewrites its own leaf, so only invalidations
@@ -788,6 +795,10 @@ class Machine final : public substrate::StackSubstrate {
   /// no-op, so WHEN one is attempted can never change results.
   std::uint64_t ff_cooldown_{0};
   std::uint64_t ff_backoff_{0};
+  /// The sequential run's target clamped to the time watchdog (the
+  /// fast-forward horizon cap): a folded step starts before it
+  /// (Core::fold_limit). Set at each run_loop entry.
+  Cycles fold_want_{kNever};
 };
 
 }  // namespace iw::hwsim

@@ -423,6 +423,7 @@ void Machine::restore(const Snapshot& s) {
     c->irqs_delivered_ = r.u64();
     c->irq_overhead_ = r.u64();
     c->steps_ = r.u64();
+    c->fold_guard_ = 0;  // its folds belong to the replaced timeline
   }
 
   faults_.restore_state(r, re);

@@ -277,7 +277,6 @@ void Kernel::step(hwsim::Core& core) {
   const StepResult r = t->cfg_.body(ctx);
   core.consume(std::max<Cycles>(r.cycles, 1));
   t->run_cycles_ += r.cycles;
-  ++t->steps_;
 
   switch (r.next) {
     case StepResult::Next::kDone:

@@ -82,7 +82,6 @@ class Thread {
 
   // --- statistics ---
   [[nodiscard]] Cycles run_cycles() const { return run_cycles_; }
-  [[nodiscard]] std::uint64_t steps() const { return steps_; }
   [[nodiscard]] std::uint64_t switches_in() const { return switches_in_; }
 
  private:
@@ -97,7 +96,6 @@ class Thread {
   Addr state_addr_{kNever};
 
   Cycles run_cycles_{0};
-  std::uint64_t steps_{0};
   std::uint64_t switches_in_{0};
 };
 

@@ -188,22 +188,29 @@ Cycles run_iters(ThreadedRun& run, unsigned wid, std::uint64_t iters) {
 
 /// schedule(static) worksharing in one step, for a worker on `core`
 /// whose next chunk does not finish its range: that chunk, and each
-/// later chunk that does not finish the range either and starts before
-/// the core's next deliverable event (a noise burst or a tick, read
-/// once), which a step boundary would take first. Each chunk is charged
-/// max(c, 1), as its own step would be. The chunk that finishes the
-/// range runs in its own step with the barrier arrival. The chunks touch
-/// only the worker's state, its paging policy and its core's clock
-/// (DESIGN.md, "Worksharing chunks").
+/// later chunk that does not finish the range either and starts within
+/// the core's fold limit (its next noise burst or tick, read once),
+/// which a step boundary would take first. Each chunk is charged
+/// max(c, 1), as its own step would be, and each later one is recorded
+/// as a folded step. The chunk that finishes the range runs in its own
+/// step with the barrier arrival. The chunks touch only the worker's
+/// state, its paging policy and its core's clock (DESIGN.md,
+/// "Worksharing chunks").
 Cycles static_chunks(ThreadedRun& run, unsigned wid, hwsim::Core& core) {
   const WorkerState& ws = run.workers[wid];
   const std::uint64_t chunk = run.cfg.iter_chunk;
-  const Cycles due = core.earliest_deliverable();
+  const hwsim::Core::FoldLimit lim = core.fold_limit();
   const Cycles s = core.clock();
-  Cycles charge = 0;
-  do {
+  Cycles charge = std::max<Cycles>(run_iters(run, wid, chunk), 1);
+  std::uint64_t folded = 0;
+  Cycles last = s;
+  while (ws.end_iter - ws.next_iter > chunk && s + charge < lim.before &&
+         folded < lim.steps) {
+    last = s + charge;
     charge += std::max<Cycles>(run_iters(run, wid, chunk), 1);
-  } while (ws.end_iter - ws.next_iter > chunk && s + charge < due);
+    ++folded;
+  }
+  if (folded != 0) core.record_fold(folded, last);
   return charge;
 }
 
@@ -213,8 +220,8 @@ Cycles static_chunks(ThreadedRun& run, unsigned wid, hwsim::Core& core) {
 ///  (a) the clock of every worker not yet arrived at this generation:
 ///      the flip happens inside such a worker's step, which starts at
 ///      or after its clock;
-///  (b) the spinner core's next deliverable event (a noise burst or a
-///      tick), which a step boundary would take first;
+///  (b) the spinner core's fold limit: its next noise burst or tick,
+///      which a step boundary would take first;
 ///  (c) the first poll an armed barrier_timeout panics at.
 /// Each such poll precedes the flip under every sequential pick order,
 /// so it reads "not passed" there too (DESIGN.md, "OpenMP spin waits").
@@ -235,12 +242,14 @@ std::uint64_t blind_polls(const ThreadedRun& run, const WorkerState& ws,
   }
   IW_ASSERT_MSG(flip_floor != kNever,
                 "omp spin wait with every worker arrived");
+  const hwsim::Core::FoldLimit lim = core.fold_limit();
   const Cycles bound =
-      std::min({flip_floor, core.earliest_deliverable(),
+      std::min({flip_floor, lim.before,
                 run.spin_barrier->timeout_poll(ws.barrier_enter)});
   const Cycles s = core.clock();
   if (bound <= s) return 1;
-  return 1 + (bound - 1 - s) / SpinBarrier::spin_cost();
+  return 1 + std::min<std::uint64_t>(
+                 (bound - 1 - s) / SpinBarrier::spin_cost(), lim.steps);
 }
 
 nautilus::StepResult worker_step(ThreadedRun& run, unsigned wid,
@@ -359,8 +368,11 @@ nautilus::StepResult worker_step(ThreadedRun& run, unsigned wid,
         // only the blind polls after it.
         const Cycles poll = SpinBarrier::spin_cost();
         const std::uint64_t polls = blind_polls(run, ws, ctx.core);
-        ws.last_poll =
-            polls > 1 ? ctx.core.clock() + (polls - 1) * poll : kNever;
+        ws.last_poll = kNever;
+        if (polls > 1) {
+          ws.last_poll = ctx.core.clock() + (polls - 1) * poll;
+          ctx.core.record_fold(polls - 1, ws.last_poll);
+        }
         return nautilus::StepResult::cont(polls * poll);
       }
       barrier.check_poll_order(ctx.core, ws.last_poll);
@@ -401,10 +413,6 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
   mc.max_advances = 4'000'000'000ULL;
   mc.scheduler = cfg.scheduler;
   hwsim::Machine m(mc);
-  // Blind polls (blind_polls) assume no fault plan: a plan draws a
-  // stall per step, and the batched polls would skip those draws.
-  IW_ASSERT_MSG(!m.fault_injector().enabled(),
-                "the OMP machine carries no fault plan");
   m.set_tracer(cfg.tracer);
   m.set_metrics(cfg.metrics);
 
@@ -484,6 +492,7 @@ OmpResult run_threaded(const workloads::MiniApp& app, const OmpConfig& cfg) {
   }
   res.barriers_passed = run.barriers_passed;
   res.advances = m.total_advances();
+  res.folded = m.folded_steps();
   res.syscalls = lx ? lx->syscall_count() : 0;
   std::uint64_t hits = 0, misses = 0;
   for (const auto& p : run.paging) {
@@ -555,6 +564,7 @@ OmpResult run_cck(const workloads::MiniApp& app, const OmpConfig& cfg) {
   res.makespan = m.now();
   res.tasks_executed = k.stats().tasks.executed;
   res.advances = m.total_advances();
+  res.folded = m.folded_steps();
   (void)total_tasks;
   return res;
 }

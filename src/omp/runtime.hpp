@@ -145,8 +145,12 @@ struct OmpResult {
   std::uint64_t syscalls{0};
   double tlb_miss_rate{0.0};
   /// DES advances the run's machine took (Machine::total_advances): the
-  /// simulator's cost, not a modelled result.
+  /// simulator's cost, not a modelled result. They include `folded`.
   std::uint64_t advances{0};
+  /// Steps a worker ran inside an earlier step of its core: blind polls
+  /// and static chunks (Machine::folded_steps). advances - folded is
+  /// what the scheduler picked.
+  std::uint64_t folded{0};
 };
 
 /// Run one mini-app under one mode on a fresh machine. Aborts with a
