@@ -12,6 +12,10 @@
 //                  (coherence.miss / handoff_flush) spans, shared axis
 //   --metrics-json=FILE  every layer's counters in one registry dump
 //   --faults=SPEC  deterministic fault plan on the same fabric
+//   --fault-seed=N --seed=N   fault-stream and machine seeds
+//   --cores=N --steps=N --period=N   machine size, driver steps per
+//                  core, heartbeat period in cycles
+//   --no-deactivate  keep every region coherent
 //
 // The bench always runs the same seed on the frontier and the linear
 // scan and compares a digest of the full observable state (core clocks,
@@ -97,11 +101,8 @@ RunResult run_one(const Params& p, hwsim::SchedulerKind sched,
   hwsim::MachineConfig mc;
   mc.num_cores = p.cores;
   mc.max_advances = 2'000'000'000ULL;
-  harness.apply(mc);
-  // After apply(): this bench sweeps the schedulers itself, so the
-  // cross-scheduler digest check stays meaningful even if a
-  // --scheduler= flag is passed.
   mc.scheduler = sched;
+  harness.apply(mc);
   hwsim::Machine m(mc);
   harness.attach(m, label);
 
@@ -192,18 +193,16 @@ RunResult run_one(const Params& p, hwsim::SchedulerKind sched,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv)) return 2;
   Params p;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto val = [&](const char* pfx) -> const char* {
-      return arg.rfind(pfx, 0) == 0 ? arg.c_str() + std::strlen(pfx)
-                                    : nullptr;
-    };
-    if (const char* v = val("--cores=")) p.cores = std::stoul(v);
-    if (const char* v = val("--steps=")) p.steps = std::stoull(v);
-    if (const char* v = val("--period=")) p.period = std::stoull(v);
-    if (arg == "--no-deactivate") p.deactivate = false;
+  if (!harness.parse(argc, argv,
+                     {bench::kTrace, bench::kMetricsJson, bench::kFaults,
+                      bench::kFaultSeed, bench::kSeed},
+                     {bench::count_flag("--cores", &p.cores, 1, 4096),
+                      bench::count_flag("--steps", &p.steps, 1),
+                      bench::count_flag("--period", &p.period, 1),
+                      bench::switch_flag("--no-deactivate", &p.deactivate,
+                                         false)})) {
+    return 2;
   }
 
   std::printf("== composed stack: heartbeat + coherence on one fabric ==\n");

@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -141,27 +140,13 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string out = "BENCH_fastforward.json";
   unsigned threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      std::uint64_t v = 0;
-      if (!bench::Harness::parse_count(argv[i] + 10, &v) || v == 0 ||
-          v > 4096) {
-        std::fprintf(stderr,
-                     "--threads: expected a positive integer (<= 4096), "
-                     "got '%s'\n",
-                     argv[i] + 10);
-        return 2;
-      }
-      threads = static_cast<unsigned>(v);
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out=FILE] [--threads=N]\n",
-                   argv[0]);
-      return 2;
-    }
+  bench::Harness harness;
+  if (!harness.parse(argc, argv, {},
+                     {bench::switch_flag("--smoke", &smoke),
+                      bench::text_flag("--out", "FILE", &out),
+                      bench::count_flag("--threads", &threads, 1,
+                                        bench::Harness::kMaxThreads)})) {
+    return 2;
   }
   const int repeats = smoke ? 3 : 2;
   const Cycles sim = 20'000'000 / (smoke ? 10 : 1);

@@ -270,27 +270,12 @@ int main(int argc, char** argv) {
   bool smoke = false;
   unsigned jobs = 0;
   std::string out = "BENCH_fault_sweep.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      std::uint64_t v = 0;
-      if (!bench::Harness::parse_count(argv[i] + 7, &v) || v == 0 ||
-          v > 1024) {
-        std::fprintf(stderr,
-                     "--jobs: expected a positive worker count (<= 1024), "
-                     "got '%s'\n",
-                     argv[i] + 7);
-        return 2;
-      }
-      jobs = static_cast<unsigned>(v);
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--jobs=N] [--out=FILE]\n",
-                   argv[0]);
-      return 2;
-    }
+  bench::Harness harness;
+  if (!harness.parse(argc, argv, {},
+                     {bench::switch_flag("--smoke", &smoke),
+                      bench::count_flag("--jobs", &jobs, 1, 1024),
+                      bench::text_flag("--out", "FILE", &out)})) {
+    return 2;
   }
   const std::uint64_t rounds = smoke ? 300 : 3'000;
 

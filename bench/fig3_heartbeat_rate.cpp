@@ -83,7 +83,11 @@ RowResult run(const char* stack, const char* mech, double target_us,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv)) return 2;
+  if (!harness.parse(argc, argv,
+                     {bench::kTrace, bench::kMetricsJson, bench::kFaults,
+                      bench::kFaultSeed, bench::kSeed, bench::kScheduler})) {
+    return 2;
+  }
   std::printf(
       "== Fig. 3: achieved vs target heartbeat rate (16 CPUs, KNL) ==\n");
   std::printf("%-10s %-12s %9s %14s %14s %10s %8s\n", "stack", "mechanism",

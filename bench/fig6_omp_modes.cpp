@@ -30,10 +30,9 @@ omp::OmpResult run_app(const workloads::MiniApp& app, omp::OmpConfig cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv) ||
-      !harness.refuse({"--faults", "--fault-seed", "--threads", "--ff"},
-                      "run_miniapp's private machine takes no fault plan, "
-                      "host-thread count or fast-forward setting")) {
+  if (!harness.parse(argc, argv,
+                     {bench::kTrace, bench::kMetricsJson, bench::kSeed,
+                      bench::kScheduler})) {
     return 2;
   }
   const std::vector<unsigned> cpu_counts{1, 2, 4, 8, 16, 32, 64};

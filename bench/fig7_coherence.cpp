@@ -14,10 +14,8 @@
 using namespace iw;
 
 namespace {
-bench::Harness harness;
-}  // namespace
 
-namespace {
+bench::Harness harness;
 
 coherence::SimConfig cfg(bool deactivate) {
   coherence::SimConfig c;
@@ -31,7 +29,9 @@ coherence::SimConfig cfg(bool deactivate) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv)) return 2;
+  if (!harness.parse(argc, argv, {bench::kTrace, bench::kMetricsJson})) {
+    return 2;
+  }
   workloads::PbbsParams p;
   p.cores = 24;
   p.elements = 240'000;
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   for (const auto& trace : workloads::pbbs_suite(p)) {
     // Each kernel runs on its own substrate timeline: misses show up as
     // spans per core under --trace, and coherence.* counters accumulate.
-    substrate::AnalyticSubstrate sub(p.cores, harness.seed(p.seed));
+    substrate::AnalyticSubstrate sub(p.cores, p.seed);
     harness.attach(sub, std::string("fig7/") + trace.name);
     coherence::CoherenceSim base(cfg(false), sub.rng_stream("coherence"));
     base.bind_substrate(&sub);
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     auto c0 = cfg(false);
     c0.num_cores = cores;
     c0.noc.num_cores = cores;
-    substrate::AnalyticSubstrate sub(cores, harness.seed(sp.seed));
+    substrate::AnalyticSubstrate sub(cores, sp.seed);
     harness.attach(sub, "fig7/scale-" + std::to_string(cores));
     coherence::CoherenceSim base(c0, sub.rng_stream("coherence"));
     base.bind_substrate(&sub);

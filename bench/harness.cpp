@@ -1,11 +1,21 @@
 #include "harness.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 namespace iw::bench {
+
+namespace {
+
+bool parse_on_off(const char* s, bool* out) {
+  *out = std::strcmp(s, "on") == 0;
+  return *out || std::strcmp(s, "off") == 0;
+}
+
+}  // namespace
 
 bool Harness::parse_scheduler(const char* name, hwsim::SchedulerKind* out) {
   if (std::strcmp(name, "frontier") == 0) {
@@ -29,6 +39,15 @@ bool Harness::parse_count(const char* s, std::uint64_t* out) {
   return true;
 }
 
+bool Harness::parse_real(const char* s, double* out) {
+  if (s == nullptr || *s == '\0') return false;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
 const char* Harness::scheduler_name(hwsim::SchedulerKind k) {
   switch (k) {
     case hwsim::SchedulerKind::kFrontier: return "frontier";
@@ -38,113 +57,95 @@ const char* Harness::scheduler_name(hwsim::SchedulerKind k) {
   return "?";
 }
 
-bool Harness::parse(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (const char* eq = std::strchr(a, '='); eq != nullptr) {
-      given_.emplace_back(a, eq);
-    }
-    if (std::strncmp(a, "--trace=", 8) == 0) {
-      trace_path_ = a + 8;
-    } else if (std::strncmp(a, "--metrics-json=", 15) == 0) {
-      metrics_path_ = a + 15;
-    } else if (std::strncmp(a, "--faults=", 9) == 0) {
-      std::string err;
-      if (!hwsim::FaultPlan::parse(a + 9, &plan_, &err)) {
-        std::fprintf(stderr, "--faults: %s\n", err.c_str());
-        return false;
-      }
-    } else if (std::strncmp(a, "--fault-seed=", 13) == 0) {
-      if (!parse_count(a + 13, &fault_seed_)) {
-        std::fprintf(stderr,
-                     "--fault-seed: expected an unsigned integer, got '%s'\n",
-                     a + 13);
-        return false;
-      }
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      if (!parse_count(a + 7, &seed_)) {
-        std::fprintf(stderr,
-                     "--seed: expected an unsigned integer, got '%s'\n",
-                     a + 7);
-        return false;
-      }
-      seed_set_ = true;
-    } else if (std::strncmp(a, "--scheduler=", 12) == 0) {
-      if (!parse_scheduler(a + 12, &scheduler_)) {
-        std::fprintf(stderr,
-                     "--scheduler: unknown value '%s' (expected frontier, "
-                     "linear or parallel)\n",
-                     a + 12);
-        return false;
-      }
-      scheduler_set_ = true;
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      std::uint64_t v = 0;
-      if (!parse_count(a + 10, &v) || v == 0 || v > 4096) {
-        std::fprintf(stderr,
-                     "--threads: expected a positive integer (<= 4096), "
-                     "got '%s'\n",
-                     a + 10);
-        return false;
-      }
-      threads_ = static_cast<unsigned>(v);
-    } else if (std::strncmp(a, "--ff=", 5) == 0) {
-      if (std::strcmp(a + 5, "on") == 0) {
-        ff_ = true;
-      } else if (std::strcmp(a + 5, "off") == 0) {
-        ff_ = false;
-      } else {
-        std::fprintf(stderr, "--ff: expected on or off\n");
-        return false;
-      }
-    } else if (std::strncmp(a, "--checkpoint-every=", 19) == 0) {
-      std::uint64_t v = 0;
-      if (!parse_count(a + 19, &v) || v == 0) {
-        std::fprintf(stderr,
-                     "--checkpoint-every: expected a positive cycle count, "
-                     "got '%s' (omit the flag to disable checkpointing)\n",
-                     a + 19);
-        return false;
-      }
-      checkpoint_every_ = v;
-    } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      std::uint64_t v = 0;
-      if (!parse_count(a + 7, &v) || v == 0 || v > 1024) {
-        std::fprintf(stderr,
-                     "--jobs: expected a positive worker count (<= 1024), "
-                     "got '%s'\n",
-                     a + 7);
-        return false;
-      }
-      jobs_ = static_cast<unsigned>(v);
-      jobs_set_ = true;
-    } else if (std::strcmp(a, "--trace") == 0 ||
-               std::strcmp(a, "--metrics-json") == 0 ||
-               std::strcmp(a, "--faults") == 0 ||
-               std::strcmp(a, "--fault-seed") == 0 ||
-               std::strcmp(a, "--seed") == 0 ||
-               std::strcmp(a, "--scheduler") == 0 ||
-               std::strcmp(a, "--threads") == 0 ||
-               std::strcmp(a, "--ff") == 0 ||
-               std::strcmp(a, "--checkpoint-every") == 0 ||
-               std::strcmp(a, "--jobs") == 0) {
-      std::fprintf(stderr, "%s needs a value (%s=...)\n", a, a);
-      return false;
-    }
+std::string count_expectation(std::uint64_t lo, std::uint64_t hi) {
+  if (hi != ~std::uint64_t{0}) {
+    return "expected an integer in [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "]";
   }
-  if (plan_.enabled) {
-    analytic_faults_.configure(plan_, seed_, fault_seed_);
-  }
-  return true;
+  return lo == 0 ? "expected an unsigned integer"
+                 : "expected an integer >= " + std::to_string(lo);
 }
 
-bool Harness::refuse(std::initializer_list<const char*> flags,
-                     const char* why) const {
-  for (const char* f : flags) {
-    if (std::find(given_.begin(), given_.end(), f) != given_.end()) {
-      std::fprintf(stderr, "%s: %s\n", f, why);
-      return false;
+Option text_flag(const char* name, const char* value, std::string* out) {
+  return {name, value, [out](const char* s, std::string*) {
+            *out = s;
+            return true;
+          }};
+}
+
+Option switch_flag(const char* name, bool* out, bool on) {
+  return {name, "", [out, on](const char*, std::string*) {
+            *out = on;
+            return true;
+          }};
+}
+
+Option Harness::shared_option(Shared s) {
+  switch (s) {
+    case kTrace: return text_flag("--trace", "FILE", &trace_path_);
+    case kMetricsJson:
+      return text_flag("--metrics-json", "FILE", &metrics_path_);
+    case kFaults:
+      return {"--faults", "SPEC", [this](const char* v, std::string* why) {
+                hwsim::FaultPlan plan;
+                if (!hwsim::FaultPlan::parse(v, &plan, why)) return false;
+                plan_ = plan;
+                return true;
+              }};
+    case kFaultSeed: return count_flag("--fault-seed", &fault_seed_);
+    case kSeed: return count_flag("--seed", &seed_);
+    case kScheduler:
+      return parsed_flag("--scheduler", "NAME", "frontier, linear or parallel",
+                         &parse_scheduler, &scheduler_);
+    case kThreads:
+      return count_flag("--threads", &threads_, 1, kMaxThreads);
+    case kFastForward:
+      return parsed_flag("--ff", "on|off", "on or off", &parse_on_off, &ff_);
+  }
+  return {};
+}
+
+bool Harness::parse(int argc, char** argv,
+                    std::initializer_list<Shared> shared,
+                    std::vector<Option> own) {
+  std::vector<Option> flags;
+  for (const Shared s : shared) flags.push_back(shared_option(s));
+  for (Option& o : own) flags.push_back(std::move(o));
+
+  auto fail = [&](const std::string& what) {
+    std::string usage = std::string("usage: ") + argv[0];
+    for (const Option& f : flags) {
+      usage += " [" + f.name + (f.value.empty() ? "" : "=" + f.value) + "]";
     }
+    std::fprintf(stderr, "%s\n%s\n", what.c_str(), usage.c_str());
+    return false;
+  };
+
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const auto f =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const Option& o) { return o.name == name; });
+    if (f == flags.end()) {
+      bool is_shared = false;
+      for (int s = kTrace; s <= kFastForward; ++s) {
+        is_shared |= shared_option(static_cast<Shared>(s)).name == name;
+      }
+      return fail(name + (is_shared ? ": not read by this binary"
+                                    : ": unknown flag"));
+    }
+    if (f->value.empty()) {
+      if (eq != std::string::npos) return fail(arg + ": takes no value");
+      f->set("", nullptr);
+      continue;
+    }
+    if (eq == std::string::npos || eq + 1 == arg.size()) {
+      return fail(name + ": needs a value (" + name + "=" + f->value + ")");
+    }
+    std::string why;
+    if (!f->set(arg.c_str() + eq + 1, &why)) return fail(arg + ": " + why);
   }
   return true;
 }
@@ -164,18 +165,15 @@ void Harness::attach(substrate::AnalyticSubstrate& sub,
   begin_run(label);
   sub.set_tracer(tracer());
   sub.set_metrics(metrics());
-  if (plan_.enabled) sub.set_fault_injector(&analytic_faults_);
 }
 
 void Harness::apply(hwsim::MachineConfig& mc) const {
-  mc.faults = plan_;
-  mc.fault_seed = fault_seed_;
-  if (seed_set_) mc.seed = seed_;
-  // Only override what the flags actually set: benches that sweep
-  // schedulers themselves assign mc.scheduler before/after apply().
-  if (scheduler_set_) mc.scheduler = scheduler_;
-  mc.threads = threads_;
-  mc.fast_forward.enabled = ff_;
+  if (plan_) mc.faults = *plan_;
+  if (fault_seed_) mc.fault_seed = *fault_seed_;
+  if (seed_) mc.seed = *seed_;
+  if (scheduler_) mc.scheduler = *scheduler_;
+  if (threads_) mc.threads = *threads_;
+  if (ff_) mc.fast_forward.enabled = *ff_;
 }
 
 bool Harness::finish() {

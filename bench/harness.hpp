@@ -1,14 +1,15 @@
-// The shared bench harness: one flag surface for every fig*/tab_*
-// binary. Replaces the old header-only obs_flags.hpp.
+// The shared bench harness: every fig*/tab_* bench and every tool
+// declares the command-line flags it reads, and parse() accepts exactly
+// those.
 //
+// Shared flags (a binary names the ones it reads, `bench::Shared`):
 //   --trace=FILE         Chrome trace of every attached run
 //   --metrics-json=FILE  metrics registry dump at exit
 //   --faults=SPEC        deterministic fault plan (fault_plan.hpp grammar)
 //   --fault-seed=N       explicit fault-stream seed (0 = derive)
 //   --seed=N             experiment seed (machines + analytic substrates)
-//   --scheduler=NAME     DES scheduler: frontier | linear | parallel
-//                        (unknown names are a usage error); parallel
-//                        is the per-core epoch engine, which the
+//   --scheduler=NAME     DES scheduler: frontier | linear | parallel;
+//                        parallel is the per-core epoch engine, which the
 //                        Nautilus, Linux, OpenMP and coherence layers
 //                        refuse by name
 //   --threads=N          host worker threads for --scheduler=parallel
@@ -16,26 +17,24 @@
 //                        skip-ahead over proven-quiet windows (default
 //                        off; results are bit-identical either way —
 //                        this is purely a wall-clock knob)
-//   --checkpoint-every=N capture a deterministic snapshot every N cycles
-//                        into a checkpoint list (tools/ttreplay,
-//                        tools/fault_bisect; omit the flag for off —
-//                        an explicit =0 is a usage error)
-//   --jobs=N             host worker pool size for batch consumers
-//                        (the scenario-server matrix tier; 0/unset =
-//                        the bench's own default)
 //
-// Every numeric flag is strictly validated: empty values, trailing
-// garbage, and signs are usage errors with a diagnostic, never
-// silently-wrapped garbage (strtoul happily wraps "-2" to 4e9).
+// A binary's own flags are `Option`s: a count with bounds, a string, a
+// switch, or a value read by a named strict parser. Anything else is a
+// usage error that names the argument: an unknown flag, a shared flag
+// the binary does not read, a malformed or out-of-range value, a value
+// flag given without a value, a switch given one. parse() then prints
+// the usage line built from the declaration and returns false, and the
+// binary exits 2 before it runs or writes anything.
 //
 // With no flags the benches run with null sinks, no faults, and their
 // built-in seeds — the default-off path the determinism guarantees are
-// stated against. All flags compose: a bench that attaches its machines
-// and substrates through the harness gets the full surface for free.
+// stated against.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,12 +46,33 @@
 
 namespace iw::bench {
 
+/// The flags the harness itself reads, in the header comment's order.
+enum Shared {
+  kTrace, kMetricsJson, kFaults, kFaultSeed, kSeed, kScheduler, kThreads,
+  kFastForward
+};
+
+/// One declared flag: `--NAME=VALUE`, or a bare `--NAME` switch when
+/// `value` is empty.
+struct Option {
+  std::string name;   ///< "--cores"
+  std::string value;  ///< usage placeholder ("N", "FILE", "A:B")
+  /// Store a well-formed value and return true; on a malformed one
+  /// return false and say what was expected in *why.
+  std::function<bool(const char* value, std::string* why)> set;
+};
+
 class Harness {
  public:
-  /// Consume the harness flags from argv (other arguments are ignored
-  /// so benches can keep their own). Returns false and prints a
-  /// diagnostic on a malformed flag.
-  bool parse(int argc, char** argv);
+  /// Largest --threads a binary accepts.
+  static constexpr std::uint64_t kMaxThreads = 4096;
+
+  /// Parse argv[1..argc) against the declaration: the shared flags
+  /// named in `shared` plus the binary's `own`. Returns false after
+  /// printing "<argument>: <why>" and the usage line on any argument
+  /// the declaration does not accept.
+  bool parse(int argc, char** argv, std::initializer_list<Shared> shared,
+             std::vector<Option> own = {});
 
   // --- observability sinks (null unless the matching flag was given) ---
   [[nodiscard]] obs::TraceRecorder* tracer() {
@@ -69,88 +89,102 @@ class Harness {
   /// Attach the requested sinks to a machine about to run.
   void attach(hwsim::Machine& m, const std::string& label);
 
-  /// Attach sinks (and the parsed fault plan, if any) to an analytic
-  /// substrate: the tab_* benches' path onto the shared fabric.
+  /// Attach the requested sinks to an analytic substrate: the tab_*
+  /// benches' path onto the shared fabric.
   void attach(substrate::AnalyticSubstrate& sub, const std::string& label);
 
-  // --- config plumbing ---
-  /// Install the fault plan, fault seed, and (only if --seed was given)
-  /// the experiment seed on a machine config.
+  /// Install on a machine config what the given flags set (fault plan,
+  /// fault seed, seed, scheduler, threads, fast-forward); every field
+  /// no flag set keeps the bench's value.
   void apply(hwsim::MachineConfig& mc) const;
 
   /// Experiment seed: --seed=N, else `fallback` (the bench's default).
   [[nodiscard]] std::uint64_t seed(std::uint64_t fallback = 42) const {
-    return seed_set_ ? seed_ : fallback;
+    return seed_.value_or(fallback);
   }
-  [[nodiscard]] bool seed_overridden() const { return seed_set_; }
 
-  [[nodiscard]] bool faults_enabled() const { return plan_.enabled; }
-  [[nodiscard]] const hwsim::FaultPlan& fault_plan() const { return plan_; }
+  [[nodiscard]] bool faults_enabled() const { return plan_.has_value(); }
 
   /// --scheduler=NAME, else `fallback` (the bench's default).
   [[nodiscard]] hwsim::SchedulerKind scheduler(
       hwsim::SchedulerKind fallback) const {
-    return scheduler_set_ ? scheduler_ : fallback;
-  }
-  [[nodiscard]] bool scheduler_overridden() const { return scheduler_set_; }
-  [[nodiscard]] unsigned threads() const { return threads_; }
-  [[nodiscard]] bool fast_forward() const { return ff_; }
-  /// --checkpoint-every=N snapshot cadence in cycles (0 = disabled).
-  [[nodiscard]] std::uint64_t checkpoint_every() const {
-    return checkpoint_every_;
-  }
-  /// --jobs=N host worker pool size, else `fallback`.
-  [[nodiscard]] unsigned jobs(unsigned fallback = 0) const {
-    return jobs_set_ ? jobs_ : fallback;
+    return scheduler_.value_or(fallback);
   }
 
-  /// Strict unsigned parse shared by every numeric flag: rejects empty
+  /// Strict unsigned parse shared by every count flag: rejects empty
   /// values, signs, and trailing garbage (strtoul would silently wrap
-  /// "-2" and stop at the first non-digit). Benches with their own
-  /// numeric flags should use this instead of raw strtoul.
+  /// "-2" and stop at the first non-digit).
   static bool parse_count(const char* s, std::uint64_t* out);
 
+  /// Strict finite real: rejects empty values, trailing garbage,
+  /// infinities and NaN.
+  static bool parse_real(const char* s, double* out);
+
   /// Parse a scheduler name ("frontier" | "linear" | "parallel");
-  /// returns false on anything else. Shared by every bench
-  /// that takes scheduler names positionally.
+  /// returns false on anything else.
   static bool parse_scheduler(const char* name, hwsim::SchedulerKind* out);
   [[nodiscard]] static const char* scheduler_name(hwsim::SchedulerKind k);
-
-  /// For a bench whose machines cannot honour some harness flags: if
-  /// any of `flags` (names such as "--ff") was given, print
-  /// "<flag>: <why>" and return false, which the bench turns into exit
-  /// status 2, as for a malformed flag.
-  [[nodiscard]] bool refuse(std::initializer_list<const char*> flags,
-                            const char* why) const;
 
   /// Write any requested output files; call once before exit.
   /// Returns false if a write failed.
   bool finish();
 
  private:
+  Option shared_option(Shared s);
+
   std::string trace_path_;
   std::string metrics_path_;
   obs::TraceRecorder tracer_;
   obs::MetricsRegistry metrics_;
 
-  hwsim::FaultPlan plan_;
-  std::uint64_t fault_seed_{0};
-  /// The injector handed to analytic substrates (machines own theirs).
-  hwsim::FaultInjector analytic_faults_;
-
-  std::uint64_t seed_{42};
-  bool seed_set_{false};
-
-  hwsim::SchedulerKind scheduler_{hwsim::SchedulerKind::kFrontier};
-  bool scheduler_set_{false};
-  unsigned threads_{1};
-  bool ff_{false};
-  std::uint64_t checkpoint_every_{0};
-  unsigned jobs_{0};
-  bool jobs_set_{false};
-  /// The name part ("--faults", ...) of every NAME=VALUE argument
-  /// parse() saw.
-  std::vector<std::string> given_;
+  // Each holds a value only if its flag was given.
+  std::optional<hwsim::FaultPlan> plan_;
+  std::optional<std::uint64_t> fault_seed_;
+  std::optional<std::uint64_t> seed_;
+  std::optional<hwsim::SchedulerKind> scheduler_;
+  std::optional<unsigned> threads_;
+  std::optional<bool> ff_;
 };
+
+/// What a count flag with bounds [lo, hi] expects, for its diagnostic.
+std::string count_expectation(std::uint64_t lo, std::uint64_t hi);
+
+/// --NAME=N, an integer in [lo, hi], stored into *out.
+template <class T>
+Option count_flag(const char* name, T* out, std::uint64_t lo = 0,
+                  std::uint64_t hi = ~std::uint64_t{0}) {
+  return {name, "N", [=](const char* s, std::string* why) {
+            std::uint64_t v = 0;
+            if (Harness::parse_count(s, &v) && v >= lo && v <= hi) {
+              *out = static_cast<T>(v);
+              return true;
+            }
+            *why = count_expectation(lo, hi);
+            return false;
+          }};
+}
+
+/// --NAME=VALUE, stored as given (an output path, for instance).
+Option text_flag(const char* name, const char* value, std::string* out);
+
+/// Bare --NAME: stores `on` into *out.
+Option switch_flag(const char* name, bool* out, bool on = true);
+
+/// --NAME=VALUE read by `parse`, a strict parser that returns false on
+/// malformed input; the result is stored into *out. `expect` says what
+/// a well-formed value is, for the diagnostic.
+template <class T, class U>
+Option parsed_flag(const char* name, const char* value, const char* expect,
+                   bool (*parse)(const char*, T*), U* out) {
+  return {name, value, [=](const char* s, std::string* why) {
+            T v{};
+            if (parse(s, &v)) {
+              *out = v;
+              return true;
+            }
+            *why = std::string("expected ") + expect;
+            return false;
+          }};
+}
 
 }  // namespace iw::bench

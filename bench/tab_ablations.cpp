@@ -233,7 +233,11 @@ void ablation_dynamic_schedule() {
 }
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv)) return 2;
+  if (!harness.parse(argc, argv,
+                     {bench::kTrace, bench::kMetricsJson, bench::kFaults,
+                      bench::kFaultSeed, bench::kSeed, bench::kScheduler})) {
+    return 2;
+  }
   std::printf("== design-choice ablations ==\n\n");
   ablation_chunk();
   ablation_timing_budget();

@@ -113,7 +113,10 @@ void simulated_substrate_section() {
 }
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv)) return 2;
+  if (!harness.parse(argc, argv,
+                     {bench::kTrace, bench::kMetricsJson, bench::kSeed})) {
+    return 2;
+  }
   constexpr int kReps = 9;
   std::vector<KernelRow> rows;
 

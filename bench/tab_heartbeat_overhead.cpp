@@ -111,7 +111,9 @@ double forkjoin_overhead(bool linux_stack, double target_us) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv)) return 2;
+  if (!harness.parse(argc, argv, {bench::kTrace, bench::kMetricsJson})) {
+    return 2;
+  }
   const std::vector<Workload> workloads = {
       {"fine-grain-loop", 18, 32},
       {"mid-grain-loop", 30, 64},

@@ -27,7 +27,6 @@ double per_barrier_cycles(omp::OmpMode mode, unsigned threads,
   harness.begin_run(std::string("epcc/") + omp::mode_name(mode));
   cfg.tracer = harness.tracer();
   cfg.metrics = harness.metrics();
-  cfg.seed = harness.seed(cfg.seed);
   cfg.scheduler = harness.scheduler(cfg.scheduler);
   const auto res = omp::run_miniapp(app, cfg);
   // Subtract the pure work component.
@@ -40,10 +39,8 @@ double per_barrier_cycles(omp::OmpMode mode, unsigned threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv) ||
-      !harness.refuse({"--faults", "--fault-seed", "--threads", "--ff"},
-                      "run_miniapp's private machine takes no fault plan, "
-                      "host-thread count or fast-forward setting")) {
+  if (!harness.parse(argc, argv,
+                     {bench::kTrace, bench::kMetricsJson, bench::kScheduler})) {
     return 2;
   }
   std::printf("== EPCC-style sync overheads (cycles per construct) ==\n");

@@ -12,7 +12,10 @@ using namespace iw::pipeline;
 
 int main(int argc, char** argv) {
   bench::Harness harness;
-  if (!harness.parse(argc, argv)) return 2;
+  if (!harness.parse(argc, argv,
+                     {bench::kTrace, bench::kMetricsJson, bench::kSeed})) {
+    return 2;
+  }
   // The whole sweep replays on one analytic core: --trace shows every
   // delivered interrupt as a span, --seed steers the branchy stream.
   substrate::AnalyticSubstrate sub(1, harness.seed());

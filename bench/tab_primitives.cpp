@@ -150,7 +150,9 @@ Primitives measure(bool linux_stack) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv)) return 2;
+  if (!harness.parse(argc, argv, {bench::kTrace, bench::kMetricsJson})) {
+    return 2;
+  }
   const auto linux = measure(true);
   const auto naut = measure(false);
   std::printf("== kernel primitives (cycles, KNL model) ==\n");

@@ -52,8 +52,10 @@ void run_spec(const char* fn_name, const GuestFn& fn,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!harness.parse(argc, argv)) return 2;
-  substrate::AnalyticSubstrate sub(1, harness.seed());
+  if (!harness.parse(argc, argv, {bench::kTrace, bench::kMetricsJson})) {
+    return 2;
+  }
+  substrate::AnalyticSubstrate sub(1);
   harness.attach(sub, "virtine-startup");
   g_sub = &sub;
   std::printf("== virtine start-up latency (us, 1 GHz cost reference) ==\n");

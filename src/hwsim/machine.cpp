@@ -353,11 +353,6 @@ Machine::Pick Machine::linear_peek() {
   return best;
 }
 
-Cycles Machine::next_event_time() {
-  return cfg_.scheduler == SchedulerKind::kFrontier ? frontier_peek().time
-                                                    : linear_peek().time;
-}
-
 void Machine::run_machine_event() {
   ++advances_;
   ExecScope scope(*this, 0);

@@ -271,10 +271,6 @@ class Machine final : public substrate::StackSubstrate {
     return m;
   }
 
-  /// Earliest pending action time across the machine queue and all
-  /// cores; kNever when quiescent. Amortized O(log N) in frontier mode.
-  [[nodiscard]] Cycles next_event_time();
-
   /// Send an inter-processor interrupt from `from`'s current time.
   /// Pays the send cost on the sender and latency in the fabric.
   /// Returns the fabric's verdict on the delivery attempt.
@@ -319,9 +315,6 @@ class Machine final : public substrate::StackSubstrate {
                   "event dispatched to an unregistered sink id");
     return event_sinks_[id];
   }
-  [[nodiscard]] std::size_t event_sink_count() const {
-    return event_sinks_.size();
-  }
 
   /// Register a timer sink so queued timer fires gain a portable
   /// identity (the snapshot stores the id; restore maps it back to the
@@ -337,9 +330,6 @@ class Machine final : public substrate::StackSubstrate {
   }
   /// Reverse lookup (cold: linear; used only at snapshot boundaries).
   [[nodiscard]] SinkId timer_sink_id(const TimerSink* s) const;
-  [[nodiscard]] std::size_t timer_sink_count() const {
-    return timer_sinks_.size();
-  }
 
   /// Next event sequence number for the current execution context:
   /// (per-source counter << 16) | source. Same-time events order by
@@ -511,9 +501,6 @@ class Machine final : public substrate::StackSubstrate {
   /// constructors; test and tool drivers register manually.
   void register_snapshot_participant(SnapshotParticipant* p);
   void unregister_snapshot_participant(SnapshotParticipant* p);
-  [[nodiscard]] std::size_t snapshot_participants() const {
-    return participants_.size();
-  }
 
   /// Swap in a new fault plan + fault-stream seed between runs. The
   /// injector's streams are reseeded from scratch (counters, RNG

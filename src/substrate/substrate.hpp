@@ -120,8 +120,8 @@ inline constexpr const char* kFastForwardSpan = "ff.skip";
 
 /// Standalone substrate for the analytic models: a per-core clock
 /// vector, attachable sinks, and the shared RNG-stream derivation.
-/// This is what gives the tab_* benches --trace/--metrics-json/--faults
-/// without a DES underneath.
+/// This is what gives the tab_* benches --trace/--metrics-json without a
+/// DES underneath.
 class AnalyticSubstrate final : public StackSubstrate {
  public:
   explicit AnalyticSubstrate(unsigned num_cores, std::uint64_t seed = 42);

@@ -20,15 +20,16 @@
 // the same minimal set and reports the wall-clock ratio — that ratio is
 // the number CI guards (BENCH_bisect.json, --profile=bisect).
 //
-// Flags (on top of the shared bench harness surface):
-//   --cores=N --horizon=T --period=P --gap-factor=F --min-events=N
-//   --out=FILE --smoke --selftest
+// Flags: the harness's --faults (default: kDefaultSpec below),
+// --fault-seed, --seed, --scheduler, --threads and --ff for the
+// machine, plus --cores=N --horizon=T --period=P --checkpoint-every=N
+// --gap-factor=F --min-events=N --out=FILE --smoke, or --selftest
+// alone. Any other argument is a usage error.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,6 +55,11 @@ struct Options {
   bool smoke{false};
   bool selftest{false};
 };
+
+/// --gap-factor=F: a finite real > 0.
+bool parse_gap_factor(const char* s, double* out) {
+  return bench::Harness::parse_real(s, out) && *out > 0.0;
+}
 
 /// The default failing plan: a dense fault window late in the horizon
 /// (the shape of the BENCH_fault_sweep p99 outlier — a long healthy
@@ -249,31 +255,25 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-int run(const Options& opt, iw::bench::Harness& hx) {
+int run(const Options& opt, const bench::Harness& hx) {
   hwsim::MachineConfig mc;
   mc.num_cores = opt.cores;
-  mc.scheduler = hx.scheduler(hwsim::SchedulerKind::kFrontier);
-  mc.threads = hx.threads();
-  mc.fast_forward.enabled = hx.fast_forward();
   mc.max_advances = ~std::uint64_t{0};
-  mc.seed = hx.seed(42);
-
-  hwsim::FaultPlan plan = hx.fault_plan();
-  if (!plan.enabled) {
+  hx.apply(mc);
+  if (!mc.faults.enabled) {
     std::string err;
-    if (!hwsim::FaultPlan::parse(kDefaultSpec, &plan, &err)) {
+    if (!hwsim::FaultPlan::parse(kDefaultSpec, &mc.faults, &err)) {
       std::fprintf(stderr, "fault_bisect: default plan: %s\n", err.c_str());
       return 2;
     }
   }
+  const hwsim::FaultPlan plan = mc.faults;
 
   // Phase 1: probabilistic run, recording every armed event.
   std::vector<hwsim::FaultEvent> events;
   double baseline_gap = 0.0;
   {
-    hwsim::MachineConfig rec_mc = mc;
-    rec_mc.faults = plan;
-    hwsim::Machine m(rec_mc);
+    hwsim::Machine m(mc);
     m.fault_injector().set_recording(true);
     ReplayWorkload w(m, opt.period, false);
     if (!m.run_until(opt.horizon)) {
@@ -302,7 +302,8 @@ int run(const Options& opt, iw::bench::Harness& hx) {
               events.size(), baseline_gap);
 
   // Phase 2: scripted baseline with checkpoints.
-  hwsim::MachineConfig script_mc = mc;  // faults installed via set_script
+  hwsim::MachineConfig script_mc = mc;
+  script_mc.faults = hwsim::FaultPlan{};  // installed via set_script
   BisectSession session(script_mc, plan, events, opt);
   if (!session.full_script_fails()) {
     std::fprintf(stderr,
@@ -426,31 +427,29 @@ int run(const Options& opt, iw::bench::Harness& hx) {
 }  // namespace iw::tools
 
 int main(int argc, char** argv) {
-  iw::bench::Harness hx;
-  if (!hx.parse(argc, argv)) return 2;
+  using namespace iw::bench;
+  Harness hx;
   iw::tools::Options opt;
-  if (hx.checkpoint_every() != 0) opt.every = hx.checkpoint_every();
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--cores=", 8) == 0) {
-      opt.cores = static_cast<unsigned>(std::strtoul(a + 8, nullptr, 10));
-    } else if (std::strncmp(a, "--horizon=", 10) == 0) {
-      opt.horizon = std::strtoull(a + 10, nullptr, 10);
-    } else if (std::strncmp(a, "--period=", 9) == 0) {
-      opt.period = std::strtoull(a + 9, nullptr, 10);
-    } else if (std::strncmp(a, "--gap-factor=", 13) == 0) {
-      opt.gap_factor = std::strtod(a + 13, nullptr);
-    } else if (std::strncmp(a, "--min-events=", 13) == 0) {
-      opt.min_events = std::strtoull(a + 13, nullptr, 10);
-    } else if (std::strncmp(a, "--out=", 6) == 0) {
-      opt.out = a + 6;
-    } else if (std::strcmp(a, "--smoke") == 0) {
-      opt.smoke = true;
-    } else if (std::strcmp(a, "--selftest") == 0) {
-      opt.selftest = true;
-    }
+  if (!hx.parse(argc, argv,
+                {kFaults, kFaultSeed, kSeed, kScheduler, kThreads,
+                 kFastForward},
+                {count_flag("--cores", &opt.cores, 1, 4096),
+                 count_flag("--horizon", &opt.horizon, 1),
+                 count_flag("--period", &opt.period, 1),
+                 count_flag("--checkpoint-every", &opt.every, 1),
+                 parsed_flag("--gap-factor", "F", "a real number > 0",
+                             &iw::tools::parse_gap_factor, &opt.gap_factor),
+                 count_flag("--min-events", &opt.min_events),
+                 text_flag("--out", "FILE", &opt.out),
+                 switch_flag("--smoke", &opt.smoke),
+                 switch_flag("--selftest", &opt.selftest)})) {
+    return 2;
   }
   if (opt.selftest) {
+    if (argc != 2) {
+      std::fprintf(stderr, "--selftest: runs alone, takes no other flag\n");
+      return 2;
+    }
     // Small enough for ctest, still end-to-end: record, checkpoint,
     // ddmin both ways, verify the minimal set.
     opt.cores = 4;
@@ -458,11 +457,11 @@ int main(int argc, char** argv) {
     opt.every = 100'000;
     opt.min_events = 20;
     opt.smoke = true;
-    iw::bench::Harness self;
+    Harness self;
     char prog[] = "fault_bisect";
     char faults[] = "--faults=drop=0.4,stall=0.01:300,window=700000-1100000";
     char* self_argv[] = {prog, faults, nullptr};
-    if (!self.parse(2, self_argv)) return 2;
+    if (!self.parse(2, self_argv, {kFaults})) return 2;
     return iw::tools::run(opt, self);
   }
   return iw::tools::run(opt, hx);

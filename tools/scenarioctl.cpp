@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "hwsim/machine.hpp"
 #include "hwsim/snapshot.hpp"
 #include "scenarioserver/server.hpp"
@@ -35,14 +36,11 @@ using namespace iw::scenarioserver;
 namespace {
 
 int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s run [--cores=N] [--warm-rounds=N] [--run-rounds=N]\n"
-      "              [--drops=P,P,...] [--seeds=N] [--strategies=all|seq]\n"
-      "              [--workers=N] [--out=FILE.jsonl]\n"
-      "       %s summarize FILE.jsonl\n"
-      "       %s --selftest\n",
-      argv0, argv0, argv0);
+  std::fprintf(stderr,
+               "usage: %s run [FLAG...]\n"
+               "       %s summarize FILE.jsonl\n"
+               "       %s --selftest\n",
+               argv0, argv0, argv0);
   return 2;
 }
 
@@ -57,28 +55,25 @@ struct RunOptions {
   std::string out{"scenarios.jsonl"};
 };
 
-bool parse_u64(const char* s, std::uint64_t* out) {
-  if (*s == '\0' || *s == '-') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
+/// --drops=P,P,...: one or more drop rates in [0, 1].
 bool parse_drops(const char* s, std::vector<double>* out) {
-  out->clear();
   std::stringstream ss(s);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0' || v < 0.0 || v > 1.0) {
+    double v = 0.0;
+    if (!bench::Harness::parse_real(item.c_str(), &v) || v < 0.0 ||
+        v > 1.0) {
       return false;
     }
     out->push_back(v);
   }
   return !out->empty();
+}
+
+/// --strategies=all|seq: every execution strategy, or the frontier only.
+bool parse_strategies(const char* s, bool* all) {
+  *all = std::strcmp(s, "all") == 0;
+  return *all || std::strcmp(s, "seq") == 0;
 }
 
 class ReplayHarness final : public ScenarioHarness {
@@ -303,48 +298,32 @@ int selftest() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--selftest") == 0) {
+  if (argc == 2 && std::strcmp(argv[1], "--selftest") == 0) {
     return selftest();
   }
-  if (argc >= 3 && std::strcmp(argv[1], "summarize") == 0) {
+  if (argc == 3 && std::strcmp(argv[1], "summarize") == 0) {
     return cmd_summarize(argv[2]);
   }
   if (argc >= 2 && std::strcmp(argv[1], "run") == 0) {
+    // Parse run's flags under the name "scenarioctl run".
+    std::string prog = std::string(argv[0]) + " run";
+    argv[1] = prog.data();
     RunOptions opt;
-    for (int i = 2; i < argc; ++i) {
-      const char* a = argv[i];
-      std::uint64_t v = 0;
-      if (std::strncmp(a, "--cores=", 8) == 0 && parse_u64(a + 8, &v) &&
-          v >= 1 && v <= 1024) {
-        opt.cores = static_cast<unsigned>(v);
-      } else if (std::strncmp(a, "--warm-rounds=", 14) == 0 &&
-                 parse_u64(a + 14, &v) && v >= 1) {
-        opt.warm_rounds = v;
-      } else if (std::strncmp(a, "--run-rounds=", 13) == 0 &&
-                 parse_u64(a + 13, &v) && v >= 1) {
-        opt.run_rounds = v;
-      } else if (std::strncmp(a, "--drops=", 8) == 0) {
-        if (!parse_drops(a + 8, &opt.drops)) {
-          std::fprintf(stderr,
-                       "scenarioctl: bad --drops (want P,P,... in [0,1])\n");
-          return usage(argv[0]);
-        }
-      } else if (std::strncmp(a, "--seeds=", 8) == 0 && parse_u64(a + 8, &v) &&
-                 v >= 1) {
-        opt.seeds = v;
-      } else if (std::strcmp(a, "--strategies=all") == 0) {
-        opt.all_strategies = true;
-      } else if (std::strcmp(a, "--strategies=seq") == 0) {
-        opt.all_strategies = false;
-      } else if (std::strncmp(a, "--workers=", 10) == 0 &&
-                 parse_u64(a + 10, &v) && v >= 1 && v <= 256) {
-        opt.workers = static_cast<unsigned>(v);
-      } else if (std::strncmp(a, "--out=", 6) == 0 && a[6] != '\0') {
-        opt.out = a + 6;
-      } else {
-        std::fprintf(stderr, "scenarioctl: bad argument: %s\n", a);
-        return usage(argv[0]);
-      }
+    bench::Harness hx;
+    if (!hx.parse(argc - 1, argv + 1, {},
+                  {bench::count_flag("--cores", &opt.cores, 1, 1024),
+                   bench::count_flag("--warm-rounds", &opt.warm_rounds, 1),
+                   bench::count_flag("--run-rounds", &opt.run_rounds, 1),
+                   bench::parsed_flag("--drops", "P,P,...",
+                                      "drop rates in [0, 1]", &parse_drops,
+                                      &opt.drops),
+                   bench::count_flag("--seeds", &opt.seeds, 1),
+                   bench::parsed_flag("--strategies", "all|seq",
+                                      "all or seq", &parse_strategies,
+                                      &opt.all_strategies),
+                   bench::count_flag("--workers", &opt.workers, 1, 256),
+                   bench::text_flag("--out", "FILE.jsonl", &opt.out)})) {
+      return 2;
     }
     return cmd_run(opt);
   }

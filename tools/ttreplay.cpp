@@ -16,16 +16,19 @@
 //                       never diverge (that is the determinism
 //                       guarantee); fault seeds legitimately do, and the
 //                       divergent window is where to start reading.
-//   --selftest          exercise all of the above on a small config.
+//   --selftest          exercise all of the above on a small config
+//                       (alone: with any other flag it is a usage error).
 //
-// Shares the bench harness flag surface (--faults, --seed, --scheduler,
-// --threads, --ff, --checkpoint-every, ...).
+// The machine takes the harness's --faults, --fault-seed, --seed,
+// --scheduler, --threads and --ff; --cores, --horizon, --period and
+// --checkpoint-every size the run. Any other argument is a usage error.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,18 +56,29 @@ std::uint64_t trace_hash(const obs::TraceRecorder& tr) {
   return h;
 }
 
+/// A cycle window [a, b).
+struct Window {
+  Cycles a{0};
+  Cycles b{0};
+};
+
+/// --replay=A:B: two cycle counts with A < B.
+bool parse_window(const char* s, Window* out) {
+  const char* colon = std::strchr(s, ':');
+  if (colon == nullptr) return false;
+  const std::string a(s, colon);
+  return bench::Harness::parse_count(a.c_str(), &out->a) &&
+         bench::Harness::parse_count(colon + 1, &out->b) && out->a < out->b;
+}
+
 struct Options {
   unsigned cores{8};
   Cycles horizon{2'000'000};
   Cycles period{20'000};
   Cycles every{100'000};
-  bool have_replay{false};
-  Cycles replay_a{0};
-  Cycles replay_b{0};
-  bool have_vs_sched{false};
-  hwsim::SchedulerKind vs_sched{hwsim::SchedulerKind::kLinearScan};
-  bool have_vs_fault_seed{false};
-  std::uint64_t vs_fault_seed{0};
+  std::optional<Window> replay;
+  std::optional<hwsim::SchedulerKind> vs_sched;
+  std::optional<std::uint64_t> vs_fault_seed;
   bool selftest{false};
 };
 
@@ -137,14 +151,10 @@ class Session {
 };
 
 hwsim::MachineConfig base_config(const Options& opt,
-                                 iw::bench::Harness& hx) {
+                                 const bench::Harness& hx) {
   hwsim::MachineConfig mc;
   mc.num_cores = opt.cores;
-  mc.scheduler = hx.scheduler(hwsim::SchedulerKind::kFrontier);
-  mc.threads = hx.threads();
-  mc.fast_forward.enabled = hx.fast_forward();
   mc.max_advances = ~std::uint64_t{0};
-  mc.seed = hx.seed(42);
   hx.apply(mc);
   return mc;
 }
@@ -162,16 +172,16 @@ long first_divergent_window(const Session& a, const Session& b) {
   return -1;
 }
 
-int run(const Options& opt, iw::bench::Harness& hx) {
+int run(const Options& opt, const bench::Harness& hx) {
   const hwsim::MachineConfig mc = base_config(opt, hx);
   Session base(mc, opt);
   std::printf("forward pass: %zu windows of %" PRIu64 " cycles\n",
               base.window_hashes().size(), opt.every);
 
   int rc = 0;
-  if (opt.have_replay) {
-    const Cycles a = opt.replay_a;
-    const Cycles b = std::min(opt.replay_b, opt.horizon);
+  if (opt.replay) {
+    const Cycles a = opt.replay->a;
+    const Cycles b = std::min(opt.replay->b, opt.horizon);
     const std::uint64_t h1 = base.replay(a, b);
     const std::uint64_t h2 = base.replay(a, b);
     const bool stable = h1 == h2;
@@ -190,15 +200,15 @@ int run(const Options& opt, iw::bench::Harness& hx) {
     }
   }
 
-  if (opt.have_vs_sched || opt.have_vs_fault_seed) {
+  if (opt.vs_sched || opt.vs_fault_seed) {
     hwsim::MachineConfig alt = mc;
     const char* what = "";
-    if (opt.have_vs_sched) {
-      alt.scheduler = opt.vs_sched;
+    if (opt.vs_sched) {
+      alt.scheduler = *opt.vs_sched;
       what = "scheduler";
     }
-    if (opt.have_vs_fault_seed) {
-      alt.fault_seed = opt.vs_fault_seed;
+    if (opt.vs_fault_seed) {
+      alt.fault_seed = *opt.vs_fault_seed;
       what = "fault seed";
     }
     Session other(alt, opt);
@@ -219,7 +229,7 @@ int run(const Options& opt, iw::bench::Harness& hx) {
       std::printf("  paranoid replay: base %016" PRIx64 " vs alt %016"
                   PRIx64 " -> %s\n",
                   hb, ho, hb == ho ? "CONVERGED (suspicious)" : "diverged");
-      if (opt.have_vs_sched && !opt.have_vs_fault_seed) {
+      if (opt.vs_sched && !opt.vs_fault_seed) {
         std::fprintf(stderr,
                      "ttreplay: scheduler change diverged — determinism "
                      "violation\n");
@@ -242,12 +252,12 @@ int selftest() {
     if (!ok) ++failures;
   };
 
-  iw::bench::Harness hx;
+  bench::Harness hx;
   {
     char prog[] = "ttreplay";
     char faults[] = "--faults=drop=0.2,jitter=0.2:300";
     char* argv[] = {prog, faults, nullptr};
-    if (!hx.parse(2, argv)) return 2;
+    if (!hx.parse(2, argv, {bench::kFaults})) return 2;
   }
   const hwsim::MachineConfig mc = base_config(opt, hx);
   Session base(mc, opt);
@@ -304,41 +314,31 @@ int selftest() {
 }  // namespace iw::tools
 
 int main(int argc, char** argv) {
-  iw::bench::Harness hx;
-  if (!hx.parse(argc, argv)) return 2;
+  using namespace iw::bench;
+  Harness hx;
   iw::tools::Options opt;
-  if (hx.checkpoint_every() != 0) opt.every = hx.checkpoint_every();
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--cores=", 8) == 0) {
-      opt.cores = static_cast<unsigned>(std::strtoul(a + 8, nullptr, 10));
-    } else if (std::strncmp(a, "--horizon=", 10) == 0) {
-      opt.horizon = std::strtoull(a + 10, nullptr, 10);
-    } else if (std::strncmp(a, "--period=", 9) == 0) {
-      opt.period = std::strtoull(a + 9, nullptr, 10);
-    } else if (std::strncmp(a, "--replay=", 9) == 0) {
-      char* colon = nullptr;
-      opt.replay_a = std::strtoull(a + 9, &colon, 10);
-      if (colon == nullptr || *colon != ':') {
-        std::fprintf(stderr, "--replay: expected A:B cycle range\n");
-        return 2;
-      }
-      opt.replay_b = std::strtoull(colon + 1, nullptr, 10);
-      opt.have_replay = true;
-    } else if (std::strncmp(a, "--vs-scheduler=", 15) == 0) {
-      if (!iw::bench::Harness::parse_scheduler(a + 15, &opt.vs_sched)) {
-        std::fprintf(stderr, "--vs-scheduler: unknown scheduler '%s'\n",
-                     a + 15);
-        return 2;
-      }
-      opt.have_vs_sched = true;
-    } else if (std::strncmp(a, "--vs-fault-seed=", 16) == 0) {
-      opt.vs_fault_seed = std::strtoull(a + 16, nullptr, 10);
-      opt.have_vs_fault_seed = true;
-    } else if (std::strcmp(a, "--selftest") == 0) {
-      opt.selftest = true;
-    }
+  if (!hx.parse(argc, argv,
+                {kFaults, kFaultSeed, kSeed, kScheduler, kThreads,
+                 kFastForward},
+                {count_flag("--cores", &opt.cores, 1, 4096),
+                 count_flag("--horizon", &opt.horizon, 1),
+                 count_flag("--period", &opt.period, 1),
+                 count_flag("--checkpoint-every", &opt.every, 1),
+                 parsed_flag("--replay", "A:B", "cycles A:B with A < B",
+                             &iw::tools::parse_window, &opt.replay),
+                 parsed_flag("--vs-scheduler", "NAME",
+                             "frontier, linear or parallel",
+                             &Harness::parse_scheduler, &opt.vs_sched),
+                 count_flag("--vs-fault-seed", &opt.vs_fault_seed),
+                 switch_flag("--selftest", &opt.selftest)})) {
+    return 2;
   }
-  if (opt.selftest) return iw::tools::selftest();
+  if (opt.selftest) {
+    if (argc != 2) {
+      std::fprintf(stderr, "--selftest: runs alone, takes no other flag\n");
+      return 2;
+    }
+    return iw::tools::selftest();
+  }
   return iw::tools::run(opt, hx);
 }
