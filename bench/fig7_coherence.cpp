@@ -43,7 +43,11 @@ int main(int argc, char** argv) {
               "energy_cut", "dir_lookups", "invals_base", "invals_deact");
 
   std::vector<double> speedups, cuts;
-  for (const auto& trace : workloads::pbbs_suite(p)) {
+  // One trace alive at a time: the five together hold ~250 MB.
+  for (auto* kernel : {&workloads::pbbs_map, &workloads::pbbs_reduce,
+                       &workloads::pbbs_filter, &workloads::pbbs_bfs,
+                       &workloads::pbbs_sort}) {
+    const coherence::Trace trace = kernel(p);
     // Each kernel runs on its own substrate timeline: misses show up as
     // spans per core under --trace, and coherence.* counters accumulate.
     substrate::AnalyticSubstrate sub(p.cores, p.seed);

@@ -338,6 +338,45 @@ void BM_CoherenceAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CoherenceAccess);
 
+// Fig. 7's regime, where BM_CoherenceAccess's caches are nearly empty:
+// 24 cores with 64 KiB 8-way caches each read 8-byte elements of a
+// private array four times its cache in order, so every set is full and
+// each line takes one miss (an eviction) and then seven MRU hits. Cores
+// take accesses in turn.
+void BM_CoherenceSweep(benchmark::State& state) {
+  constexpr unsigned kCores = 24;
+  constexpr std::uint64_t kElem = 8, kArrayBytes = 256 * 1024;
+  coherence::SimConfig cfg;
+  cfg.num_cores = kCores;
+  cfg.noc.num_cores = kCores;
+  cfg.private_cache = coherence::CacheConfig{64 * 1024, 8, 64};
+  coherence::CoherenceSim sim(cfg, Rng(1));
+  std::vector<coherence::Region> regions(kCores);
+  for (unsigned c = 0; c < kCores; ++c) {
+    coherence::Region& r = regions[c];
+    r.id = c;
+    r.base = 0x2000'0000 + static_cast<Addr>(c) * 0x0100'0000;
+    r.size = kArrayBytes;
+    r.cls = coherence::RegionClass::kTaskPrivate;
+  }
+  unsigned core = 0;
+  std::uint64_t offset = 0;
+  for (auto _ : state) {
+    const coherence::Region& r = regions[core];
+    coherence::Access a;
+    a.core = core;
+    a.type = coherence::AccessType::kRead;
+    a.addr = r.base + offset;
+    a.region = r.id;
+    benchmark::DoNotOptimize(sim.access(a, r));
+    if (++core == kCores) {
+      core = 0;
+      offset = (offset + kElem) % kArrayBytes;
+    }
+  }
+}
+BENCHMARK(BM_CoherenceSweep);
+
 void BM_GuardCheckFull(benchmark::State& state) {
   carat::FullGuard g;
   std::vector<double> buf(4096);

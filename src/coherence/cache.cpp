@@ -1,6 +1,8 @@
 #include "coherence/cache.hpp"
 
 #include <bit>
+#include <memory>
+#include <new>
 
 #include "common/assert.hpp"
 
@@ -32,8 +34,8 @@ PrivateCache::PrivateCache(CacheConfig cfg) : cfg_(cfg) {
       cfg.size_bytes / (cfg.line_size * cfg.associativity));
   IW_ASSERT(num_sets_ >= 1 && std::has_single_bit(num_sets_));
   line_shift_ = static_cast<unsigned>(std::countr_zero(cfg.line_size));
-  lines_.assign(static_cast<std::size_t>(num_sets_) * cfg.associativity,
-                CacheLine{});
+  lines_.reset(static_cast<CacheLine*>(::operator new(
+      std::size_t{num_sets_} * cfg.associativity * sizeof(CacheLine))));
   // Any initial order will do: a way is first touched by the insert
   // that makes it valid, and the victim rule reads the order only when
   // every way is valid.
@@ -41,11 +43,11 @@ PrivateCache::PrivateCache(CacheConfig cfg) : cfg_(cfg) {
   for (unsigned w = 0; w < cfg.associativity; ++w) {
     identity |= std::uint64_t{w} << (4 * w);
   }
-  recency_.assign(num_sets_, identity);
+  sets_.assign(num_sets_, SetHeader{identity, 0, false});
 }
 
-void PrivateCache::touch(std::size_t set, unsigned way) {
-  std::uint64_t& order = recency_[set];
+void PrivateCache::touch(SetHeader& h, unsigned way) {
+  std::uint64_t& order = h.order;
   // Position of `way`: the lowest 4-bit field equal to it. The bit trick
   // flags the lowest zero field of `x` exactly (only fields above a zero
   // field can be flagged falsely), and fields at or above associativity
@@ -62,12 +64,23 @@ void PrivateCache::touch(std::size_t set, unsigned way) {
 CacheLine* PrivateCache::find(Addr addr) {
   const Addr line = line_addr(addr);
   const std::size_t set = set_index(line);
-  CacheLine* ways = &lines_[set * cfg_.associativity];
-  for (unsigned w = 0; w < cfg_.associativity; ++w) {
-    if (ways[w].tag == line && ways[w].state != LineState::kInvalid) {
-      touch(set, w);
+  SetHeader& h = sets_[set];
+  // A hit on the way at the front of the order leaves the order as it
+  // is. Without duplicates at most one valid way matches, so that way
+  // is also the lowest match.
+  const unsigned mru = static_cast<unsigned>(h.order & 0xF);
+  if (!h.duplicate && (h.valid >> mru & 1u) != 0 &&
+      way(mru, set).tag == line) {
+    ++hits_;
+    return &way(mru, set);
+  }
+  for (unsigned m = h.valid; m != 0; m &= m - 1) {
+    const auto w = static_cast<unsigned>(std::countr_zero(m));
+    CacheLine& l = way(w, set);
+    if (l.tag == line) {
+      touch(h, w);
       ++hits_;
-      return &ways[w];
+      return &l;
     }
   }
   ++misses_;
@@ -78,41 +91,52 @@ std::optional<CacheLine> PrivateCache::insert(Addr addr, LineState state,
                                               std::uint32_t region) {
   const Addr line = line_addr(addr);
   const std::size_t set = set_index(line);
-  CacheLine* ways = &lines_[set * cfg_.associativity];
-  // Prefer an invalid way; else evict the least recently touched.
-  unsigned victim = static_cast<unsigned>(
-      (recency_[set] >> (4 * (cfg_.associativity - 1))) & 0xF);
-  for (unsigned w = 0; w < cfg_.associativity; ++w) {
-    if (ways[w].state == LineState::kInvalid) {
-      victim = w;
-      break;
-    }
+  SetHeader& h = sets_[set];
+  for (unsigned m = h.valid; m != 0 && !h.duplicate; m &= m - 1) {
+    h.duplicate = way(static_cast<unsigned>(std::countr_zero(m)), set).tag ==
+                  line;
   }
+  // Prefer an invalid way; else evict the least recently touched.
+  const unsigned free_ways =
+      ~unsigned{h.valid} & ((1u << cfg_.associativity) - 1);
+  const unsigned victim =
+      free_ways != 0
+          ? static_cast<unsigned>(std::countr_zero(free_ways))
+          : static_cast<unsigned>(
+                (h.order >> (4 * (cfg_.associativity - 1))) & 0xF);
+  CacheLine& slot = way(victim, set);
   std::optional<CacheLine> evicted;
-  if (ways[victim].state != LineState::kInvalid) evicted = ways[victim];
-  ways[victim] = CacheLine{line, state, false, region};
-  touch(set, victim);
+  if (free_ways == 0) evicted = slot;
+  std::construct_at(&slot, CacheLine{line, state, false, region});
+  const auto bit = static_cast<std::uint16_t>(1u << victim);
+  h.valid = state != LineState::kInvalid
+                ? static_cast<std::uint16_t>(h.valid | bit)
+                : static_cast<std::uint16_t>(h.valid & ~bit);
+  touch(h, victim);
   return evicted;
 }
 
 const CacheLine* PrivateCache::probe(Addr addr) const {
   const Addr line = line_addr(addr);
-  const std::size_t base = set_index(line) * cfg_.associativity;
-  for (unsigned w = 0; w < cfg_.associativity; ++w) {
-    const auto& l = lines_[base + w];
-    if (l.state != LineState::kInvalid && l.tag == line) return &l;
+  const std::size_t set = set_index(line);
+  for (unsigned m = sets_[set].valid; m != 0; m &= m - 1) {
+    const CacheLine& l = way(static_cast<unsigned>(std::countr_zero(m)), set);
+    if (l.tag == line) return &l;
   }
   return nullptr;
 }
 
 LineState PrivateCache::invalidate(Addr addr) {
   const Addr line = line_addr(addr);
-  const std::size_t base = set_index(line) * cfg_.associativity;
-  for (unsigned w = 0; w < cfg_.associativity; ++w) {
-    auto& l = lines_[base + w];
-    if (l.state != LineState::kInvalid && l.tag == line) {
+  const std::size_t set = set_index(line);
+  SetHeader& h = sets_[set];
+  for (unsigned m = h.valid; m != 0; m &= m - 1) {
+    const auto w = static_cast<unsigned>(std::countr_zero(m));
+    CacheLine& l = way(w, set);
+    if (l.tag == line) {
       const LineState prior = l.state;
       l.state = LineState::kInvalid;
+      h.valid = static_cast<std::uint16_t>(h.valid & ~(1u << w));
       return prior;
     }
   }
@@ -121,10 +145,14 @@ LineState PrivateCache::invalidate(Addr addr) {
 
 std::vector<CacheLine> PrivateCache::lines_in_region(
     std::uint32_t region) const {
+  // Set by set, not in storage order: the handoff sums floating-point
+  // energies over these lines, so the order is part of the results.
   std::vector<CacheLine> out;
-  for (const auto& l : lines_) {
-    if (l.state != LineState::kInvalid && l.region == region) {
-      out.push_back(l);
+  for (std::size_t set = 0; set < num_sets_; ++set) {
+    for (unsigned m = sets_[set].valid; m != 0; m &= m - 1) {
+      const CacheLine& l =
+          way(static_cast<unsigned>(std::countr_zero(m)), set);
+      if (l.region == region) out.push_back(l);
     }
   }
   return out;

@@ -1,36 +1,20 @@
 #include "coherence/interconnect.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+
+#include "common/assert.hpp"
 
 namespace iw::coherence {
 
-Cycles Interconnect::message(unsigned from, unsigned to, bool carries_line) {
-  ++stats_.messages;
-  Cycles latency = 0;
-  double energy = 0.0;
-  const unsigned per_socket = cfg_.num_cores / cfg_.sockets;
-  if (socket_of(from) != socket_of(to)) {
-    ++stats_.socket_crossings;
-    latency += cfg_.socket_latency;
-    energy += cfg_.socket_energy_pj;
-    // Hops to/from the socket link on each side (~half the die each).
-    const unsigned hops = per_socket / 2 + 1;
-    latency += hops * cfg_.hop_latency;
-    energy += hops * cfg_.hop_energy_pj;
-  } else {
-    // In-socket distance: ring/mesh distance between positions.
-    const unsigned a = from % per_socket;
-    const unsigned b = to % per_socket;
-    const unsigned hops = 1 + (a > b ? a - b : b - a);
-    latency += hops * cfg_.hop_latency;
-    energy += hops * cfg_.hop_energy_pj;
+Interconnect::Interconnect(InterconnectConfig cfg, unsigned ids) : cfg_(cfg) {
+  IW_ASSERT_MSG(cfg.sockets >= 1 && cfg.num_cores >= cfg.sockets,
+                "Interconnect: fewer cores than sockets");
+  const unsigned per_socket = cfg.num_cores / cfg.sockets;
+  cross_hops_ = per_socket / 2 + 1;
+  place_.resize(std::max(ids, cfg.num_cores));
+  for (unsigned id = 0; id < place_.size(); ++id) {
+    place_[id] = Place{id / per_socket, id % per_socket};
   }
-  if (carries_line) {
-    ++stats_.line_transfers;
-    energy += cfg_.line_transfer_energy_pj;
-  }
-  stats_.energy_pj += energy;
-  return latency;
 }
 
 }  // namespace iw::coherence

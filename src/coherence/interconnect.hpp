@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -32,15 +33,47 @@ struct InterconnectStats {
 
 class Interconnect {
  public:
-  explicit Interconnect(InterconnectConfig cfg) : cfg_(cfg) {}
+  /// Endpoint ids run over [0, max(ids, num_cores)): a coherence model
+  /// with more cores than the configured NoC passes its own core ids.
+  /// Each id's socket and in-socket position are tabled here, once.
+  explicit Interconnect(InterconnectConfig cfg, unsigned ids = 0);
 
+  /// core / (num_cores / sockets), so ids past num_cores land on
+  /// sockets past the last.
   [[nodiscard]] unsigned socket_of(unsigned core) const {
-    return core / (cfg_.num_cores / cfg_.sockets);
+    return place_[core].socket;
   }
 
   /// One control message from `from` to `to` (cores, or a home slice
   /// colocated with core id `to`). Returns latency; accumulates energy.
-  Cycles message(unsigned from, unsigned to, bool carries_line = false);
+  Cycles message(unsigned from, unsigned to, bool carries_line = false) {
+    ++stats_.messages;
+    Cycles latency = 0;
+    double energy = 0.0;
+    const Place a = place_[from];
+    const Place b = place_[to];
+    if (a.socket != b.socket) {
+      ++stats_.socket_crossings;
+      latency += cfg_.socket_latency;
+      energy += cfg_.socket_energy_pj;
+      // Hops to/from the socket link on each side (~half the die each).
+      latency += cross_hops_ * cfg_.hop_latency;
+      energy += cross_hops_ * cfg_.hop_energy_pj;
+    } else {
+      // In-socket distance: ring/mesh distance between positions.
+      const unsigned hops = 1 + (a.position > b.position
+                                     ? a.position - b.position
+                                     : b.position - a.position);
+      latency += hops * cfg_.hop_latency;
+      energy += hops * cfg_.hop_energy_pj;
+    }
+    if (carries_line) {
+      ++stats_.line_transfers;
+      energy += cfg_.line_transfer_energy_pj;
+    }
+    stats_.energy_pj += energy;
+    return latency;
+  }
 
   /// Home slice (LLC bank) for a line: address-interleaved.
   [[nodiscard]] unsigned home_of(Addr line) const {
@@ -51,7 +84,14 @@ class Interconnect {
   [[nodiscard]] const InterconnectConfig& config() const { return cfg_; }
 
  private:
+  struct Place {
+    unsigned socket;
+    unsigned position;  // id % (num_cores / sockets)
+  };
+
   InterconnectConfig cfg_;
+  std::vector<Place> place_;  // by endpoint id
+  unsigned cross_hops_;       // per_socket / 2 + 1
   InterconnectStats stats_;
 };
 

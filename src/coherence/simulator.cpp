@@ -8,7 +8,10 @@
 namespace iw::coherence {
 
 CoherenceSim::CoherenceSim(SimConfig cfg, Rng rng)
-    : cfg_(cfg), rng_(rng), dir_(cfg.num_cores), noc_(cfg.noc) {
+    : cfg_(cfg),
+      rng_(rng),
+      dir_(cfg.num_cores),
+      noc_(cfg.noc, cfg.num_cores) {
   IW_ASSERT(cfg.num_cores >= 1 && cfg.num_cores <= 64);
   // Known defect (ROADMAP): dead store, noc_ was already built from cfg.noc.
   cfg_.noc.num_cores = cfg.num_cores;
@@ -43,7 +46,6 @@ void CoherenceSim::bind_substrate(substrate::StackSubstrate* sub) {
 }
 
 void CoherenceSim::publish_delta(const SimStats& before, Cycles lat) {
-  if (cells_.accesses == nullptr) return;
   *cells_.accesses += stats_.accesses - before.accesses;
   *cells_.private_hits += stats_.private_hits - before.private_hits;
   *cells_.directory_lookups +=
@@ -258,8 +260,14 @@ Cycles CoherenceSim::coherent_access(const Access& a, const Region& region) {
 }
 
 Cycles CoherenceSim::access(const Access& a, const Region& region) {
-  SimStats before;
-  if (sub_ != nullptr) before = stats_;
+  if (cells_.accesses == nullptr) return serve(a, region);
+  const SimStats before = stats_;
+  const Cycles lat = serve(a, region);
+  publish_delta(before, lat);
+  return lat;
+}
+
+Cycles CoherenceSim::serve(const Access& a, const Region& region) {
   ++stats_.accesses;
   Cycles lat = deactivated(region) ? incoherent_access(a, region)
                                    : coherent_access(a, region);
@@ -267,7 +275,6 @@ Cycles CoherenceSim::access(const Access& a, const Region& region) {
     lat += rng_.uniform(0, cfg_.access_jitter_max);
   }
   stats_.total_latency += lat;
-  stats_.noc = noc_.stats();
   if (sub_ != nullptr) {
     // The interweaving step: the access's price lands on the owning
     // core's clock, so everything scheduled after it on that core (the
@@ -279,16 +286,16 @@ Cycles CoherenceSim::access(const Access& a, const Region& region) {
     if (lat > cfg_.lat.private_hit) {
       sub_->trace_span(a.core, "coherence.miss", begin, begin + lat);
     }
-    publish_delta(before, lat);
   }
   return lat;
 }
 
 void CoherenceSim::handoff(const Handoff& h, const Trace& trace) {
-  SimStats before;
-  if (sub_ != nullptr) before = stats_;
   const Region& r = trace.region_of(h.region);
   if (!deactivated(r)) return;  // coherent regions need no flush
+  const bool publish = cells_.accesses != nullptr;
+  SimStats before;
+  if (publish) before = stats_;
   Cycles flush_cost = 0;
   auto& cache = *caches_[h.from_core];
   for (const CacheLine& line : cache.lines_in_region(h.region)) {
@@ -302,7 +309,6 @@ void CoherenceSim::handoff(const Handoff& h, const Trace& trace) {
     ++stats_.handoff_flushes;
   }
   stats_.total_latency += flush_cost;
-  stats_.noc = noc_.stats();
   if (sub_ != nullptr) {
     const Cycles begin = sub_->core_now(h.from_core);
     if (flush_cost > 0) {
@@ -312,8 +318,8 @@ void CoherenceSim::handoff(const Handoff& h, const Trace& trace) {
     } else {
       sub_->trace_instant(h.from_core, "coherence.handoff", begin);
     }
-    publish_delta(before, 0);
   }
+  if (publish) publish_delta(before, 0);
 }
 
 SimStats CoherenceSim::run(const Trace& trace) {
@@ -328,8 +334,13 @@ SimStats CoherenceSim::run(const Trace& trace) {
       ++next_handoff;
     }
   }
-  stats_.noc = noc_.stats();
-  return stats_;
+  return stats();
+}
+
+SimStats CoherenceSim::stats() const {
+  SimStats s = stats_;
+  s.noc = noc_.stats();
+  return s;
 }
 
 }  // namespace iw::coherence

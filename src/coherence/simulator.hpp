@@ -111,17 +111,22 @@ class CoherenceSim {
   /// Handoff processing (flush under deactivation).
   void handoff(const Handoff& h, const Trace& trace);
 
-  [[nodiscard]] const SimStats& stats() const { return stats_; }
+  /// Current after every access and handoff (the NoC counters included).
+  [[nodiscard]] SimStats stats() const;
   [[nodiscard]] PrivateCache& cache(unsigned core) { return *caches_[core]; }
   [[nodiscard]] Directory& directory() { return dir_; }
 
  private:
+  /// access() without the registry delta: the protocol, the jitter
+  /// draw and the substrate charge.
+  Cycles serve(const Access& a, const Region& region);
   [[nodiscard]] bool deactivated(const Region& r) const;
   Cycles fetch_from_home(Addr line, unsigned requester, unsigned home);
   Cycles coherent_access(const Access& a, const Region& region);
   Cycles incoherent_access(const Access& a, const Region& region);
   void evict(unsigned core, const CacheLine& line);
-  /// Stream the per-access stats delta into the bound registry.
+  /// Stream the per-access stats delta into the bound registry (only
+  /// called with cells bound).
   void publish_delta(const SimStats& before, Cycles lat);
 
   SimConfig cfg_;
@@ -130,7 +135,7 @@ class CoherenceSim {
   std::vector<std::unique_ptr<PrivateCache>> caches_;
   Directory dir_;
   Interconnect noc_;
-  SimStats stats_;
+  SimStats stats_;  // every field but noc, which noc_ keeps
 
   substrate::StackSubstrate* sub_{nullptr};
   /// Cached registry cells (bind-time lookups; hot paths must not pay

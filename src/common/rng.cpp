@@ -14,52 +14,9 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::next_double() {
-  // 53 high bits -> [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t Rng::uniform(std::uint64_t lo, std::uint64_t hi) {
-  IW_ASSERT(lo <= hi);
-  const std::uint64_t span = hi - lo + 1;
-  if (span == 0) {
-    // hi - lo spans the whole u64 range, which (with lo <= hi) forces
-    // lo == 0 and hi == UINT64_MAX: every raw draw is already in
-    // [lo, hi]. Keep the offset explicit so the full-range path cannot
-    // silently drift if the precondition ever changes.
-    IW_ASSERT(lo == 0);
-    return lo + next_u64();
-  }
-  // Debiased modulo (Lemire-style rejection is overkill for sim noise).
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % span);
-  std::uint64_t v;
-  do {
-    v = next_u64();
-  } while (v > limit);
-  return lo + v % span;
 }
 
 double Rng::uniform_real(double lo, double hi) {
@@ -109,8 +66,6 @@ double Rng::heavy_tail(double median, double alpha, double cap) {
   const double v = xm / std::pow(u, 1.0 / alpha);
   return v > cap ? cap : v;
 }
-
-bool Rng::chance(double p) { return next_double() < p; }
 
 Rng Rng::split() { return Rng(next_u64() ^ 0xd1b54a32d192ed03ULL); }
 

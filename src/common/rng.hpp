@@ -4,9 +4,16 @@
 // latency tails, workload irregularity) draws from an explicitly seeded
 // Rng so that every figure in EXPERIMENTS.md is bit-reproducible.
 // The generator is xoshiro256**, seeded via splitmix64.
+//
+// The per-access draws (next_u64, next_double, chance, uniform) are
+// defined here so they inline into the model loops; the distribution
+// shapes built on them stay in rng.cpp.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+
+#include "common/assert.hpp"
 
 namespace iw {
 
@@ -19,13 +26,46 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// Uniform 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double next_double();
+  /// Uniform double in [0, 1): the 53 high bits of one draw.
+  double next_double() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi);
+  std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) {
+    IW_ASSERT(lo <= hi);
+    const std::uint64_t span = hi - lo + 1;
+    if (span == 0) {
+      // hi - lo spans the whole u64 range, which (with lo <= hi) forces
+      // lo == 0 and hi == UINT64_MAX: every raw draw is already in
+      // [lo, hi]. Keep the offset explicit so the full-range path cannot
+      // silently drift if the precondition ever changes.
+      IW_ASSERT(lo == 0);
+      return lo + next_u64();
+    }
+    // Debiased modulo: draws above `limit` are rejected. For a
+    // power-of-two span, ~0 % span is span - 1 and v % span is
+    // v & (span - 1), so that path draws, rejects and returns exactly
+    // what the divisions would, without them.
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    const bool pow2 = (span & (span - 1)) == 0;
+    const std::uint64_t limit = pow2 ? kMax - (span - 1) : kMax - kMax % span;
+    std::uint64_t v = next_u64();
+    while (v > limit) v = next_u64();
+    return lo + (pow2 ? v & (span - 1) : v % span);
+  }
 
   /// Uniform double in [lo, hi).
   double uniform_real(double lo, double hi);
@@ -45,7 +85,7 @@ class Rng {
   double heavy_tail(double median, double alpha, double cap);
 
   /// Bernoulli trial.
-  bool chance(double p);
+  bool chance(double p) { return next_double() < p; }
 
   /// Derive an independent child stream (for per-core RNGs).
   Rng split();

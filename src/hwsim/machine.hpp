@@ -232,9 +232,6 @@ class Machine final : public substrate::StackSubstrate {
     return Rng(substrate::derive_stream_seed(cfg_.seed, name));
   }
 
-  // --- StackSubstrate: fault hook ---
-  [[nodiscard]] FaultInjector* fault_hook() override { return &faults_; }
-
   /// Attach observability sinks (null = off, the default). Recording is
   /// free in virtual time and draws no RNG, so a traced run executes a
   /// bit-identical schedule to an untraced one. set_tracer pre-sizes

@@ -1,7 +1,7 @@
 // The stack substrate: the shared fabric the paper's interweaving
 // argument needs every layer to run *on* rather than beside.
 //
-// A StackSubstrate bundles the four cross-layer services that used to be
+// A StackSubstrate bundles the three cross-layer services that used to be
 // private to hwsim::Machine:
 //   * virtual time   — one clock per core; subsystems charge their cycle
 //                      costs to the owning core instead of keeping a
@@ -12,9 +12,7 @@
 //   * randomness     — named RNG streams derived from one substrate
 //                      seed, so stochastic models stay bit-reproducible
 //                      and independent (one subsystem's draws never
-//                      perturb another's schedule);
-//   * faults         — an optional FaultInjector hook, so experiments
-//                      can perturb any layer from one declarative plan.
+//                      perturb another's schedule).
 //
 // Two implementations exist: hwsim::Machine (the DES — core clocks are
 // the simulated cores' clocks, charges move real simulated time) and
@@ -37,10 +35,6 @@ namespace iw::obs {
 class TraceRecorder;
 class MetricsRegistry;
 }  // namespace iw::obs
-
-namespace iw::hwsim {
-class FaultInjector;
-}  // namespace iw::hwsim
 
 namespace iw::substrate {
 
@@ -72,14 +66,6 @@ class StackSubstrate {
   /// same stream; distinct names -> independent streams. Subsystems
   /// take their stream once at bind time, never share streams.
   [[nodiscard]] virtual Rng rng_stream(const char* name) const = 0;
-
-  /// Optional fault hook (nullptr = fault-free fabric). The base
-  /// returns null so analytic substrates without a fault layer stay
-  /// zero-cost. (Named fault_hook, not fault_injector: Machine keeps
-  /// its reference-returning fault_injector() accessor.)
-  [[nodiscard]] virtual hwsim::FaultInjector* fault_hook() {
-    return nullptr;
-  }
 
   // --- null-safe convenience wrappers (all free in virtual time) ---
 
@@ -146,15 +132,9 @@ class AnalyticSubstrate final : public StackSubstrate {
   [[nodiscard]] Rng rng_stream(const char* name) const override {
     return Rng(derive_stream_seed(seed_, name));
   }
-  [[nodiscard]] hwsim::FaultInjector* fault_hook() override {
-    return faults_;
-  }
 
   void set_tracer(obs::TraceRecorder* t) { tracer_ = t; }
   void set_metrics(obs::MetricsRegistry* m) { metrics_ = m; }
-  /// Attach an externally-owned fault injector (benches configure one
-  /// from --faults= and share it across analytic runs).
-  void set_fault_injector(hwsim::FaultInjector* f) { faults_ = f; }
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
@@ -180,7 +160,6 @@ class AnalyticSubstrate final : public StackSubstrate {
   std::uint64_t seed_;
   obs::TraceRecorder* tracer_{nullptr};
   obs::MetricsRegistry* metrics_{nullptr};
-  hwsim::FaultInjector* faults_{nullptr};
 };
 
 }  // namespace iw::substrate

@@ -2,10 +2,79 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
 #include <vector>
 
 namespace iw {
 namespace {
+
+/// uniform() as it was when it lived in rng.cpp: two 64-bit divisions
+/// per call at every span. The inline version must draw, reject and
+/// return exactly what this does.
+std::uint64_t reference_uniform(Rng& r, std::uint64_t lo, std::uint64_t hi) {
+  const std::uint64_t span = hi - lo + 1;
+  if (span == 0) return lo + r.next_u64();
+  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % span);
+  std::uint64_t v;
+  do {
+    v = r.next_u64();
+  } while (v > limit);
+  return lo + v % span;
+}
+
+TEST(Rng, UniformMatchesTheDivisionReference) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  // 0 stands for the full range (hi - lo + 1 wraps). 2^63 and 2^63 + 1
+  // reject about half their draws, so a path without the rejection loop
+  // diverges there at once.
+  const std::uint64_t spans[] = {1,         2,
+                                 3,         128,
+                                 512,       std::uint64_t{1} << 32,
+                                 std::uint64_t{1} << 63,
+                                 (std::uint64_t{1} << 63) + 1,
+                                 kMax,      0};
+  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0x9e3779b97f4a7c15ULL}) {
+    for (const std::uint64_t span : spans) {
+      // The lowest and the highest `lo` the span allows.
+      for (const std::uint64_t lo : {std::uint64_t{0}, kMax - (span - 1)}) {
+        if (span == 0 && lo != 0) continue;
+        const std::uint64_t hi = lo + (span - 1);
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " span " << span
+                                        << " lo " << lo);
+        Rng got(seed), want(seed);
+        for (int i = 0; i < 2000; ++i) {
+          ASSERT_EQ(got.uniform(lo, hi), reference_uniform(want, lo, hi));
+        }
+        // Both consumed the same number of draws.
+        EXPECT_EQ(got.next_u64(), want.next_u64());
+      }
+    }
+  }
+}
+
+TEST(Rng, FirstDrawsArePinned) {
+  Rng u(1);
+  EXPECT_EQ(u.next_u64(), 0xb3f2af6d0fc710c5ULL);
+  EXPECT_EQ(u.next_u64(), 0x853b559647364ceaULL);
+  EXPECT_EQ(u.next_u64(), 0x92f89756082a4514ULL);
+  EXPECT_EQ(u.next_u64(), 0x642e1c7bc266a3a7ULL);
+  Rng d(2);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(d.next_double()),
+            0x3fba28690da8a8d0ULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(d.next_double()),
+            0x3fe73770085b5dbaULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(d.next_double()),
+            0x3fc78c14d7800f78ULL);
+  Rng c(3);
+  std::string coins;
+  for (int i = 0; i < 16; ++i) coins += c.chance(0.3) ? '1' : '0';
+  EXPECT_EQ(coins, "0010001001000001");
+  Rng r(4);
+  EXPECT_EQ(r.uniform(0, 511), 19u);
+  EXPECT_EQ(r.uniform(10, 20), 14u);
+  EXPECT_EQ(r.uniform(0, (std::uint64_t{1} << 63) - 1), 8178677626870456958u);
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(123), b(123);

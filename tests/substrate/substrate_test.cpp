@@ -60,12 +60,11 @@ TEST(AnalyticSubstrate, ResetClocksKeepsSinksAndSeed) {
 
 TEST(AnalyticSubstrate, NullSinkWrappersAreSafeNoOps) {
   AnalyticSubstrate sub(1);
-  // No tracer, no metrics, no fault injector attached: every wrapper
+  // No tracer and no metrics attached: every wrapper
   // must be a clean no-op (this is the default-off path every ported
   // model runs through when unbound).
   EXPECT_EQ(sub.tracer(), nullptr);
   EXPECT_EQ(sub.metrics(), nullptr);
-  EXPECT_EQ(sub.fault_hook(), nullptr);
   sub.trace_span(0, "substrate.test", 0, 10);
   sub.trace_instant(0, "substrate.test", 5);
   sub.metric_add(obs::names::kCoherenceAccesses);
@@ -154,9 +153,6 @@ TEST(MachineSubstrate, MachineImplementsTheInterface) {
   sub.charge(0, 75);
   EXPECT_EQ(sub.core_now(0), 75u);
   EXPECT_EQ(m.core(0).clock(), 75u);
-  // The machine always has a fault layer (inert unless a plan enables
-  // it); the hook must expose it.
-  EXPECT_EQ(sub.fault_hook(), &m.fault_injector());
 }
 
 }  // namespace
